@@ -46,6 +46,7 @@ from .modal_dynamics import (
     zero_control,
 )
 from .spectral_basis import (
+    Geometry,
     SpectralBasis,
     build_interval_basis,
     build_rectangle_basis,
@@ -118,16 +119,13 @@ def _truncated(basis: SpectralBasis, modes: int) -> SpectralBasis:
 
 def _build_basis(config: dict, modes: int):
     block = _as_block(config, "geometry")
-    kind = _require(block, "kind", "geometry block")
-    lengths = [float(v) for v in _require(block, "lengths", "geometry block")]
-    resolved = {"kind": kind, "lengths": lengths}
-    if kind == "interval":
-        if len(lengths) != 1:
-            raise ValueError("interval geometry takes exactly one length")
-        basis = build_interval_basis(lengths[0], modes)
-    elif kind == "rectangle":
-        if len(lengths) != 2:
-            raise ValueError("rectangle geometry takes exactly two lengths")
+    geometry = Geometry(
+        _require(block, "kind", "geometry block"), _require(block, "lengths", "geometry block")
+    )
+    resolved = {"kind": geometry.kind, "lengths": list(geometry.lengths)}
+    if geometry.kind == "interval":
+        basis = build_interval_basis(geometry.lengths[0], modes)
+    else:
         per_axis = int(block.get("modes_per_axis", math.ceil(math.sqrt(modes))))
         if per_axis * per_axis < modes:
             raise ValueError(
@@ -135,13 +133,11 @@ def _build_basis(config: dict, modes: int):
             )
         nodes = block.get("nodes_per_face")
         basis = build_rectangle_basis(
-            lengths[0], lengths[1], per_axis, None if nodes is None else int(nodes)
+            *geometry.lengths, per_axis, None if nodes is None else int(nodes)
         )
         basis = _truncated(basis, modes)
         resolved["modes_per_axis"] = per_axis
         resolved["nodes_per_face"] = int(basis.n_quad // 2)
-    else:
-        raise ValueError(f"unknown geometry kind {kind!r}")
     return basis, resolved
 
 
@@ -164,6 +160,13 @@ def _build_grid(config: dict):
     horizon = float(_require(block, "horizon", "grid block"))
     steps = int(_require(block, "steps", "grid block"))
     return TimeGrid(horizon=horizon, steps=steps), {"horizon": horizon, "steps": steps}
+
+
+def _finite_field(config: dict, key: str, default: float) -> float:
+    value = float(config.get(key, default))
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    return value
 
 
 def _resolve_seed(config: dict) -> int:
@@ -314,7 +317,7 @@ def _cmd_simulate(config, out, threads):
 def _cmd_synthesize(config, out, threads):
     basis, kernel, grid, seed, resolved = _common_setup(config)
     target, target_resolved = _build_target(config, basis, seed)
-    regularization = float(config.get("regularization", 0.0))
+    regularization = _finite_field(config, "regularization", 0.0)
     resolved["target"] = target_resolved
     resolved["regularization"] = regularization
 
@@ -471,7 +474,7 @@ def _cmd_maccamy(config, out, threads):
 def _cmd_probes(config, out, threads):
     basis, kernel, grid, seed, resolved = _common_setup(config)
     trials = int(config.get("trials", 8))
-    alpha = float(config.get("alpha", 0.55))
+    alpha = _finite_field(config, "alpha", 0.55)
     default_counts = sorted({max(1, basis.n_modes // 4), max(2, basis.n_modes // 2), basis.n_modes})
     counts = [int(m) for m in config.get("mode_counts", default_counts)]
     pert_modes = int(config.get("perturbation_modes", min(16, basis.n_modes)))

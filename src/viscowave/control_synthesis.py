@@ -26,20 +26,18 @@ import numpy as np
 from .grids import TimeGrid
 from .memory_kernel import MemoryKernel
 from .modal_dynamics import (
+    DEFAULT_SEED,
     BoundaryControl,
     StatePair,
+    _controlled_batch,
     _free_memory_batch,
+    _wave_response_batch,
     adjoint_trace,
     control_l2_norm,
     forward_simulate,
-    memory_oscillator_kernels,
-    _wave_response_batch,
 )
 from .quadrature import trapezoid_weights
 from .spectral_basis import SpectralBasis, control_time_lower_bound
-from .volterra import march_difference_kernel
-
-DEFAULT_SEED = 1870
 
 
 class IllPosedSystemError(RuntimeError):
@@ -72,7 +70,8 @@ class GramSystem:
 def _free_batch_threaded(xis, etas, mus, kernel, grid, threads):
     if threads <= 1 or mus.size < 2 * threads:
         return _free_memory_batch(xis, etas, mus, kernel, grid)
-    chunks = [c for c in np.array_split(np.arange(mus.size), threads) if c.size]
+    # Split by frequency so rows sharing a mu (and so a kernel) go to one worker.
+    chunks = [c for c in np.array_split(np.argsort(mus, kind="stable"), threads) if c.size]
     out = np.zeros((mus.size, grid.n_nodes))
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [
@@ -113,9 +112,9 @@ def assemble_gram(
     m = n_modes
     mus = basis.mu[:m]
     ones, zeros = np.ones(m), np.zeros(m)
-    psi_cos = _free_batch_threaded(ones, zeros, mus, kernel, grid, threads)
-    psi_sin = _free_batch_threaded(zeros, ones, mus, kernel, grid, threads)
-    psi = np.vstack([psi_cos, psi_sin])
+    psi = _free_batch_threaded(
+        np.r_[ones, zeros], np.r_[zeros, ones], np.r_[mus, mus], kernel, grid, threads
+    )
 
     wt = trapezoid_weights(grid.n_nodes, grid.dt)
     time_gram = (psi * wt[None, :]) @ psi.T
@@ -348,29 +347,24 @@ def perturbation_compactness_probe(
     m = n_modes
     mus = basis.mu[:m]
     n = grid.n_nodes
-    dt = grid.dt
-    t = grid.times
 
-    # Memoryless responses to time one-hot forcings, from the trapezoid
-    # convolution acting on a unit impulse at node p (half weight at p = 0;
-    # the diagonal of the cosine response picks up the right-end half weight).
-    shift = t[None, :] - t[:, None]
-    causal = shift >= 0.0
-    a = np.ones(n)
-    a[0] = 0.5
-    u = np.zeros((m, n, n))
-    up = np.zeros((m, n, n))
-    for i in range(m):
-        u[i] = np.where(causal, np.sin(mus[i] * shift), 0.0) * (dt / mus[i]) * a[:, None]
-        up[i] = np.where(shift > 0.0, np.cos(mus[i] * shift), 0.0) * dt * a[:, None]
-        np.fill_diagonal(up[i], 0.5 * dt)
-        up[i, 0, 0] = 0.0
+    # Modal responses to unit impulses at nodes 0 and 1 (rows 0..m-1 and
+    # m..2m-1).  The marching system is Toeplitz on nodes >= 1 and only node 0
+    # carries the half trapezoid weight, so an impulse at node p >= 1 answers
+    # with the node-1 response delayed by p - 1: its terminal value is that
+    # response at node n - p, and the row read backwards covers p = 1..n-1.
+    pair = np.r_[mus, mus]
+    impulses = np.zeros((2 * m, n))
+    impulses[:m, 0] = 1.0
+    impulses[m:, 1] = 1.0
+    u, up = _wave_response_batch(pair, impulses, grid)
+    w, wp = _controlled_batch(pair, impulses, kernel, grid)
 
-    kernels = memory_oscillator_kernels(mus, kernel, grid)
-    w = march_difference_kernel(kernels[:, None, :], u, dt)
-    wp = march_difference_kernel(kernels[:, None, :], up, dt)
-    d_xi = mus[:, None] * (w[..., -1] - u[..., -1])
-    d_eta = wp[..., -1] - up[..., -1]
+    def terminal_by_node(r):
+        return np.concatenate([r[:m, -1:], r[m:, :0:-1]], axis=1)
+
+    d_xi = mus[:, None] * terminal_by_node(w - u)
+    d_eta = terminal_by_node(wp - up)
 
     # Tensor with the trace/boundary-weight factor and rescale columns so each
     # corresponds to a unit-L2 control; singular values then track the
@@ -378,7 +372,7 @@ def perturbation_compactness_probe(
     tw = basis.traces[:m] * basis.quad_weights[None, :]
     blocks = [np.einsum("mq,mp->mqp", tw, d).reshape(m, -1) for d in (d_xi, d_eta)]
     matrix = np.vstack(blocks)
-    wt = trapezoid_weights(n, dt)
+    wt = trapezoid_weights(n, grid.dt)
     col_norm = np.sqrt(np.outer(basis.quad_weights, wt)).reshape(-1)
     matrix = matrix / col_norm[None, :]
     sigma = np.linalg.svd(matrix, compute_uv=False)
@@ -398,9 +392,3 @@ def random_smooth_target(
     factor = norm / scale
     return StatePair(xi=factor * xi, eta=factor * eta, mu=basis.mu.copy())
 
-
-def _wave_terminal(basis: SpectralBasis, control: BoundaryControl, grid: TimeGrid) -> StatePair:
-    """Weighted terminal state of the memoryless system (internal helper)."""
-    g_modal = (basis.traces * basis.quad_weights[None, :]) @ control.values
-    u, upr = _wave_response_batch(basis.mu, g_modal, grid)
-    return StatePair(xi=basis.mu * u[:, -1], eta=upr[:, -1], mu=basis.mu)

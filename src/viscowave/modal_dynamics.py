@@ -89,7 +89,9 @@ class BoundaryControl:
     grid: TimeGrid
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        # Contiguous storage keeps products with the samples independent of the
+        # caller's memory layout (a transposed CSV table rounds differently).
+        v = np.ascontiguousarray(self.values, dtype=float)
         if v.ndim != 2:
             raise ValueError("control values must be a (n_nodes, n_times) array")
         if v.shape[1] != self.grid.n_nodes:
@@ -196,15 +198,16 @@ def free_memory_modal(
 def _free_memory_batch(
     xis: np.ndarray, etas: np.ndarray, mus: np.ndarray, kernel: MemoryKernel, grid: TimeGrid
 ) -> np.ndarray:
-    t = grid.times
-    phase = mus[:, None] * t[None, :]
-    forcing = xis[:, None] * np.cos(phase) + etas[:, None] * np.sin(phase)
-    psi = np.zeros_like(forcing)
     # Zero data forces the zero solution exactly; only march the active modes.
     active = (xis != 0.0) | (etas != 0.0)
+    psi = np.zeros((mus.size, grid.n_nodes))
     if np.any(active):
-        kernels = memory_oscillator_kernels(mus[active], kernel, grid)
-        psi[active] = march_difference_kernel(kernels, forcing[active], grid.dt)
+        phase = mus[active, None] * grid.times[None, :]
+        forcing = xis[active, None] * np.cos(phase) + etas[active, None] * np.sin(phase)
+        # The kernel depends on the frequency alone: build it once per distinct mu.
+        distinct, row = np.unique(mus[active], return_inverse=True)
+        kernels = memory_oscillator_kernels(distinct, kernel, grid)[row]
+        psi[active] = march_difference_kernel(kernels, forcing, grid.dt)
     return psi
 
 

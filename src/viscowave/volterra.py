@@ -9,40 +9,33 @@ trapezoid rule (second order), and Picard iteration on the same quadrature.
 The two routes cross-validate each other; on contraction problems they agree
 to the fixed-point tolerance.
 
-Kernels come in two flavours.  A difference kernel k(t, s) = kappa(t - s) is
-passed as an array of samples kappa(t_j) on the grid; a general kernel is
-passed as a callable k(t, s_array) vectorised in its second argument.
+Kernels are difference kernels k(t, s) = kappa(t - s), passed as the samples
+kappa(t_j) on the grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 
 from .grids import TimeGrid
 from .quadrature import trapezoid_convolve
 
-KernelSpec = Union[np.ndarray, Callable[[float, np.ndarray], np.ndarray]]
-
-# |1 - (dt/2) k(t_j, t_j)| below this is treated as a singular diagonal factor.
+# |1 - (dt/2) kappa(0)| below this is treated as a singular diagonal factor.
 _SINGULAR_TOL = 1e-12
 
 
 class StepSizeError(RuntimeError):
-    """Marching diagonal factor 1 - (dt/2) k(t_j, t_j) is numerically singular."""
+    """Marching diagonal factor 1 - (dt/2) kappa(0) is numerically singular."""
 
 
 @dataclass
 class VolterraProblem:
-    """Forcing g sampled on the grid plus the kernel (samples or callable)."""
+    """Forcing g and difference-kernel samples kappa, both sampled on the grid."""
 
     forcing: np.ndarray
-    kernel: KernelSpec
-
-    def kernel_is_difference(self) -> bool:
-        return not callable(self.kernel)
+    kernel: np.ndarray
 
 
 @dataclass
@@ -52,7 +45,7 @@ class PicardResult:
     iterations: int
 
 
-def _check_forcing(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
+def _check_problem(problem: VolterraProblem, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
     g = np.asarray(problem.forcing, dtype=float)
     if g.shape[-1] != grid.n_nodes:
         raise ValueError(
@@ -60,7 +53,12 @@ def _check_forcing(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
         )
     if not np.all(np.isfinite(g)):
         raise ValueError("forcing contains non-finite samples")
-    return g
+    k = np.asarray(problem.kernel, dtype=float)
+    if k.shape[-1] != grid.n_nodes:
+        raise ValueError(
+            f"difference kernel has {k.shape[-1]} samples, expected {grid.n_nodes}"
+        )
+    return g, k
 
 
 def march_difference_kernel(kernel: np.ndarray, forcing: np.ndarray, dt: float) -> np.ndarray:
@@ -92,68 +90,10 @@ def march_difference_kernel(kernel: np.ndarray, forcing: np.ndarray, dt: float) 
     return y
 
 
-def _march_general_kernel(
-    kfun: Callable[[float, np.ndarray], np.ndarray],
-    forcing: np.ndarray,
-    grid: TimeGrid,
-) -> np.ndarray:
-    t = grid.times
-    dt = grid.dt
-    y = np.empty_like(forcing)
-    y[..., 0] = forcing[..., 0]
-    for j in range(1, grid.n_nodes):
-        row = np.asarray(kfun(t[j], t[: j + 1]), dtype=float)
-        denom = 1.0 - 0.5 * dt * row[j]
-        if abs(denom) < _SINGULAR_TOL:
-            raise StepSizeError(
-                f"singular diagonal factor 1 - dt/2*k(t_j, t_j) at node {j}; "
-                "reduce the step size"
-            )
-        acc = 0.5 * row[0] * y[..., 0]
-        if j > 1:
-            acc = acc + y[..., 1:j] @ row[1:j]
-        y[..., j] = (forcing[..., j] + dt * acc) / denom
-    return y
-
-
 def solve_marching(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
     """March the discretized equation forward; O(dt^2) accurate."""
-    g = _check_forcing(problem, grid)
-    if problem.kernel_is_difference():
-        k = np.asarray(problem.kernel, dtype=float)
-        if k.shape[-1] != grid.n_nodes:
-            raise ValueError(
-                f"difference kernel has {k.shape[-1]} samples, expected {grid.n_nodes}"
-            )
-        return march_difference_kernel(k, g, grid.dt)
-    return _march_general_kernel(problem.kernel, g, grid)
-
-
-def _integral_operator(problem: VolterraProblem, grid: TimeGrid):
-    """Return y -> int_0^t k(t,s) y(s) ds under the product trapezoid rule."""
-    dt = grid.dt
-    if problem.kernel_is_difference():
-        k = np.asarray(problem.kernel, dtype=float)
-        if k.shape[-1] != grid.n_nodes:
-            raise ValueError(
-                f"difference kernel has {k.shape[-1]} samples, expected {grid.n_nodes}"
-            )
-        return lambda y: trapezoid_convolve(k, y, dt)
-
-    t = grid.times
-    kfun = problem.kernel
-
-    def apply(y: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(y)
-        for j in range(1, grid.n_nodes):
-            row = np.asarray(kfun(t[j], t[: j + 1]), dtype=float)
-            acc = 0.5 * (row[0] * y[..., 0] + row[j] * y[..., j])
-            if j > 1:
-                acc = acc + y[..., 1:j] @ row[1:j]
-            out[..., j] = dt * acc
-        return out
-
-    return apply
+    g, k = _check_problem(problem, grid)
+    return march_difference_kernel(k, g, grid.dt)
 
 
 def solve_picard(problem: VolterraProblem, grid: TimeGrid, n_iter: int = 20) -> PicardResult:
@@ -164,11 +104,10 @@ def solve_picard(problem: VolterraProblem, grid: TimeGrid, n_iter: int = 20) -> 
     """
     if n_iter < 1:
         raise ValueError(f"n_iter must be >= 1, got {n_iter}")
-    g = _check_forcing(problem, grid)
-    apply = _integral_operator(problem, grid)
+    g, k = _check_problem(problem, grid)
     y_prev = g
-    y = g + apply(g)
+    y = g + trapezoid_convolve(k, g, grid.dt)
     for _ in range(n_iter - 1):
-        y_prev, y = y, g + apply(y)
+        y_prev, y = y, g + trapezoid_convolve(k, y, grid.dt)
     gap = float(np.max(np.abs(y - y_prev)))
     return PicardResult(solution=y, contraction_estimate=gap, iterations=n_iter)

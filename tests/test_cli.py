@@ -130,6 +130,27 @@ class TestSynthesize:
         verify_error = read_summary(verify_out)["terminal_error"]
         assert abs(synth_error - verify_error) <= 1e-12
 
+    @pytest.mark.parametrize("seed", [0, 2, 3])
+    def test_verify_matches_synthesize_exactly_on_rectangle(self, tmp_path, seed):
+        # Many face nodes: the control read back from control.csv must drive
+        # the forward run through exactly the same arithmetic as the in-memory one.
+        payload = base_config(
+            modes=9,
+            geometry={"kind": "rectangle", "lengths": [1.0, 1.0], "nodes_per_face": 16},
+            kernel={"b": 0.2, "family": "exponential", "params": {"amplitude": 0.1, "rate": 1.0}},
+            grid={"horizon": 3.0, "steps": 400},
+            target={"type": "random-smooth"},
+            seed=seed,
+        )
+        synth_out = tmp_path / "synth"
+        cfg = write_config(tmp_path, payload, name="synth.json")
+        assert main(["synthesize", "--config", cfg, "--out", str(synth_out)]) == 0
+        payload["control"] = {"type": "file", "path": str(synth_out / "control.csv")}
+        cfg = write_config(tmp_path, payload, name="verify.json")
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "verify")]) == 0
+        synth_error = read_summary(synth_out)["terminal_error"]
+        assert read_summary(tmp_path / "verify")["terminal_error"] == synth_error
+
     def test_random_smooth_target(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -281,6 +302,30 @@ class TestExitCodes:
         cfg = write_config(tmp_path, base_config(**mutation))
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
         assert "invalid configuration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, mutation, code, message",
+        [
+            ("probes", {"alpha": float("nan")}, 3, "alpha must be finite"),
+            (
+                "synthesize",
+                {"regularization": float("nan"), "target": {"xi": [0.1, 0.0], "eta": [0.0, 0.0]}},
+                3,
+                "regularization must be finite",
+            ),
+            (
+                "simulate",
+                {"geometry": {"kind": "interval", "lengths": [1.0, 2.0]}},
+                3,
+                "interval geometry takes exactly one length",
+            ),
+        ],
+        ids=["alpha-nan", "regularization-nan", "interval-two-lengths"],
+    )
+    def test_field_values_exit_codes(self, tmp_path, capsys, command, mutation, code, message):
+        cfg = write_config(tmp_path, base_config(**mutation))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == code
+        assert message in capsys.readouterr().err
 
     def test_missing_modes_exits_three(self, tmp_path):
         payload = base_config()

@@ -13,7 +13,7 @@ from viscowave.control_synthesis import (
     terminal_error,
 )
 from viscowave.grids import TimeGrid
-from viscowave.memory_kernel import ExponentialKernel, MemoryKernel
+from viscowave.memory_kernel import ExponentialKernel, MemoryKernel, PronyKernel
 from viscowave.modal_dynamics import (
     BoundaryControl,
     StatePair,
@@ -289,6 +289,28 @@ class TestPerturbationCompactness:
         basis = build_interval_basis(1.0, 2)
         with pytest.raises(ValueError):
             perturbation_compactness_probe(basis, MemoryKernel(), TimeGrid(2.0, 50), 3)
+
+    def test_sum_of_squares_matches_per_impulse_forward_runs(self):
+        # Sum of sigma^2 is the squared Frobenius norm of the probed matrix;
+        # rebuild it column by column from forward runs of every unit nodal
+        # impulse, with and without memory, scaled to a unit-L2 control.
+        basis = build_interval_basis(1.0, 4)
+        grid = TimeGrid(2.5, 63)
+        memory = MemoryKernel(b=0.2, kernel=PronyKernel((0.03, 0.05, 0.04), (0.5, 2.0, 5.0)))
+        report = perturbation_compactness_probe(basis, memory, grid, 4)
+        wt = trapezoid_weights(grid.n_nodes, grid.dt)
+        expected = 0.0
+        for q in range(basis.n_quad):
+            for p in range(grid.n_nodes):
+                values = np.zeros((basis.n_quad, grid.n_nodes))
+                values[q, p] = 1.0
+                control = BoundaryControl(values=values, grid=grid)
+                a = forward_simulate(basis, memory, control, grid).terminal
+                b = forward_simulate(basis, MemoryKernel(), control, grid).terminal
+                sq = np.sum((a.xi - b.xi) ** 2) + np.sum((a.eta - b.eta) ** 2)
+                expected += sq / (basis.quad_weights[q] * wt[p])
+        got = float(np.sum(report.singular_values**2))
+        assert abs(got - expected) <= 1e-10 * expected
 
 
 class TestRandomSmoothTarget:

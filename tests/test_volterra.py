@@ -50,14 +50,6 @@ class TestMarching:
         order = np.log2(errors[0] / errors[1])
         assert 1.8 <= order <= 2.2
 
-    def test_general_kernel_exact_on_linear_integrand(self):
-        # With k(t, s) = t s and y = 1 the update integrand is linear in s, so
-        # the product trapezoid rule is exact and marching reproduces y = 1.
-        grid = TimeGrid(1.0, 40)
-        g = 1.0 - 0.5 * grid.times**3
-        y = solve_marching(VolterraProblem(g, lambda t, s: t * s), grid)
-        assert np.max(np.abs(y - 1.0)) <= 1e-12
-
     def test_batched_forcing_matches_scalar_runs(self):
         rng = np.random.default_rng(3)
         grid = TimeGrid(1.0, 120)
@@ -109,12 +101,6 @@ class TestPicard:
         assert picard.contraction_estimate <= 1e-10
         assert np.max(np.abs(picard.solution - marched)) <= 1e-8
 
-    def test_general_kernel_route(self):
-        grid = TimeGrid(1.0, 200)
-        g = 1.0 - 0.5 * grid.times**3
-        result = solve_picard(VolterraProblem(g, lambda t, s: t * s), grid, n_iter=40)
-        assert np.max(np.abs(result.solution - 1.0)) <= 1e-8
-
     def test_contraction_estimates_decay_geometrically(self):
         grid = TimeGrid(1.0, 300)
         k = 0.4 * np.ones(grid.n_nodes)
@@ -153,9 +139,3 @@ class TestValidation:
         k = np.full(grid.n_nodes, 2.0 / grid.dt)
         with pytest.raises(StepSizeError):
             solve_marching(VolterraProblem(np.ones(grid.n_nodes), k), grid)
-
-    def test_singular_diagonal_raises_for_callable(self):
-        grid = TimeGrid(1.0, 10)
-        kfun = lambda t, s: np.full_like(s, 2.0 / 0.1)
-        with pytest.raises(StepSizeError):
-            solve_marching(VolterraProblem(np.ones(grid.n_nodes), kfun), grid)
