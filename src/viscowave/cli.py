@@ -33,7 +33,7 @@ from .control_synthesis import (
     terminal_error,
 )
 from .grids import TimeGrid
-from .memory_kernel import MemoryKernel, kernel_from_spec, maccamy_resolvent, transformed_system
+from .memory_kernel import MemoryKernel, kernel_from_spec, transformed_system
 from .modal_dynamics import (
     DEFAULT_SEED,
     BoundaryControl,
@@ -250,7 +250,7 @@ def _write_table(path: Path, header: str, columns, fmt) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_terminal(path: Path, terminal: StatePair) -> None:
@@ -345,7 +345,7 @@ def _cmd_synthesize(config, out, threads):
     summary.update(
         {
             "min_eig": gram.min_eigenvalue,
-            "cond": gram.condition_number,
+            "cond": gram.condition_number if gram.min_eigenvalue > 0.0 else None,
             "regularization": regularization,
             "residual": result.residual,
             "terminal_error": err,
@@ -392,12 +392,13 @@ def _cmd_gram_spectrum(config, out, threads):
         ),
         ("%d", _FMT, _FMT),
     )
+    min_eig = min(r.min_eigenvalue for r in rows)
     summary = _base_summary(resolved, basis, grid)
     summary.update(
         {
             "mode_counts": counts,
-            "min_eig": min(r.min_eigenvalue for r in rows),
-            "cond": max(r.condition_number for r in rows),
+            "min_eig": min_eig,
+            "cond": max(r.condition_number for r in rows) if min_eig > 0.0 else None,
         }
     )
     _write_json(out / "summary.json", summary)
@@ -449,9 +450,8 @@ def _cmd_maccamy(config, out, threads):
         "grid": grid_resolved,
         "seed": seed,
     }
-    resolvent = maccamy_resolvent(kernel.kernel, grid)
     system = transformed_system(kernel.kernel, grid)
-    _write_table(out / "R.csv", "t,R", (grid.times, resolvent), _FMT)
+    _write_table(out / "R.csv", "t,R", (grid.times, system.resolvent), _FMT)
     _write_table(
         out / "transformed_kernel.csv",
         "t,K",
@@ -572,7 +572,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="worker threads for Gram assembly (default: VISCOWAVE_THREADS or 1)",
+        help="FFT workers for Gram assembly (default: VISCOWAVE_THREADS or 1)",
     )
     return parser
 

@@ -18,10 +18,10 @@ w_m'(T), and one built from (0, e_m) pins mu_m w_m(T).
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
 from .grids import TimeGrid
 from .memory_kernel import MemoryKernel
@@ -67,22 +67,6 @@ class GramSystem:
         return self.matrix.shape[0] // 2
 
 
-def _free_batch_threaded(xis, etas, mus, kernel, grid, threads):
-    if threads <= 1 or mus.size < 2 * threads:
-        return _free_memory_batch(xis, etas, mus, kernel, grid)
-    # Split by frequency so rows sharing a mu (and so a kernel) go to one worker.
-    chunks = [c for c in np.array_split(np.argsort(mus, kind="stable"), threads) if c.size]
-    out = np.zeros((mus.size, grid.n_nodes))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            (c, pool.submit(_free_memory_batch, xis[c], etas[c], mus[c], kernel, grid))
-            for c in chunks
-        ]
-        for c, fut in futures:
-            out[c] = fut.result()
-    return out
-
-
 def assemble_gram(
     basis: SpectralBasis,
     kernel: MemoryKernel,
@@ -96,6 +80,7 @@ def assemble_gram(
     Entries factor into (boundary trace Gram) x (time correlation of the
     homogeneous modal solutions); both integrals use the stored quadrature.
     The matrix is stored unregularized; regularization only enters the solve.
+    threads sets the FFT worker count and does not change the result.
     Warns when the horizon sits below the sharp control-time bound.
     """
     if not 1 <= n_modes <= basis.n_modes:
@@ -111,10 +96,9 @@ def assemble_gram(
         )
     m = n_modes
     mus = basis.mu[:m]
-    ones, zeros = np.ones(m), np.zeros(m)
-    psi = _free_batch_threaded(
-        np.r_[ones, zeros], np.r_[zeros, ones], np.r_[mus, mus], kernel, grid, threads
-    )
+    xis = np.r_[np.ones(m), np.zeros(m)]
+    with scipy.fft.set_workers(threads):
+        psi = _free_memory_batch(xis, 1.0 - xis, np.r_[mus, mus], kernel, grid)
 
     wt = trapezoid_weights(grid.n_nodes, grid.dt)
     time_gram = (psi * wt[None, :]) @ psi.T
@@ -236,6 +220,15 @@ class GramSpectrumRow:
     condition_number: float
 
 
+def _checked_mode_counts(basis: SpectralBasis, mode_counts) -> list:
+    counts = [int(m) for m in mode_counts]
+    if not counts or any(b <= a for a, b in zip(counts, counts[1:])):
+        raise ValueError("mode_counts must be a non-empty strictly increasing list")
+    if counts[-1] > basis.n_modes:
+        raise ValueError(f"mode_counts exceed the {basis.n_modes} stored modes")
+    return counts
+
+
 def riesz_fisher_diagnostic(
     basis: SpectralBasis,
     kernel: MemoryKernel,
@@ -250,11 +243,7 @@ def riesz_fisher_diagnostic(
     bound.  Modal decoupling makes each smaller Gram a principal submatrix of
     the largest one, so only one assembly is needed.
     """
-    counts = [int(m) for m in mode_counts]
-    if not counts or any(b <= a for a, b in zip(counts, counts[1:])):
-        raise ValueError("mode_counts must be a non-empty strictly increasing list")
-    if counts[-1] > basis.n_modes:
-        raise ValueError(f"mode_counts exceed the {basis.n_modes} stored modes")
+    counts = _checked_mode_counts(basis, mode_counts)
     top = assemble_gram(basis, kernel, grid, counts[-1], threads=threads)
     m_top = counts[-1]
     rows = []
@@ -298,11 +287,7 @@ def norm_growth_probe(
     mode count, while weighting both terminal slots by mu^(alpha-1) (the
     (H^alpha, H^(alpha-1)) regularity scale of the flow) keeps it bounded.
     """
-    counts = [int(m) for m in mode_counts]
-    if not counts or any(b <= a for a, b in zip(counts, counts[1:])):
-        raise ValueError("mode_counts must be a non-empty strictly increasing list")
-    if counts[-1] > basis.n_modes:
-        raise ValueError(f"mode_counts exceed the {basis.n_modes} stored modes")
+    counts = _checked_mode_counts(basis, mode_counts)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)

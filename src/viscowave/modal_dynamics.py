@@ -198,17 +198,12 @@ def free_memory_modal(
 def _free_memory_batch(
     xis: np.ndarray, etas: np.ndarray, mus: np.ndarray, kernel: MemoryKernel, grid: TimeGrid
 ) -> np.ndarray:
-    # Zero data forces the zero solution exactly; only march the active modes.
-    active = (xis != 0.0) | (etas != 0.0)
-    psi = np.zeros((mus.size, grid.n_nodes))
-    if np.any(active):
-        phase = mus[active, None] * grid.times[None, :]
-        forcing = xis[active, None] * np.cos(phase) + etas[active, None] * np.sin(phase)
-        # The kernel depends on the frequency alone: build it once per distinct mu.
-        distinct, row = np.unique(mus[active], return_inverse=True)
-        kernels = memory_oscillator_kernels(distinct, kernel, grid)[row]
-        psi[active] = march_difference_kernel(kernels, forcing, grid.dt)
-    return psi
+    phase = mus[:, None] * grid.times[None, :]
+    forcing = xis[:, None] * np.cos(phase) + etas[:, None] * np.sin(phase)
+    # The kernel depends on the frequency alone: build it once per distinct mu.
+    distinct, row = np.unique(mus, return_inverse=True)
+    kernels = memory_oscillator_kernels(distinct, kernel, grid)[row]
+    return march_difference_kernel(kernels, forcing, grid.dt)
 
 
 def controlled_memory_modal(forcing: np.ndarray, mu: float, kernel: MemoryKernel, grid: TimeGrid):

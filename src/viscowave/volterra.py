@@ -1,16 +1,12 @@
 """Second-kind Volterra integral equations on uniform grids.
 
-Equations of the form
-
-    y(t) = g(t) + int_0^t k(t, s) y(s) ds
-
-are solved two independent ways: implicit time marching with the product
-trapezoid rule (second order), and Picard iteration on the same quadrature.
-The two routes cross-validate each other; on contraction problems they agree
-to the fixed-point tolerance.
-
-Kernels are difference kernels k(t, s) = kappa(t - s), passed as the samples
-kappa(t_j) on the grid.
+Equations y(t) = g(t) + int_0^t kappa(t - s) y(s) ds with a difference kernel,
+passed as its samples kappa(t_j) on the grid, are solved two independent ways:
+product-trapezoid marching (second order), which on nodes >= 1 is one
+lower-triangular Toeplitz system solved by a power-series reciprocal and an
+FFT convolution, and Picard iteration on the same quadrature.  The two routes
+cross-validate each other; on contraction problems they agree to the
+fixed-point tolerance.
 """
 
 from __future__ import annotations
@@ -18,12 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.signal import fftconvolve
 
 from .grids import TimeGrid
 from .quadrature import trapezoid_convolve
 
 # |1 - (dt/2) kappa(0)| below this is treated as a singular diagonal factor.
 _SINGULAR_TOL = 1e-12
+# Rows go through the FFTs in blocks of about this many samples (bounds temporaries).
+_BLOCK_SAMPLES = 2**16
 
 
 class StepSizeError(RuntimeError):
@@ -68,26 +67,46 @@ def march_difference_kernel(kernel: np.ndarray, forcing: np.ndarray, dt: float) 
     Each step solves the scalar implicit equation
 
         y_j (1 - dt/2 k_0) = g_j + dt (1/2 k_j y_0 + sum_{0<i<j} k_{j-i} y_i).
+
+    On nodes >= 1 this is y = h * (g + dt/2 k g_0), with h the leading
+    coefficients of 1/a(z), a(z) = (1 - dt/2 k_0) - dt sum_{i>=1} k_i z^i.
     """
     k = np.asarray(kernel, dtype=float)
     f = np.asarray(forcing, dtype=float)
     shape = np.broadcast_shapes(k.shape, f.shape)
     n = shape[-1]
-    kb = np.broadcast_to(k, shape)
-    fb = np.broadcast_to(f, shape)
-    denom = 1.0 - 0.5 * dt * kb[..., 0]
-    if np.any(np.abs(denom) < _SINGULAR_TOL):
+    if np.any(np.abs(1.0 - 0.5 * dt * k[..., 0]) < _SINGULAR_TOL):
         raise StepSizeError(
             "singular diagonal factor 1 - dt/2*k(0) at node 1; reduce the step size"
         )
-    y = np.empty(shape)
-    y[..., 0] = fb[..., 0]
-    for j in range(1, n):
-        acc = 0.5 * kb[..., j] * y[..., 0]
-        if j > 1:
-            acc = acc + np.einsum("...i,...i->...", kb[..., j - 1 : 0 : -1], y[..., 1:j])
-        y[..., j] = (fb[..., j] + dt * acc) / denom
-    return y
+    if not np.any(k):
+        # Memoryless: every step returns its forcing sample.
+        return np.broadcast_to(f, shape).copy()
+    k_rows, f_rows = (np.broadcast_to(x, shape).reshape(-1, n) for x in (k, f))
+    y = np.empty(f_rows.shape)
+    step = max(1, _BLOCK_SAMPLES // n)
+    for rows in (slice(s, s + step) for s in range(0, len(y), step)):
+        kr, fr = k_rows[rows], f_rows[rows]
+        a = -dt * kr[:, : n - 1]
+        a[:, 0] = 1.0 - 0.5 * dt * kr[:, 0]
+        rhs = fr[:, 1:] + 0.5 * dt * kr[:, 1:] * fr[:, :1]
+        y[rows, 0] = fr[:, 0]
+        y[rows, 1:] = fftconvolve(_reciprocal(a), rhs, axes=-1)[:, : n - 1]
+    return y.reshape(shape)
+
+
+def _reciprocal(a: np.ndarray) -> np.ndarray:
+    """Leading coefficients of 1/a(z) per row by Newton doubling: if h holds the
+    first m, then a h = 1 + z^m e(z) and the next m are those of -h e."""
+    h = np.empty_like(a)
+    h[:, 0] = 1.0 / a[:, 0]
+    m = 1
+    while m < a.shape[1]:
+        top = min(2 * m, a.shape[1])
+        e = fftconvolve(a[:, :top], h[:, :m], axes=-1)[:, m:top]
+        h[:, m:top] = -fftconvolve(h[:, :m], e, axes=-1)[:, : top - m]
+        m = top
+    return h
 
 
 def solve_marching(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 The integrators here are deliberately independent of the package's quadrature
 and marching code: RK4 time stepping for ODE-equivalent reference solutions,
-and a plain O(n^2) product-trapezoid sum for convolution cross-checks.
+a plain O(n^2) product-trapezoid sum for convolution cross-checks, and the
+step-by-step trapezoid march.
 """
 
 import numpy as np
@@ -69,3 +70,27 @@ def direct_trapezoid_convolution(kernel, signal, dt):
         vals = kernel[j::-1] * signal[: j + 1]
         out[j] = dt * (np.sum(vals) - 0.5 * (vals[0] + vals[-1]))
     return out
+
+
+def stepwise_march(kernel, forcing, dt):
+    """Step-by-step trapezoid marching, the reference for the Toeplitz solve.
+
+    Each step j >= 1 solves
+    y_j (1 - dt/2 k_0) = g_j + dt (1/2 k_j y_0 + sum_{0<i<j} k_{j-i} y_i)
+    with an O(j) history sum, broadcasting over leading axes.
+    """
+    k = np.asarray(kernel, dtype=float)
+    f = np.asarray(forcing, dtype=float)
+    shape = np.broadcast_shapes(k.shape, f.shape)
+    n = shape[-1]
+    kb = np.broadcast_to(k, shape)
+    fb = np.broadcast_to(f, shape)
+    denom = 1.0 - 0.5 * dt * kb[..., 0]
+    y = np.empty(shape)
+    y[..., 0] = fb[..., 0]
+    for j in range(1, n):
+        acc = 0.5 * kb[..., j] * y[..., 0]
+        if j > 1:
+            acc = acc + np.einsum("...i,...i->...", kb[..., j - 1 : 0 : -1], y[..., 1:j])
+        y[..., j] = (fb[..., j] + dt * acc) / denom
+    return y

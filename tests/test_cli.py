@@ -28,6 +28,13 @@ def read_summary(out):
     return json.loads((out / "summary.json").read_text())
 
 
+def read_strict_json(path):
+    def reject(token):
+        raise ValueError(f"non-finite JSON constant {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def read_manifest(out):
     return json.loads((out / "manifest.json").read_text())
 
@@ -178,6 +185,31 @@ class TestDiagnostics:
         assert table.shape == (3, 3)
         assert np.all(table[:, 1] > 0.0)
         assert read_summary(out)["min_eig"] > 0.0
+
+    def test_singular_gram_writes_strict_json(self, tmp_path):
+        # A horizon far below the control time leaves the 24-mode Gram
+        # numerically singular (min_eig about -1e-15), so cond has no value.
+        cfg = write_config(
+            tmp_path,
+            base_config(
+                modes=24,
+                kernel={"b": 0.2, "family": "exponential", "params": {"amplitude": 0.1, "rate": 1.0}},
+                grid={"horizon": 0.1, "steps": 400},
+                regularization=1e-8,
+                mode_counts=[4, 24],
+                target={"type": "random-smooth"},
+            ),
+        )
+        for command in ("synthesize", "gram-spectrum"):
+            out = tmp_path / command
+            with pytest.warns(UserWarning, match="control-time bound"):
+                assert main([command, "--config", cfg, "--out", str(out)]) == 0
+            summary = read_strict_json(out / "summary.json")
+            read_strict_json(out / "manifest.json")
+            if summary["min_eig"] <= 0.0:
+                assert summary["cond"] is None
+            else:
+                assert summary["cond"] >= 1.0
 
     def test_duality_check(self, tmp_path):
         cfg = write_config(

@@ -60,8 +60,9 @@ class TestGramAssembly:
         grid = TimeGrid(2.5, 400)
         serial = assemble_gram(basis, kernel, grid, n_modes=8, threads=1)
         threaded = assemble_gram(basis, kernel, grid, n_modes=8, threads=2)
-        assert np.allclose(serial.matrix, threaded.matrix, atol=1e-13)
-        assert abs(serial.min_eigenvalue - threaded.min_eigenvalue) <= 1e-12
+        assert np.array_equal(serial.psi_table, threaded.psi_table)
+        assert np.array_equal(serial.matrix, threaded.matrix)
+        assert serial.min_eigenvalue == threaded.min_eigenvalue
 
     def test_short_horizon_warns(self):
         basis = build_interval_basis(1.0, 2)

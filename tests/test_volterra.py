@@ -3,7 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from helpers import stepwise_march
+from viscowave import volterra
 from viscowave.grids import TimeGrid
+from viscowave.memory_kernel import (
+    ConstantKernel,
+    ExponentialKernel,
+    MemoryKernel,
+    PronyKernel,
+    SampledKernel,
+    ZeroKernel,
+)
+from viscowave.modal_dynamics import memory_oscillator_kernels
 from viscowave.volterra import (
     PicardResult,
     StepSizeError,
@@ -70,6 +81,43 @@ class TestMarching:
         y2 = solve_marching(VolterraProblem(g2, k), grid)
         y12 = solve_marching(VolterraProblem(g1 + 2.0 * g2, k), grid)
         assert np.max(np.abs(y12 - (y1 + 2.0 * y2))) <= 1e-12
+
+
+class TestStepwiseReference:
+    """The Toeplitz solve against the step-by-step march it replaces."""
+
+    @staticmethod
+    def assert_matches(kernel, forcing, dt):
+        fast = march_difference_kernel(kernel, forcing, dt)
+        ref = stepwise_march(kernel, forcing, dt)
+        assert fast.shape == ref.shape
+        assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            ZeroKernel(),
+            ConstantKernel(0.3),
+            ExponentialKernel(0.1, 1.0),
+            PronyKernel((0.1, 0.05, 0.2), (1.0, 3.0, 0.5)),
+            SampledKernel(np.linspace(0.0, 3.0, 40), np.cos(np.linspace(0.0, 9.0, 40))),
+        ],
+        ids=["zero", "constant", "exponential", "prony", "sampled"],
+    )
+    def test_modal_kernels_every_family(self, family):
+        grid = TimeGrid(2.5, 2000)
+        mus = (np.arange(1, 25) - 0.5) * np.pi
+        # (M, 1, n) kernels against (M, 2, n) forcings, over several row blocks.
+        assert 2 * mus.size > volterra._BLOCK_SAMPLES // grid.n_nodes
+        kernels = memory_oscillator_kernels(mus, MemoryKernel(0.2, family), grid)
+        forcing = np.random.default_rng(5).standard_normal((mus.size, 2, grid.n_nodes))
+        self.assert_matches(kernels[:, None, :], forcing, grid.dt)
+
+    def test_growing_scalar_solution(self):
+        # R = N - N*R with N = -3 is -3 e^{3t}, about -1e7 at T = 5.
+        grid = TimeGrid(5.0, 2000)
+        n_samples = np.full(grid.n_nodes, -3.0)
+        self.assert_matches(-n_samples, n_samples, grid.dt)
 
 
 class TestPicard:
