@@ -126,15 +126,15 @@ def _build_basis(config: dict, modes: int):
     if geometry.kind == "interval":
         basis = build_interval_basis(geometry.lengths[0], modes)
     else:
-        per_axis = int(block.get("modes_per_axis", math.ceil(math.sqrt(modes))))
+        per_axis = block.get("modes_per_axis", math.ceil(math.sqrt(modes)))
+        per_axis = _count(per_axis, "modes_per_axis")
         if per_axis * per_axis < modes:
             raise ValueError(
                 f"modes_per_axis={per_axis} yields only {per_axis**2} modes, need {modes}"
             )
         nodes = block.get("nodes_per_face")
-        basis = build_rectangle_basis(
-            *geometry.lengths, per_axis, None if nodes is None else int(nodes)
-        )
+        nodes = None if nodes is None else _count(nodes, "nodes_per_face")
+        basis = build_rectangle_basis(*geometry.lengths, per_axis, nodes)
         basis = _truncated(basis, modes)
         resolved["modes_per_axis"] = per_axis
         resolved["nodes_per_face"] = int(basis.n_quad // 2)
@@ -158,7 +158,7 @@ def _build_kernel(config: dict):
 def _build_grid(config: dict):
     block = _as_block(config, "grid")
     horizon = float(_require(block, "horizon", "grid block"))
-    steps = int(_require(block, "steps", "grid block"))
+    steps = _count(_require(block, "steps", "grid block"), "steps")
     return TimeGrid(horizon=horizon, steps=steps), {"horizon": horizon, "steps": steps}
 
 
@@ -169,11 +169,18 @@ def _finite_field(config: dict, key: str, default: float) -> float:
     return value
 
 
+def _count(value, name: str) -> int:
+    """A whole-number field as an int; a fraction is an error, never truncated."""
+    if not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _resolve_seed(config: dict) -> int:
-    seed = config.get("seed", DEFAULT_SEED)
-    if int(seed) != seed or int(seed) < 0:
+    seed = _count(config.get("seed", DEFAULT_SEED), "seed")
+    if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    return int(seed)
+    return seed
 
 
 def _load_control_csv(path: str, basis: SpectralBasis, grid: TimeGrid) -> BoundaryControl:
@@ -249,6 +256,10 @@ def _write_table(path: Path, header: str, columns, fmt) -> None:
     np.savetxt(path, table, delimiter=",", header=header, comments="", fmt=fmt)
 
 
+def _write_series(path: Path, names, grid: TimeGrid, rows) -> None:
+    _write_table(path, ",".join(["t", *names]), (grid.times, *rows), _FMT)
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
@@ -264,7 +275,7 @@ def _write_terminal(path: Path, terminal: StatePair) -> None:
 
 
 def _common_setup(config: dict):
-    modes = int(_require(config, "modes", "config"))
+    modes = _count(_require(config, "modes", "config"), "modes")
     basis, geometry_resolved = _build_basis(config, modes)
     kernel, kernel_resolved = _build_kernel(config)
     grid, grid_resolved = _build_grid(config)
@@ -295,13 +306,9 @@ def _cmd_simulate(config, out, threads):
     control, control_resolved = _build_control(config.get("control"), basis, grid, seed)
     resolved["control"] = control_resolved
     sim = forward_simulate(basis, kernel, control, grid)
-    sim.trajectory.write_csv(out / "trajectory.csv")
-    _write_table(
-        out / "velocities.csv",
-        "t," + ",".join(f"mode_{i + 1}" for i in range(basis.n_modes)),
-        (grid.times, *sim.trajectory.velocities),
-        _FMT,
-    )
+    names = [f"mode_{i + 1}" for i in range(basis.n_modes)]
+    _write_series(out / "trajectory.csv", names, grid, sim.trajectory.values)
+    _write_series(out / "velocities.csv", names, grid, sim.trajectory.velocities)
     _write_terminal(out / "terminal.csv", sim.terminal)
     summary = _base_summary(resolved, basis, grid)
     summary.update(
@@ -326,7 +333,8 @@ def _cmd_synthesize(config, out, threads):
     verified = forward_simulate(basis, kernel, result.control, grid)
     err = terminal_error(verified.terminal, target)
 
-    result.control.write_csv(out / "control.csv")
+    nodes = [f"node_{q}" for q in range(basis.n_quad)]
+    _write_series(out / "control.csv", nodes, grid, result.control.values)
     indices = np.arange(1, result.coefficients.size + 1)
     _write_table(
         out / "coefficients.csv",
@@ -379,18 +387,17 @@ def _cmd_verify(config, out, threads):
 
 def _cmd_gram_spectrum(config, out, threads):
     basis, kernel, grid, seed, resolved = _common_setup(config)
-    counts = [int(m) for m in _require(config, "mode_counts", "config")]
+    counts = [_count(m, "mode_counts entry") for m in _require(config, "mode_counts", "config")]
     resolved["mode_counts"] = counts
     rows = riesz_fisher_diagnostic(basis, kernel, grid, counts, threads=threads)
+    # With no positive minimum eigenvalue the condition number cell is empty,
+    # the CSV form of the null in summary.json.
+    cond = [_FMT % r.condition_number if r.min_eigenvalue > 0.0 else "" for r in rows]
     _write_table(
         out / "spectrum.csv",
         "modes,min_eigenvalue,condition_number",
-        (
-            np.array([r.n_modes for r in rows]),
-            np.array([r.min_eigenvalue for r in rows]),
-            np.array([r.condition_number for r in rows]),
-        ),
-        ("%d", _FMT, _FMT),
+        ([str(r.n_modes) for r in rows], [_FMT % r.min_eigenvalue for r in rows], cond),
+        "%s",
     )
     min_eig = min(r.min_eigenvalue for r in rows)
     summary = _base_summary(resolved, basis, grid)
@@ -407,10 +414,10 @@ def _cmd_gram_spectrum(config, out, threads):
 
 def _cmd_duality_check(config, out, threads):
     basis, kernel, grid, seed, resolved = _common_setup(config)
-    trials = int(config.get("trials", 5))
+    trials = _count(config.get("trials", 5), "trials")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    n_tones = int(config.get("tones", 3))
+    n_tones = _count(config.get("tones", 3), "tones")
     if n_tones < 1:
         raise ValueError(f"tones must be >= 1, got {n_tones}")
     resolved.update({"trials": trials, "tones": n_tones})
@@ -451,13 +458,8 @@ def _cmd_maccamy(config, out, threads):
         "seed": seed,
     }
     system = transformed_system(kernel.kernel, grid)
-    _write_table(out / "R.csv", "t,R", (grid.times, system.resolvent), _FMT)
-    _write_table(
-        out / "transformed_kernel.csv",
-        "t,K",
-        (grid.times, system.kernel_samples),
-        _FMT,
-    )
+    _write_series(out / "R.csv", ["R"], grid, [system.resolvent])
+    _write_series(out / "transformed_kernel.csv", ["K"], grid, [system.kernel_samples])
     summary = {
         "kernel": kernel_resolved,
         "T": grid.horizon,
@@ -473,11 +475,12 @@ def _cmd_maccamy(config, out, threads):
 
 def _cmd_probes(config, out, threads):
     basis, kernel, grid, seed, resolved = _common_setup(config)
-    trials = int(config.get("trials", 8))
+    trials = _count(config.get("trials", 8), "trials")
     alpha = _finite_field(config, "alpha", 0.55)
     default_counts = sorted({max(1, basis.n_modes // 4), max(2, basis.n_modes // 2), basis.n_modes})
-    counts = [int(m) for m in config.get("mode_counts", default_counts)]
-    pert_modes = int(config.get("perturbation_modes", min(16, basis.n_modes)))
+    counts = [_count(m, "mode_counts entry") for m in config.get("mode_counts", default_counts)]
+    pert_modes = config.get("perturbation_modes", min(16, basis.n_modes))
+    pert_modes = _count(pert_modes, "perturbation_modes")
     resolved.update(
         {
             "trials": trials,

@@ -95,10 +95,11 @@ def assemble_gram(
             stacklevel=2,
         )
     m = n_modes
-    mus = basis.mu[:m]
-    xis = np.r_[np.ones(m), np.zeros(m)]
+    # Each mode marches its data (1, 0) and (0, 1) against one kernel; rows
+    # then go to the (e_m, 0)-first order.
     with scipy.fft.set_workers(threads):
-        psi = _free_memory_batch(xis, 1.0 - xis, np.r_[mus, mus], kernel, grid)
+        psi = _free_memory_batch(np.r_[1.0, 0.0], np.r_[0.0, 1.0], basis.mu[:m, None], kernel, grid)
+    psi = psi.swapaxes(0, 1).reshape(2 * m, grid.n_nodes)
 
     wt = trapezoid_weights(grid.n_nodes, grid.dt)
     time_gram = (psi * wt[None, :]) @ psi.T
@@ -333,20 +334,18 @@ def perturbation_compactness_probe(
     mus = basis.mu[:m]
     n = grid.n_nodes
 
-    # Modal responses to unit impulses at nodes 0 and 1 (rows 0..m-1 and
-    # m..2m-1).  The marching system is Toeplitz on nodes >= 1 and only node 0
+    # Modal responses to unit impulses at nodes 0 and 1 (axis 1), one kernel
+    # per mode.  The marching system is Toeplitz on nodes >= 1 and only node 0
     # carries the half trapezoid weight, so an impulse at node p >= 1 answers
     # with the node-1 response delayed by p - 1: its terminal value is that
     # response at node n - p, and the row read backwards covers p = 1..n-1.
-    pair = np.r_[mus, mus]
-    impulses = np.zeros((2 * m, n))
-    impulses[:m, 0] = 1.0
-    impulses[m:, 1] = 1.0
-    u, up = _wave_response_batch(pair, impulses, grid)
-    w, wp = _controlled_batch(pair, impulses, kernel, grid)
+    impulses = np.zeros((1, 2, n))
+    impulses[0, 0, 0] = impulses[0, 1, 1] = 1.0
+    u, up = _wave_response_batch(mus[:, None], impulses, grid)
+    w, wp = _controlled_batch(mus[:, None], impulses, kernel, grid)
 
     def terminal_by_node(r):
-        return np.concatenate([r[:m, -1:], r[m:, :0:-1]], axis=1)
+        return np.concatenate([r[:, 0, -1:], r[:, 1, :0:-1]], axis=1)
 
     d_xi = mus[:, None] * terminal_by_node(w - u)
     d_eta = terminal_by_node(wp - up)

@@ -75,11 +75,6 @@ class ModalTrajectory:
     mu: np.ndarray
     grid: TimeGrid
 
-    def write_csv(self, path) -> None:
-        header = "t," + ",".join(f"mode_{i + 1}" for i in range(self.values.shape[0]))
-        table = np.column_stack([self.grid.times, self.values.T])
-        np.savetxt(path, table, delimiter=",", header=header, comments="", fmt="%.17g")
-
 
 @dataclass(frozen=True)
 class BoundaryControl:
@@ -101,11 +96,6 @@ class BoundaryControl:
         if not np.all(np.isfinite(v)):
             raise ValueError("control values must be finite")
         object.__setattr__(self, "values", v)
-
-    def write_csv(self, path) -> None:
-        header = "t," + ",".join(f"node_{q}" for q in range(self.values.shape[0]))
-        table = np.column_stack([self.grid.times, self.values.T])
-        np.savetxt(path, table, delimiter=",", header=header, comments="", fmt="%.17g")
 
 
 def zero_control(basis: SpectralBasis, grid: TimeGrid) -> BoundaryControl:
@@ -142,15 +132,18 @@ def control_l2_norm(basis: SpectralBasis, control: BoundaryControl) -> float:
 def memory_oscillator_kernels(
     mus: np.ndarray, kernel: MemoryKernel, grid: TimeGrid
 ) -> np.ndarray:
-    """Per-mode difference kernels G_n/mu_n with G_n = b sin(mu_n t) + K*sin(mu_n .)."""
-    mus = np.atleast_1d(np.asarray(mus, dtype=float))
+    """Per-mode difference kernels G_n/mu_n with G_n = b sin(mu_n t) + K*sin(mu_n .).
+
+    mus may have any shape; the kernels have shape mus.shape + (n_nodes,).
+    """
+    mus = np.asarray(mus, dtype=float)[..., None]
     t = grid.times
-    sines = np.sin(mus[:, None] * t[None, :])
+    sines = np.sin(mus * t)
     g = kernel.b * sines
     k_samples = np.asarray(kernel.kernel.values(t), dtype=float)
     if np.any(k_samples != 0.0):
-        g = g + trapezoid_convolve(k_samples[None, :], sines, grid.dt)
-    return g / mus[:, None]
+        g = g + trapezoid_convolve(k_samples[(None,) * (sines.ndim - 1)], sines, grid.dt)
+    return g / mus
 
 
 def wave_modal_response(mu: float, forcing: np.ndarray, grid: TimeGrid):
@@ -172,9 +165,11 @@ def wave_modal_response(mu: float, forcing: np.ndarray, grid: TimeGrid):
 
 
 def _wave_response_batch(mus: np.ndarray, g: np.ndarray, grid: TimeGrid):
-    t = grid.times
-    phase = mus[:, None] * t[None, :]
-    u = trapezoid_convolve(np.sin(phase), g, grid.dt) / mus[:, None]
+    # mus of any shape broadcasts against the leading axes of g; so do the
+    # other batch helpers below, which is how one mode meets several forcings.
+    mus = mus[..., None]
+    phase = mus * grid.times
+    u = trapezoid_convolve(np.sin(phase), g, grid.dt) / mus
     up = trapezoid_convolve(np.cos(phase), g, grid.dt)
     return u, up
 
@@ -198,12 +193,9 @@ def free_memory_modal(
 def _free_memory_batch(
     xis: np.ndarray, etas: np.ndarray, mus: np.ndarray, kernel: MemoryKernel, grid: TimeGrid
 ) -> np.ndarray:
-    phase = mus[:, None] * grid.times[None, :]
-    forcing = xis[:, None] * np.cos(phase) + etas[:, None] * np.sin(phase)
-    # The kernel depends on the frequency alone: build it once per distinct mu.
-    distinct, row = np.unique(mus, return_inverse=True)
-    kernels = memory_oscillator_kernels(distinct, kernel, grid)[row]
-    return march_difference_kernel(kernels, forcing, grid.dt)
+    phase = mus[..., None] * grid.times
+    forcing = xis[..., None] * np.cos(phase) + etas[..., None] * np.sin(phase)
+    return march_difference_kernel(memory_oscillator_kernels(mus, kernel, grid), forcing, grid.dt)
 
 
 def controlled_memory_modal(forcing: np.ndarray, mu: float, kernel: MemoryKernel, grid: TimeGrid):
@@ -223,10 +215,9 @@ def controlled_memory_modal(forcing: np.ndarray, mu: float, kernel: MemoryKernel
 
 
 def _controlled_batch(mus: np.ndarray, g: np.ndarray, kernel: MemoryKernel, grid: TimeGrid):
-    u, up = _wave_response_batch(mus, g, grid)
+    """The (w, w') stack: one march of (u, u') against the mode kernels."""
     kernels = memory_oscillator_kernels(mus, kernel, grid)
-    stacked = march_difference_kernel(kernels[:, None, :], np.stack([u, up], axis=1), grid.dt)
-    return stacked[:, 0, :], stacked[:, 1, :]
+    return march_difference_kernel(kernels, np.stack(_wave_response_batch(mus, g, grid)), grid.dt)
 
 
 @dataclass(frozen=True)

@@ -89,10 +89,6 @@ class SpectralBasis:
     def n_quad(self) -> int:
         return self.quad_weights.size
 
-    def boundary_inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        """Control-face L2 inner product of two nodal vectors."""
-        return float(np.sum(self.quad_weights * u * v))
-
 
 def build_interval_basis(length: float, n_modes: int) -> SpectralBasis:
     """Eigenbasis of (0, length), clamped at 0, controlled at x = length.

@@ -4,8 +4,10 @@ Equations y(t) = g(t) + int_0^t kappa(t - s) y(s) ds with a difference kernel,
 passed as its samples kappa(t_j) on the grid, are solved two independent ways:
 product-trapezoid marching (second order), which on nodes >= 1 is one
 lower-triangular Toeplitz system solved by a power-series reciprocal and an
-FFT convolution, and Picard iteration on the same quadrature.  The two routes
-cross-validate each other; on contraction problems they agree to the
+FFT convolution, and Picard iteration on the same quadrature.  The reciprocal
+is about three quarters of a march and depends on the kernel alone, so it is
+computed once per kernel row, however many forcings share that row.  The two
+routes cross-validate each other; on contraction problems they agree to the
 fixed-point tolerance.
 """
 
@@ -70,6 +72,8 @@ def march_difference_kernel(kernel: np.ndarray, forcing: np.ndarray, dt: float) 
 
     On nodes >= 1 this is y = h * (g + dt/2 k g_0), with h the leading
     coefficients of 1/a(z), a(z) = (1 - dt/2 k_0) - dt sum_{i>=1} k_i z^i.
+    h depends on the kernel alone, so it is computed once per kernel row as
+    passed in and shared by every forcing row that row broadcasts against.
     """
     k = np.asarray(kernel, dtype=float)
     f = np.asarray(forcing, dtype=float)
@@ -82,16 +86,22 @@ def march_difference_kernel(kernel: np.ndarray, forcing: np.ndarray, dt: float) 
     if not np.any(k):
         # Memoryless: every step returns its forcing sample.
         return np.broadcast_to(f, shape).copy()
-    k_rows, f_rows = (np.broadcast_to(x, shape).reshape(-1, n) for x in (k, f))
-    y = np.empty(f_rows.shape)
+    f_rows = np.broadcast_to(f, shape).reshape(-1, n)
+    k_rows = np.broadcast_to(k, k.shape[:-1] + (n,)).reshape(-1, n)
+    # The row of k_rows each output row reads; h is computed once per k row.
+    k_of = np.broadcast_to(np.arange(len(k_rows)).reshape(k.shape[:-1]), shape[:-1]).reshape(-1)
     step = max(1, _BLOCK_SAMPLES // n)
+    h = np.empty((len(k_rows), n - 1))
+    for rows in (slice(s, s + step) for s in range(0, len(h), step)):
+        a = -dt * k_rows[rows, : n - 1]
+        a[:, 0] = 1.0 - 0.5 * dt * k_rows[rows, 0]
+        h[rows] = _reciprocal(a)
+    y = np.empty(f_rows.shape)
     for rows in (slice(s, s + step) for s in range(0, len(y), step)):
-        kr, fr = k_rows[rows], f_rows[rows]
-        a = -dt * kr[:, : n - 1]
-        a[:, 0] = 1.0 - 0.5 * dt * kr[:, 0]
+        kr, fr, hr = k_rows[k_of[rows]], f_rows[rows], h[k_of[rows]]
         rhs = fr[:, 1:] + 0.5 * dt * kr[:, 1:] * fr[:, :1]
         y[rows, 0] = fr[:, 0]
-        y[rows, 1:] = fftconvolve(_reciprocal(a), rhs, axes=-1)[:, : n - 1]
+        y[rows, 1:] = fftconvolve(hr, rhs, axes=-1)[:, : n - 1]
     return y.reshape(shape)
 
 

@@ -210,6 +210,11 @@ class TestDiagnostics:
                 assert summary["cond"] is None
             else:
                 assert summary["cond"] >= 1.0
+        # The CSV form of a missing condition number is an empty cell.
+        for line in (tmp_path / "gram-spectrum" / "spectrum.csv").read_text().splitlines()[1:]:
+            modes, min_eig, cond = line.split(",")
+            assert cond.lower() not in ("inf", "-inf", "nan")
+            assert cond == "" if float(min_eig) <= 0.0 else float(cond) >= 1.0
 
     def test_duality_check(self, tmp_path):
         cfg = write_config(
@@ -351,8 +356,46 @@ class TestExitCodes:
                 3,
                 "interval geometry takes exactly one length",
             ),
+            ("simulate", {"grid": {"horizon": 1.0, "steps": 400.7}}, 3, "steps must be an integer"),
+            ("simulate", {"grid": {"horizon": 1.0, "steps": float("inf")}}, 3, "steps must be an integer"),
+            ("simulate", {"modes": 6.9}, 3, "modes must be an integer"),
+            ("simulate", {"seed": 2.5}, 3, "seed must be an integer"),
+            ("probes", {"trials": 2.5}, 3, "trials must be an integer"),
+            ("probes", {"perturbation_modes": 3.7}, 3, "perturbation_modes must be an integer"),
+            ("probes", {"mode_counts": [1, 1.5]}, 3, "mode_counts entry must be an integer"),
+            ("gram-spectrum", {"mode_counts": [1, 2.5]}, 3, "mode_counts entry must be an integer"),
+            ("duality-check", {"tones": 1.5}, 3, "tones must be an integer"),
+            ("duality-check", {"trials": 2.5}, 3, "trials must be an integer"),
+            (
+                "simulate",
+                {"geometry": {"kind": "rectangle", "lengths": [1.0, 1.0], "modes_per_axis": 2.5}},
+                3,
+                "modes_per_axis must be an integer",
+            ),
+            (
+                "simulate",
+                {"geometry": {"kind": "rectangle", "lengths": [1.0, 1.0], "nodes_per_face": 8.5}},
+                3,
+                "nodes_per_face must be an integer",
+            ),
         ],
-        ids=["alpha-nan", "regularization-nan", "interval-two-lengths"],
+        ids=[
+            "alpha-nan",
+            "regularization-nan",
+            "interval-two-lengths",
+            "steps-fraction",
+            "steps-infinite",
+            "modes-fraction",
+            "seed-fraction",
+            "probes-trials-fraction",
+            "perturbation-modes-fraction",
+            "probes-mode-counts-fraction",
+            "spectrum-mode-counts-fraction",
+            "tones-fraction",
+            "duality-trials-fraction",
+            "modes-per-axis-fraction",
+            "nodes-per-face-fraction",
+        ],
     )
     def test_field_values_exit_codes(self, tmp_path, capsys, command, mutation, code, message):
         cfg = write_config(tmp_path, base_config(**mutation))

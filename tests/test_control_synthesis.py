@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from viscowave import volterra
 from viscowave.control_synthesis import (
     IllPosedSystemError,
     assemble_gram,
@@ -312,6 +313,39 @@ class TestPerturbationCompactness:
                 expected += sq / (basis.quad_weights[q] * wt[p])
         got = float(np.sum(report.singular_values**2))
         assert abs(got - expected) <= 1e-10 * expected
+
+
+class TestOneInversePerMode:
+    """The memory operator depends on the mode alone: each mode's kernel is
+    inverted once, however many forcings it meets."""
+
+    @pytest.fixture
+    def inverted_rows(self, monkeypatch):
+        counts = []
+        reciprocal = volterra._reciprocal
+
+        def counting(a):
+            counts.append(a.shape[0])
+            return reciprocal(a)
+
+        monkeypatch.setattr(volterra, "_reciprocal", counting)
+        return counts
+
+    def test_each_layer_inverts_one_row_per_mode(self, inverted_rows):
+        m, probe_modes = 40, 16
+        basis = build_interval_basis(1.0, m)
+        kernel = MemoryKernel(b=0.2, kernel=ExponentialKernel(0.1, 1.0))
+        grid = TimeGrid(2.5, 400)
+        gram = assemble_gram(basis, kernel, grid, n_modes=m)
+        assert sum(inverted_rows) == m
+        inverted_rows.clear()
+        control = BoundaryControl(values=np.cos(grid.times)[None, :], grid=grid)
+        forward_simulate(basis, kernel, control, grid)
+        assert sum(inverted_rows) == m
+        inverted_rows.clear()
+        perturbation_compactness_probe(basis, kernel, grid, probe_modes)
+        assert sum(inverted_rows) == probe_modes
+        assert gram.psi_table.shape == (2 * m, grid.n_nodes)
 
 
 class TestRandomSmoothTarget:

@@ -106,12 +106,31 @@ class TestStepwiseReference:
     )
     def test_modal_kernels_every_family(self, family):
         grid = TimeGrid(2.5, 2000)
-        mus = (np.arange(1, 25) - 0.5) * np.pi
-        # (M, 1, n) kernels against (M, 2, n) forcings, over several row blocks.
-        assert 2 * mus.size > volterra._BLOCK_SAMPLES // grid.n_nodes
+        mus = (np.arange(1, 41) - 0.5) * np.pi
+        # (M, 1, n) kernels against (M, 2, n) forcings; the kernel rows alone
+        # span two inverse blocks.
+        assert mus.size > volterra._BLOCK_SAMPLES // grid.n_nodes
         kernels = memory_oscillator_kernels(mus, MemoryKernel(0.2, family), grid)
         forcing = np.random.default_rng(5).standard_normal((mus.size, 2, grid.n_nodes))
         self.assert_matches(kernels[:, None, :], forcing, grid.dt)
+
+    def test_kernel_rows_against_one_forcing(self):
+        grid = TimeGrid(2.0, 600)
+        rng = np.random.default_rng(6)
+        kernels = 0.5 * np.cos(rng.uniform(1.0, 5.0, (7, 1)) * grid.times)
+        self.assert_matches(kernels, rng.standard_normal(grid.n_nodes), grid.dt)
+
+    def test_shared_kernel_rows_equal_duplicated_copy(self):
+        # Broadcasting one kernel row over r forcings must not change a bit
+        # against marching an explicit copy of that row per forcing.
+        grid = TimeGrid(2.5, 2000)
+        mus = (np.arange(1, 41) - 0.5) * np.pi
+        kernel = MemoryKernel(0.2, ExponentialKernel(0.1, 1.0))
+        kernels = memory_oscillator_kernels(mus, kernel, grid)[:, None, :]
+        forcing = np.random.default_rng(7).standard_normal((mus.size, 3, grid.n_nodes))
+        shared = march_difference_kernel(kernels, forcing, grid.dt)
+        copied = march_difference_kernel(np.repeat(kernels, 3, axis=1), forcing, grid.dt)
+        assert np.array_equal(shared, copied)
 
     def test_growing_scalar_solution(self):
         # R = N - N*R with N = -3 is -3 e^{3t}, about -1e7 at T = 5.
