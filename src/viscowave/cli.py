@@ -145,7 +145,7 @@ def _build_kernel(config: dict):
     block = config.get("kernel", {})
     if not isinstance(block, dict):
         raise ValueError("config field 'kernel' must be an object")
-    b = float(block.get("b", 0.0))
+    b = _real(block.get("b", 0.0), "b")
     family = block.get("family", "zero")
     params = block.get("params", {})
     if not isinstance(params, dict):
@@ -157,16 +157,22 @@ def _build_kernel(config: dict):
 
 def _build_grid(config: dict):
     block = _as_block(config, "grid")
-    horizon = float(_require(block, "horizon", "grid block"))
+    horizon = _real(_require(block, "horizon", "grid block"), "horizon")
     steps = _count(_require(block, "steps", "grid block"), "steps")
     return TimeGrid(horizon=horizon, steps=steps), {"horizon": horizon, "steps": steps}
 
 
-def _finite_field(config: dict, key: str, default: float) -> float:
-    value = float(config.get(key, default))
-    if not math.isfinite(value):
-        raise ValueError(f"{key} must be finite, got {value!r}")
-    return value
+def _real(value, name: str) -> float:
+    """A real-number field as a float; booleans, strings and non-finite values are errors."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:  # an integer beyond the float range
+        real = math.inf
+    if not math.isfinite(real):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return real
 
 
 def _count(value, name: str) -> int:
@@ -206,7 +212,7 @@ def _build_control(block, basis: SpectralBasis, grid: TimeGrid, seed: int):
     if kind == "zero":
         return zero_control(basis, grid), resolved
     if kind == "constant":
-        level = float(_require(block, "level", "control block"))
+        level = _real(_require(block, "level", "control block"), "level")
         values = np.full((basis.n_quad, grid.n_nodes), level)
         return BoundaryControl(values=values, grid=grid), resolved
     if kind == "tones":
@@ -242,8 +248,8 @@ def _build_target(config: dict, basis: SpectralBasis, seed: int):
             )
         return StatePair(xi=xi, eta=eta, mu=basis.mu.copy()), resolved
     if block.get("type") == "random-smooth":
-        decay = float(block.get("decay", 2.0))
-        norm = float(block.get("norm", 1.0))
+        decay = _real(block.get("decay", 2.0), "decay")
+        norm = _real(block.get("norm", 1.0), "norm")
         rng = np.random.default_rng(seed)
         target = random_smooth_target(basis, rng, decay=decay, norm=norm)
         resolved.update({"type": "random-smooth", "decay": decay, "norm": norm})
@@ -324,7 +330,7 @@ def _cmd_simulate(config, out, threads):
 def _cmd_synthesize(config, out, threads):
     basis, kernel, grid, seed, resolved = _common_setup(config)
     target, target_resolved = _build_target(config, basis, seed)
-    regularization = _finite_field(config, "regularization", 0.0)
+    regularization = _real(config.get("regularization", 0.0), "regularization")
     resolved["target"] = target_resolved
     resolved["regularization"] = regularization
 
@@ -476,7 +482,7 @@ def _cmd_maccamy(config, out, threads):
 def _cmd_probes(config, out, threads):
     basis, kernel, grid, seed, resolved = _common_setup(config)
     trials = _count(config.get("trials", 8), "trials")
-    alpha = _finite_field(config, "alpha", 0.55)
+    alpha = _real(config.get("alpha", 0.55), "alpha")
     default_counts = sorted({max(1, basis.n_modes // 4), max(2, basis.n_modes // 2), basis.n_modes})
     counts = [_count(m, "mode_counts entry") for m in config.get("mode_counts", default_counts)]
     pert_modes = config.get("perturbation_modes", min(16, basis.n_modes))

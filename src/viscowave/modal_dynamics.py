@@ -13,6 +13,11 @@ obeys a second-kind Volterra equation with the difference kernel
 driven by the memoryless wave response.  The homogeneous (adjoint) modes use
 the same kernel driven by xi_n cos(mu_n t) + eta_n sin(mu_n t), which encodes
 initial data psi(0) = xi, psi'(0) with modal coefficients mu_n eta_n.
+
+Every convolution with sin(mu_n .) or cos(mu_n .) here (the Duhamel responses
+and K * sin(mu_n .) in the kernels) is a product-trapezoid sum evaluated by
+angle addition, sin(mu (t_j - t_i)) = s_j c_i - c_j s_i, as two cumulative
+sums in O(n) per row; quadrature.trapezoid_convolve is the FFT reference.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 
 from .grids import TimeGrid
 from .memory_kernel import MemoryKernel
-from .quadrature import trapezoid_convolve, trapezoid_weights
+from .quadrature import trapezoid_weights
 from .spectral_basis import SpectralBasis
 from .volterra import march_difference_kernel
 
@@ -137,13 +142,32 @@ def memory_oscillator_kernels(
     mus may have any shape; the kernels have shape mus.shape + (n_nodes,).
     """
     mus = np.asarray(mus, dtype=float)[..., None]
-    t = grid.times
-    sines = np.sin(mus * t)
+    phase = mus * grid.times
+    sines = np.sin(phase)
     g = kernel.b * sines
-    k_samples = np.asarray(kernel.kernel.values(t), dtype=float)
+    k_samples = np.asarray(kernel.kernel.values(grid.times), dtype=float)
     if np.any(k_samples != 0.0):
-        g = g + trapezoid_convolve(k_samples[(None,) * (sines.ndim - 1)], sines, grid.dt)
+        # The convolution commutes: K * sin(mu .) is the sine sum with g = K.
+        g = g + _trig_convolutions(sines, np.cos(phase), k_samples, grid.dt, cosine=False)[0]
     return g / mus
+
+
+def _trig_convolutions(s: np.ndarray, c: np.ndarray, g: np.ndarray, dt: float, cosine=True):
+    """Product-trapezoid convolutions of sin(mu .) and cos(mu .) with g.
+
+    s and c hold sin(mu t_j) and cos(mu t_j).  By angle addition the partial
+    sums are s C - c S and c C + s S with C = cumsum(c g), S = cumsum(s g).
+    Of the halved end terms, the first is g_0 in C (t_0 = 0) and 0 in S, and
+    the last is 0 for the sine and g for the cosine.  Arrays broadcast on the
+    leading axes, time is the last.  Returns (sine, cosine); the cosine is
+    None when not asked for.
+    """
+    cum_c = np.cumsum(c * g, axis=-1) - 0.5 * g[..., :1]
+    cum_s = np.cumsum(s * g, axis=-1)
+    sine = dt * (s * cum_c - c * cum_s)
+    if not cosine:
+        return sine, None
+    return sine, dt * (c * cum_c + s * cum_s - 0.5 * g)
 
 
 def wave_modal_response(mu: float, forcing: np.ndarray, grid: TimeGrid):
@@ -169,9 +193,8 @@ def _wave_response_batch(mus: np.ndarray, g: np.ndarray, grid: TimeGrid):
     # other batch helpers below, which is how one mode meets several forcings.
     mus = mus[..., None]
     phase = mus * grid.times
-    u = trapezoid_convolve(np.sin(phase), g, grid.dt) / mus
-    up = trapezoid_convolve(np.cos(phase), g, grid.dt)
-    return u, up
+    u, up = _trig_convolutions(np.sin(phase), np.cos(phase), g, grid.dt)
+    return u / mus, up
 
 
 def free_memory_modal(
@@ -282,15 +305,20 @@ def gronwall_bound_check(
     """Sample max_t |psi_n(t)| over random per-mode unit data (xi_n, eta_n).
 
     The observed bound should be uniform in the mode index: high modes feel the
-    memory only through G_n/mu_n, so adding modes must not inflate it.
+    memory only through G_n/mu_n, so adding modes must not inflate it.  psi is
+    linear in its data, so each mode marches (1, 0) and (0, 1) once and a
+    trial's data (cos theta, sin theta) combines the two responses.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
+    psi_c, psi_s = _free_memory_batch(
+        np.r_[1.0, 0.0], np.r_[0.0, 1.0], basis.mu[:, None], kernel, grid
+    ).swapaxes(0, 1)
     per_mode = np.zeros(basis.n_modes)
     for _ in range(trials):
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=basis.n_modes)
-        psi = _free_memory_batch(np.cos(theta), np.sin(theta), basis.mu, kernel, grid)
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=basis.n_modes)[:, None]
+        psi = np.cos(theta) * psi_c + np.sin(theta) * psi_s
         per_mode = np.maximum(per_mode, np.max(np.abs(psi), axis=1))
     return GronwallReport(
         m_observed=float(per_mode.max()), per_mode_max=per_mode, trials=trials, seed=seed

@@ -4,10 +4,13 @@ Equations y(t) = g(t) + int_0^t kappa(t - s) y(s) ds with a difference kernel,
 passed as its samples kappa(t_j) on the grid, are solved two independent ways:
 product-trapezoid marching (second order), which on nodes >= 1 is one
 lower-triangular Toeplitz system solved by a power-series reciprocal and an
-FFT convolution, and Picard iteration on the same quadrature.  The reciprocal
-is about three quarters of a march and depends on the kernel alone, so it is
-computed once per kernel row, however many forcings share that row.  The two
-routes cross-validate each other; on contraction problems they agree to the
+FFT product, and Picard iteration on the same quadrature.  The reciprocal
+depends on the kernel alone, so it is computed once per kernel row, however
+many forcings share that row, and kept as its spectrum at the length of the
+full product: each forcing row then costs one forward and one inverse real
+FFT.  Inside the reciprocal both products of a Newton step are cyclic at one
+length and share the spectrum of the known coefficients.  The two routes
+cross-validate each other; on contraction problems they agree to the
 fixed-point tolerance.
 """
 
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+import scipy.fft
 
 from .grids import TimeGrid
 from .quadrature import trapezoid_convolve
@@ -73,7 +76,8 @@ def march_difference_kernel(kernel: np.ndarray, forcing: np.ndarray, dt: float) 
     On nodes >= 1 this is y = h * (g + dt/2 k g_0), with h the leading
     coefficients of 1/a(z), a(z) = (1 - dt/2 k_0) - dt sum_{i>=1} k_i z^i.
     h depends on the kernel alone, so it is computed once per kernel row as
-    passed in and shared by every forcing row that row broadcasts against.
+    passed in, kept as its spectrum and shared by every forcing row that row
+    broadcasts against.
     """
     k = np.asarray(kernel, dtype=float)
     f = np.asarray(forcing, dtype=float)
@@ -91,30 +95,41 @@ def march_difference_kernel(kernel: np.ndarray, forcing: np.ndarray, dt: float) 
     # The row of k_rows each output row reads; h is computed once per k row.
     k_of = np.broadcast_to(np.arange(len(k_rows)).reshape(k.shape[:-1]), shape[:-1]).reshape(-1)
     step = max(1, _BLOCK_SAMPLES // n)
-    h = np.empty((len(k_rows), n - 1))
-    for rows in (slice(s, s + step) for s in range(0, len(h), step)):
+    # Cyclic products at the length of the full product h * rhs do not wrap.
+    size = scipy.fft.next_fast_len(2 * n - 3, real=True)
+    h_spec = np.empty((len(k_rows), size // 2 + 1), dtype=complex)
+    for rows in (slice(s, s + step) for s in range(0, len(k_rows), step)):
         a = -dt * k_rows[rows, : n - 1]
         a[:, 0] = 1.0 - 0.5 * dt * k_rows[rows, 0]
-        h[rows] = _reciprocal(a)
+        h_spec[rows] = scipy.fft.rfft(_reciprocal(a), size, axis=-1)
     y = np.empty(f_rows.shape)
     for rows in (slice(s, s + step) for s in range(0, len(y), step)):
-        kr, fr, hr = k_rows[k_of[rows]], f_rows[rows], h[k_of[rows]]
+        kr, fr = k_rows[k_of[rows]], f_rows[rows]
         rhs = fr[:, 1:] + 0.5 * dt * kr[:, 1:] * fr[:, :1]
+        spec = scipy.fft.rfft(rhs, size, axis=-1)
+        spec *= h_spec[k_of[rows]]
         y[rows, 0] = fr[:, 0]
-        y[rows, 1:] = fftconvolve(hr, rhs, axes=-1)[:, : n - 1]
+        y[rows, 1:] = scipy.fft.irfft(spec, size, axis=-1)[:, : n - 1]
     return y.reshape(shape)
 
 
 def _reciprocal(a: np.ndarray) -> np.ndarray:
     """Leading coefficients of 1/a(z) per row by Newton doubling: if h holds the
-    first m, then a h = 1 + z^m e(z) and the next m are those of -h e."""
+    first m, then a h = 1 + z^m e(z) and the next m are those of -h e.
+
+    Both products of a step to `top` coefficients are cyclic at one length
+    L >= top and share the spectrum of h: the wrap-around of a h lands below
+    z^m, where e is not read, and h e has fewer than L terms."""
     h = np.empty_like(a)
     h[:, 0] = 1.0 / a[:, 0]
     m = 1
     while m < a.shape[1]:
         top = min(2 * m, a.shape[1])
-        e = fftconvolve(a[:, :top], h[:, :m], axes=-1)[:, m:top]
-        h[:, m:top] = -fftconvolve(h[:, :m], e, axes=-1)[:, : top - m]
+        size = scipy.fft.next_fast_len(top, real=True)
+        h_spec = scipy.fft.rfft(h[:, :m], size, axis=-1)
+        ah = scipy.fft.irfft(scipy.fft.rfft(a[:, :top], size, axis=-1) * h_spec, size, axis=-1)
+        e_spec = scipy.fft.rfft(ah[:, m:top], size, axis=-1)
+        h[:, m:top] = -scipy.fft.irfft(h_spec * e_spec, size, axis=-1)[:, : top - m]
         m = top
     return h
 

@@ -378,6 +378,24 @@ class TestExitCodes:
                 3,
                 "nodes_per_face must be an integer",
             ),
+            ("simulate", {"kernel": {"b": True, "family": "zero", "params": {}}}, 3, "b must be a number"),
+            ("simulate", {"grid": {"horizon": "2.5", "steps": 50}}, 3, "horizon must be a number"),
+            ("simulate", {"grid": {"horizon": 10**400, "steps": 50}}, 3, "horizon must be finite"),
+            (
+                "synthesize",
+                {"target": {"type": "random-smooth", "norm": float("nan")}},
+                3,
+                "norm must be finite",
+            ),
+            (
+                "synthesize",
+                {"target": {"type": "random-smooth", "decay": float("nan")}},
+                3,
+                "decay must be finite",
+            ),
+            ("simulate", {"control": {"type": "constant", "level": float("nan")}}, 3, "level must be finite"),
+            ("simulate", {"control": {"type": "constant", "level": "0.5"}}, 3, "level must be a number"),
+            ("probes", {"alpha": True}, 3, "alpha must be a number"),
         ],
         ids=[
             "alpha-nan",
@@ -395,6 +413,14 @@ class TestExitCodes:
             "duality-trials-fraction",
             "modes-per-axis-fraction",
             "nodes-per-face-fraction",
+            "b-boolean",
+            "horizon-string",
+            "horizon-huge-integer",
+            "target-norm-nan",
+            "target-decay-nan",
+            "level-nan",
+            "level-string",
+            "alpha-boolean",
         ],
     )
     def test_field_values_exit_codes(self, tmp_path, capsys, command, mutation, code, message):

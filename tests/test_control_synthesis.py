@@ -20,6 +20,7 @@ from viscowave.modal_dynamics import (
     StatePair,
     control_l2_norm,
     forward_simulate,
+    gronwall_bound_check,
     tone_control,
 )
 from viscowave.quadrature import trapezoid_weights
@@ -345,6 +346,9 @@ class TestOneInversePerMode:
         inverted_rows.clear()
         perturbation_compactness_probe(basis, kernel, grid, probe_modes)
         assert sum(inverted_rows) == probe_modes
+        inverted_rows.clear()
+        gronwall_bound_check(basis, kernel, grid, trials=3)
+        assert sum(inverted_rows) == m
         assert gram.psi_table.shape == (2 * m, grid.n_nodes)
 
 

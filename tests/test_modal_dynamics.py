@@ -2,21 +2,32 @@ import numpy as np
 import pytest
 
 from viscowave.grids import TimeGrid
-from viscowave.memory_kernel import ExponentialKernel, MemoryKernel
+from viscowave.memory_kernel import (
+    ConstantKernel,
+    ExponentialKernel,
+    MemoryKernel,
+    PronyKernel,
+    SampledKernel,
+    ZeroKernel,
+)
 from viscowave.modal_dynamics import (
     BoundaryControl,
     StatePair,
+    _free_memory_batch,
+    _wave_response_batch,
     adjoint_trace,
     control_l2_norm,
     controlled_memory_modal,
     forward_simulate,
     free_memory_modal,
     gronwall_bound_check,
+    memory_oscillator_kernels,
     sobolev_norm,
     tone_control,
     wave_modal_response,
     zero_control,
 )
+from viscowave.quadrature import trapezoid_convolve
 from viscowave.spectral_basis import build_interval_basis
 
 from helpers import forced_memory_reference, free_memory_reference
@@ -60,6 +71,61 @@ class TestWaveModalResponse:
             wave_modal_response(0.0, np.ones(grid.n_nodes), grid)
         with pytest.raises(ValueError):
             wave_modal_response(1.0, np.ones(3), grid)
+
+
+class TestAngleAdditionSums:
+    """The cumulative-sum Duhamel convolutions against the FFT product-trapezoid
+    route of quadrature.trapezoid_convolve."""
+
+    grid = TimeGrid(2.5, 1999)
+    mus = (np.arange(1, 41) - 0.5) * np.pi
+
+    @staticmethod
+    def assert_close(got, ref):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            ZeroKernel(),
+            ConstantKernel(0.3),
+            ExponentialKernel(0.1, 1.0),
+            PronyKernel((0.1, 0.05, 0.2), (1.0, 3.0, 0.5)),
+            SampledKernel(np.linspace(0.0, 3.0, 40), np.cos(np.linspace(0.0, 9.0, 40))),
+        ],
+        ids=["zero", "constant", "exponential", "prony", "sampled"],
+    )
+    @pytest.mark.parametrize("shape", [(40,), (40, 1)], ids=["modes", "modes-by-one"])
+    def test_kernels_every_family(self, family, shape):
+        grid = self.grid
+        mus = self.mus.reshape(shape)[..., None]
+        sines = np.sin(mus * grid.times)
+        k_samples = family.values(grid.times) * np.ones(sines.shape)
+        ref = (0.2 * sines + trapezoid_convolve(k_samples, sines, grid.dt)) / mus
+        got = memory_oscillator_kernels(self.mus.reshape(shape), MemoryKernel(0.2, family), grid)
+        self.assert_close(got, ref)
+
+    def test_wave_responses_of_one_forcing_per_mode(self):
+        grid = self.grid
+        g = np.random.default_rng(8).standard_normal((self.mus.size, grid.n_nodes))
+        u, up = _wave_response_batch(self.mus, g, grid)
+        phase = self.mus[:, None] * grid.times
+        self.assert_close(u, trapezoid_convolve(np.sin(phase), g, grid.dt) / self.mus[:, None])
+        self.assert_close(up, trapezoid_convolve(np.cos(phase), g, grid.dt))
+
+    def test_wave_responses_of_shared_impulses(self):
+        # (M, 1) frequencies against (1, 2, n) unit impulses at nodes 0 and 1,
+        # the batch the perturbation probe marches.
+        grid = self.grid
+        impulses = np.zeros((1, 2, grid.n_nodes))
+        impulses[0, 0, 0] = impulses[0, 1, 1] = 1.0
+        u, up = _wave_response_batch(self.mus[:, None], impulses, grid)
+        phase = self.mus[:, None, None] * grid.times
+        impulses = np.broadcast_to(impulses, (self.mus.size, 2, grid.n_nodes))
+        ref_u = trapezoid_convolve(np.sin(phase), impulses, grid.dt) / self.mus[:, None, None]
+        self.assert_close(u, ref_u)
+        self.assert_close(up, trapezoid_convolve(np.cos(phase), impulses, grid.dt))
 
 
 class TestFreeMemoryModal:
@@ -242,6 +308,22 @@ class TestGronwallBound:
         # Doubling the mode count must not inflate the observed constant: the
         # second half of the modes stays below the first half's maximum.
         assert abs(report.per_mode_max[:32].max() - report.m_observed) <= 1e-2 * report.m_observed
+
+    def test_maxima_match_per_trial_marches(self):
+        # psi is linear in its data: the two marched data per mode must give
+        # the maxima of marching every trial's data (cos theta, sin theta).
+        basis = build_interval_basis(1.0, 16)
+        grid = TimeGrid(2.5, 512)
+        kernel = MemoryKernel(b=0.2, kernel=PronyKernel((0.03, 0.05, 0.04), (0.5, 2.0, 5.0)))
+        report = gronwall_bound_check(basis, kernel, grid, trials=8, seed=5)
+        rng = np.random.default_rng(5)
+        expected = np.zeros(basis.n_modes)
+        for _ in range(8):
+            theta = rng.uniform(0.0, 2.0 * np.pi, size=basis.n_modes)
+            psi = _free_memory_batch(np.cos(theta), np.sin(theta), basis.mu, kernel, grid)
+            expected = np.maximum(expected, np.max(np.abs(psi), axis=1))
+        assert np.max(np.abs(report.per_mode_max - expected)) <= 1e-13 * expected.max()
+        assert report.m_observed == report.per_mode_max.max()
 
     def test_rejects_nonpositive_trials(self):
         with pytest.raises(ValueError):

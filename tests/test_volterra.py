@@ -115,10 +115,13 @@ class TestStepwiseReference:
         self.assert_matches(kernels[:, None, :], forcing, grid.dt)
 
     def test_kernel_rows_against_one_forcing(self):
-        grid = TimeGrid(2.0, 600)
+        # The step counts put the cyclic product lengths on powers of two and
+        # on odd sizes, down to two steps.
         rng = np.random.default_rng(6)
-        kernels = 0.5 * np.cos(rng.uniform(1.0, 5.0, (7, 1)) * grid.times)
-        self.assert_matches(kernels, rng.standard_normal(grid.n_nodes), grid.dt)
+        for steps in (2, 3, 4, 5, 9, 17, 600, 1025):
+            grid = TimeGrid(2.0, steps)
+            kernels = 0.5 * np.cos(rng.uniform(1.0, 5.0, (7, 1)) * grid.times)
+            self.assert_matches(kernels, rng.standard_normal(grid.n_nodes), grid.dt)
 
     def test_shared_kernel_rows_equal_duplicated_copy(self):
         # Broadcasting one kernel row over r forcings must not change a bit
