@@ -33,7 +33,7 @@ from .control_synthesis import (
     terminal_error,
 )
 from .grids import TimeGrid
-from .memory_kernel import MemoryKernel, kernel_from_spec, transformed_system
+from .memory_kernel import FAMILY_PARAMS, MemoryKernel, kernel_from_spec, transformed_system
 from .modal_dynamics import (
     DEFAULT_SEED,
     BoundaryControl,
@@ -119,9 +119,8 @@ def _truncated(basis: SpectralBasis, modes: int) -> SpectralBasis:
 
 def _build_basis(config: dict, modes: int):
     block = _as_block(config, "geometry")
-    geometry = Geometry(
-        _require(block, "kind", "geometry block"), _require(block, "lengths", "geometry block")
-    )
+    lengths = _reals(_require(block, "lengths", "geometry block"), "lengths")
+    geometry = Geometry(_require(block, "kind", "geometry block"), lengths)
     resolved = {"kind": geometry.kind, "lengths": list(geometry.lengths)}
     if geometry.kind == "interval":
         basis = build_interval_basis(geometry.lengths[0], modes)
@@ -150,7 +149,13 @@ def _build_kernel(config: dict):
     params = block.get("params", {})
     if not isinstance(params, dict):
         raise ValueError("kernel params must be an object")
-    kernel = MemoryKernel(b=b, kernel=kernel_from_spec(family, params))
+    # Every param the family reads is required, and all but a file path are real;
+    # kernel_from_spec rejects an unknown family.
+    checked = {}
+    for key in FAMILY_PARAMS.get(family, ()) if isinstance(family, str) else ():
+        value = _require(params, key, "kernel params")
+        checked[key] = value if key == "path" else _reals(value, key)
+    kernel = MemoryKernel(b=b, kernel=kernel_from_spec(family, checked))
     resolved = {"b": b, "family": family, "params": params}
     return kernel, resolved
 
@@ -173,6 +178,13 @@ def _real(value, name: str) -> float:
     if not math.isfinite(real):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return real
+
+
+def _reals(value, name: str) -> np.ndarray:
+    """A real field that may be a (nested) list, as an array; _real checks each element."""
+    if isinstance(value, list):
+        return np.array([_reals(v, name) for v in value])
+    return np.asarray(_real(value, name))
 
 
 def _count(value, name: str) -> int:
@@ -216,9 +228,9 @@ def _build_control(block, basis: SpectralBasis, grid: TimeGrid, seed: int):
         values = np.full((basis.n_quad, grid.n_nodes), level)
         return BoundaryControl(values=values, grid=grid), resolved
     if kind == "tones":
-        omegas = np.asarray(_require(block, "omegas", "control block"), dtype=float)
-        amplitudes = np.asarray(_require(block, "amplitudes", "control block"), dtype=float)
-        phases = np.asarray(block.get("phases", np.zeros_like(amplitudes)), dtype=float)
+        omegas = _reals(_require(block, "omegas", "control block"), "omegas")
+        amplitudes = _reals(_require(block, "amplitudes", "control block"), "amplitudes")
+        phases = _reals(block.get("phases", np.zeros_like(amplitudes).tolist()), "phases")
         if amplitudes.ndim == 1:
             amplitudes = np.tile(amplitudes, (basis.n_quad, 1))
         if phases.ndim == 1:
@@ -240,8 +252,8 @@ def _build_target(config: dict, basis: SpectralBasis, seed: int):
     block = _as_block(config, "target")
     resolved = dict(block)
     if "xi" in block or "eta" in block:
-        xi = np.asarray(_require(block, "xi", "target block"), dtype=float)
-        eta = np.asarray(_require(block, "eta", "target block"), dtype=float)
+        xi = _reals(_require(block, "xi", "target block"), "xi")
+        eta = _reals(_require(block, "eta", "target block"), "eta")
         if xi.shape != (basis.n_modes,) or eta.shape != (basis.n_modes,):
             raise ValueError(
                 f"target xi/eta must be length-{basis.n_modes} lists matching the mode count"

@@ -18,7 +18,7 @@ w_m'(T), and one built from (0, e_m) pins mu_m w_m(T).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -29,12 +29,11 @@ from .modal_dynamics import (
     DEFAULT_SEED,
     BoundaryControl,
     StatePair,
-    _controlled_batch,
-    _free_memory_batch,
-    _wave_response_batch,
     adjoint_trace,
     control_l2_norm,
     forward_simulate,
+    free_memory_modal,
+    terminal_response_map,
 )
 from .quadrature import trapezoid_weights
 from .spectral_basis import SpectralBasis, control_time_lower_bound
@@ -50,8 +49,7 @@ class GramSystem:
 
     Row/column order: the M traces from data (e_m, 0) first, then the M traces
     from (0, e_m).  psi_table keeps the homogeneous modal solutions backing the
-    matrix so the synthesized control can be assembled without re-solving; rhs
-    is filled in by solve_min_norm_control.
+    matrix so the synthesized control can be assembled without re-solving.
     """
 
     matrix: np.ndarray
@@ -60,7 +58,6 @@ class GramSystem:
     condition_number: float
     regularization: float
     psi_table: np.ndarray
-    rhs: np.ndarray | None = field(default=None)
 
     @property
     def n_modes(self) -> int:
@@ -98,7 +95,7 @@ def assemble_gram(
     # Each mode marches its data (1, 0) and (0, 1) against one kernel; rows
     # then go to the (e_m, 0)-first order.
     with scipy.fft.set_workers(threads):
-        psi = _free_memory_batch(np.r_[1.0, 0.0], np.r_[0.0, 1.0], basis.mu[:m, None], kernel, grid)
+        psi = free_memory_modal(np.r_[1.0, 0.0], np.r_[0.0, 1.0], basis.mu[:m, None], kernel, grid)
     psi = psi.swapaxes(0, 1).reshape(2 * m, grid.n_nodes)
 
     wt = trapezoid_weights(grid.n_nodes, grid.dt)
@@ -147,9 +144,7 @@ def solve_min_norm_control(
     m = gram.n_modes
     if target.n_modes < m:
         raise ValueError(f"target has {target.n_modes} modes, Gram system needs {m}")
-    mus = basis.mu[:m]
-    rhs = np.concatenate([target.eta[:m], mus * target.xi[:m]])
-    gram.rhs = rhs
+    rhs = np.concatenate([target.eta[:m], basis.mu[:m] * target.xi[:m]])
 
     scale = max(gram.max_eigenvalue, np.finfo(float).tiny)
     if gram.regularization == 0.0 and gram.min_eigenvalue < 1e-12 * scale:
@@ -287,20 +282,22 @@ def norm_growth_probe(
     map: the unweighted terminal/control norm ratio keeps growing with the
     mode count, while weighting both terminal slots by mu^(alpha-1) (the
     (H^alpha, H^(alpha-1)) regularity scale of the flow) keeps it bounded.
+    The terminal state is linear in the modal forcing, so each trial applies
+    one terminal impulse map, marched once per mode, to its modal forcing.
     """
     counts = _checked_mode_counts(basis, mode_counts)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    map_xi, map_eta = terminal_response_map(basis.mu, kernel, grid)
+    tw = basis.traces * basis.quad_weights[None, :]
     rng = np.random.default_rng(seed)
     best = {m: 0.0 for m in counts}
     best_weighted = {m: 0.0 for m in counts}
     for _ in range(trials):
-        f = BoundaryControl(
-            values=rng.standard_normal((basis.n_quad, grid.n_nodes)), grid=grid
-        )
-        denom = control_l2_norm(basis, f)
-        term = forward_simulate(basis, kernel, f, grid).terminal
-        sq = term.xi**2 + term.eta**2
+        values = rng.standard_normal((basis.n_quad, grid.n_nodes))
+        denom = control_l2_norm(basis, BoundaryControl(values, grid))
+        g = tw @ values
+        sq = np.sum(map_xi * g, axis=1) ** 2 + np.sum(map_eta * g, axis=1) ** 2
         wsq = basis.mu ** (2.0 * (alpha - 1.0)) * sq
         for m in counts:
             best[m] = max(best[m], float(np.sqrt(sq[:m].sum())) / denom)
@@ -331,32 +328,16 @@ def perturbation_compactness_probe(
     if not 1 <= n_modes <= basis.n_modes:
         raise ValueError(f"n_modes must lie in [1, {basis.n_modes}], got {n_modes}")
     m = n_modes
-    mus = basis.mu[:m]
-    n = grid.n_nodes
-
-    # Modal responses to unit impulses at nodes 0 and 1 (axis 1), one kernel
-    # per mode.  The marching system is Toeplitz on nodes >= 1 and only node 0
-    # carries the half trapezoid weight, so an impulse at node p >= 1 answers
-    # with the node-1 response delayed by p - 1: its terminal value is that
-    # response at node n - p, and the row read backwards covers p = 1..n-1.
-    impulses = np.zeros((1, 2, n))
-    impulses[0, 0, 0] = impulses[0, 1, 1] = 1.0
-    u, up = _wave_response_batch(mus[:, None], impulses, grid)
-    w, wp = _controlled_batch(mus[:, None], impulses, kernel, grid)
-
-    def terminal_by_node(r):
-        return np.concatenate([r[:, 0, -1:], r[:, 1, :0:-1]], axis=1)
-
-    d_xi = mus[:, None] * terminal_by_node(w - u)
-    d_eta = terminal_by_node(wp - up)
+    memory = terminal_response_map(basis.mu[:m], kernel, grid)
+    memoryless = terminal_response_map(basis.mu[:m], MemoryKernel(), grid)
 
     # Tensor with the trace/boundary-weight factor and rescale columns so each
     # corresponds to a unit-L2 control; singular values then track the
     # underlying operator, not the grid.
     tw = basis.traces[:m] * basis.quad_weights[None, :]
-    blocks = [np.einsum("mq,mp->mqp", tw, d).reshape(m, -1) for d in (d_xi, d_eta)]
+    blocks = [np.einsum("mq,mp->mqp", tw, a - b).reshape(m, -1) for a, b in zip(memory, memoryless)]
     matrix = np.vstack(blocks)
-    wt = trapezoid_weights(n, grid.dt)
+    wt = trapezoid_weights(grid.n_nodes, grid.dt)
     col_norm = np.sqrt(np.outer(basis.quad_weights, wt)).reshape(-1)
     matrix = matrix / col_norm[None, :]
     sigma = np.linalg.svd(matrix, compute_uv=False)

@@ -145,7 +145,14 @@ class MemoryKernel:
             raise ValueError("kernel must be a Kernel descriptor")
 
 
-_FAMILIES = ("zero", "constant", "exponential", "prony", "file")
+# The params each kernel family reads from a (family, params) spec.
+FAMILY_PARAMS = {
+    "zero": (),
+    "constant": ("level",),
+    "exponential": ("amplitude", "rate"),
+    "prony": ("amplitudes", "rates"),
+    "file": ("path",),
+}
 
 
 def kernel_from_spec(family: str, params: dict) -> Kernel:
@@ -160,7 +167,7 @@ def kernel_from_spec(family: str, params: dict) -> Kernel:
         return PronyKernel(amplitudes=tuple(params["amplitudes"]), rates=tuple(params["rates"]))
     if family == "file":
         return SampledKernel.from_csv(params["path"])
-    raise ValueError(f"unknown kernel family {family!r}; expected one of {_FAMILIES}")
+    raise ValueError(f"unknown kernel family {family!r}; expected one of {tuple(FAMILY_PARAMS)}")
 
 
 def _kernel_samples(kernel: Union[Kernel, np.ndarray], grid: TimeGrid) -> np.ndarray:

@@ -170,77 +170,74 @@ def _trig_convolutions(s: np.ndarray, c: np.ndarray, g: np.ndarray, dt: float, c
     return sine, dt * (c * cum_c + s * cum_s - 0.5 * g)
 
 
-def wave_modal_response(mu: float, forcing: np.ndarray, grid: TimeGrid):
+def _positive(mu) -> np.ndarray:
+    mus = np.asarray(mu, dtype=float)
+    if np.any(mus <= 0.0):
+        raise ValueError(f"mu must be positive, got {mu}")
+    return mus
+
+
+def wave_modal_response(mu, forcing: np.ndarray, grid: TimeGrid):
     """Memoryless modal response to a forcing g: Duhamel sine/cosine integrals.
 
         u(t)  = (1/mu) int_0^t sin(mu (t-s)) g(s) ds
         u'(t) =        int_0^t cos(mu (t-s)) g(s) ds
 
     Returns (u, u') sampled on the grid; both are O(dt^2) product-trapezoid
-    convolutions.
+    convolutions.  mu of any shape broadcasts against the leading axes of the
+    forcing (mu[:, None] meets several forcings per mode), as in every solver below.
     """
+    mus = _positive(mu)[..., None]
     g = np.asarray(forcing, dtype=float)
     if g.shape[-1] != grid.n_nodes:
         raise ValueError(f"forcing has {g.shape[-1]} samples, grid has {grid.n_nodes}")
-    if mu <= 0.0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    u, up = _wave_response_batch(np.array([mu]), g[None, :], grid)
-    return u[0], up[0]
-
-
-def _wave_response_batch(mus: np.ndarray, g: np.ndarray, grid: TimeGrid):
-    # mus of any shape broadcasts against the leading axes of g; so do the
-    # other batch helpers below, which is how one mode meets several forcings.
-    mus = mus[..., None]
     phase = mus * grid.times
     u, up = _trig_convolutions(np.sin(phase), np.cos(phase), g, grid.dt)
     return u / mus, up
 
 
-def free_memory_modal(
-    xi: float, eta: float, mu: float, kernel: MemoryKernel, grid: TimeGrid
-) -> np.ndarray:
+def free_memory_modal(xi, eta, mu, kernel: MemoryKernel, grid: TimeGrid) -> np.ndarray:
     """Homogeneous memory mode with data psi(0) = xi, psi'(0) = mu * eta.
 
     Solves psi = xi cos(mu t) + eta sin(mu t) + (G/mu) * psi by trapezoid
-    marching, the convolution form of the modal memory equation.
+    marching, the convolution form of the modal memory equation; xi, eta and
+    mu broadcast against each other.
     """
-    if mu <= 0.0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    psi = _free_memory_batch(
-        np.array([float(xi)]), np.array([float(eta)]), np.array([mu]), kernel, grid
-    )
-    return psi[0]
-
-
-def _free_memory_batch(
-    xis: np.ndarray, etas: np.ndarray, mus: np.ndarray, kernel: MemoryKernel, grid: TimeGrid
-) -> np.ndarray:
+    mus = _positive(mu)
     phase = mus[..., None] * grid.times
-    forcing = xis[..., None] * np.cos(phase) + etas[..., None] * np.sin(phase)
+    xi, eta = np.asarray(xi, dtype=float)[..., None], np.asarray(eta, dtype=float)[..., None]
+    forcing = xi * np.cos(phase) + eta * np.sin(phase)
     return march_difference_kernel(memory_oscillator_kernels(mus, kernel, grid), forcing, grid.dt)
 
 
-def controlled_memory_modal(forcing: np.ndarray, mu: float, kernel: MemoryKernel, grid: TimeGrid):
+def controlled_memory_modal(forcing: np.ndarray, mu, kernel: MemoryKernel, grid: TimeGrid):
     """Forced memory mode from rest: returns (w, w') sampled on the grid.
 
     w solves w = u + (G/mu) * w with u the memoryless Duhamel response; the
     velocity solves the same Volterra equation driven by u' (the differentiated
     displacement equation), so both components are second-order consistent.
     """
-    g = np.asarray(forcing, dtype=float)
-    if g.shape[-1] != grid.n_nodes:
-        raise ValueError(f"forcing has {g.shape[-1]} samples, grid has {grid.n_nodes}")
-    if mu <= 0.0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    w, wp = _controlled_batch(np.array([mu]), g[None, :], kernel, grid)
-    return w[0], wp[0]
+    u = np.stack(wave_modal_response(mu, forcing, grid))
+    return march_difference_kernel(memory_oscillator_kernels(mu, kernel, grid), u, grid.dt)
 
 
-def _controlled_batch(mus: np.ndarray, g: np.ndarray, kernel: MemoryKernel, grid: TimeGrid):
-    """The (w, w') stack: one march of (u, u') against the mode kernels."""
-    kernels = memory_oscillator_kernels(mus, kernel, grid)
-    return march_difference_kernel(kernels, np.stack(_wave_response_batch(mus, g, grid)), grid.dt)
+def terminal_response_map(mus: np.ndarray, kernel: MemoryKernel, grid: TimeGrid):
+    """Weighted terminal state (mu w(T), w'(T)) of a unit modal impulse at every node.
+
+    Returns two (M, n) arrays; column p answers the modal forcing e_p, so
+    sum(map * g, axis=1) is the terminal state a modal forcing g drives.  Each
+    mode marches impulses at nodes 0 and 1 against one kernel.  Marching is
+    Toeplitz on nodes >= 1 (only node 0 has the half trapezoid weight), so an
+    impulse at node p >= 1 answers with the node-1 response delayed by p - 1:
+    its terminal value is that response at node n - p.
+    """
+    mus = np.asarray(mus, dtype=float)[:, None]
+    impulses = np.zeros((1, 2, grid.n_nodes))
+    impulses[0, 0, 0] = impulses[0, 1, 1] = 1.0
+    w = controlled_memory_modal(impulses, mus, kernel, grid)
+    # Node 0's terminal value, then the node-1 response read backwards (p = 1..n-1).
+    xi, eta = np.concatenate([w[..., 0, -1:], w[..., 1, :0:-1]], axis=-1)
+    return mus * xi, eta
 
 
 @dataclass(frozen=True)
@@ -264,7 +261,7 @@ def forward_simulate(
             f"control has {control.values.shape[0]} boundary nodes, basis has {basis.n_quad}"
         )
     g_modal = (basis.traces * basis.quad_weights[None, :]) @ control.values
-    w, wp = _controlled_batch(basis.mu, g_modal, kernel, grid)
+    w, wp = controlled_memory_modal(g_modal, basis.mu, kernel, grid)
     trajectory = ModalTrajectory(values=w, velocities=wp, mu=basis.mu, grid=grid)
     terminal = StatePair(xi=basis.mu * w[:, -1], eta=wp[:, -1], mu=basis.mu)
     return SimulationResult(trajectory=trajectory, terminal=terminal)
@@ -282,7 +279,7 @@ def adjoint_trace(
     m = v.n_modes
     if m > basis.n_modes:
         raise ValueError(f"state pair has {m} modes but the basis stores {basis.n_modes}")
-    psi = _free_memory_batch(v.xi, v.eta, basis.mu[:m], kernel, grid)
+    psi = free_memory_modal(v.xi, v.eta, basis.mu[:m], kernel, grid)
     values = basis.traces[:m].T @ psi[:, ::-1]
     return BoundaryControl(values=values, grid=grid)
 
@@ -312,7 +309,7 @@ def gronwall_bound_check(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    psi_c, psi_s = _free_memory_batch(
+    psi_c, psi_s = free_memory_modal(
         np.r_[1.0, 0.0], np.r_[0.0, 1.0], basis.mu[:, None], kernel, grid
     ).swapaxes(0, 1)
     per_mode = np.zeros(basis.n_modes)

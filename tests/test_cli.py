@@ -273,20 +273,36 @@ class TestDiagnostics:
         assert np.isclose(summary["weyl_constant"], np.pi / 2, atol=1e-12)
 
 
+SMALL_RUNS = {
+    "simulate": base_config(modes=3, control={"type": "noise"}, grid={"horizon": 1.5, "steps": 80}),
+    "synthesize": base_config(grid={"horizon": 2.5, "steps": 120}, target={"type": "random-smooth"}),
+    "verify": base_config(control={"type": "noise"}, target={"type": "random-smooth"}),
+    "gram-spectrum": base_config(modes=3, grid={"horizon": 2.5, "steps": 120}, mode_counts=[1, 3]),
+    "duality-check": base_config(trials=2, tones=2),
+    "maccamy": base_config(
+        kernel={"family": "prony", "params": {"amplitudes": [1.0, -1.0], "rates": [1.0, 2.0]}}
+    ),
+    "probes": base_config(
+        modes=4,
+        kernel={"b": 0.2, "family": "prony", "params": {"amplitudes": [0.1, 0.05], "rates": [1.0, 3.0]}},
+        trials=2,
+    ),
+}
+
+
 class TestDeterminism:
-    def test_identical_configs_give_identical_bytes(self, tmp_path):
-        payload = base_config(
-            modes=3,
-            control={"type": "noise"},
-            seed=42,
-            grid={"horizon": 1.5, "steps": 80},
-        )
+    @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+    def test_identical_configs_give_identical_bytes(self, tmp_path, command):
+        payload = dict(SMALL_RUNS[command], seed=42)
         cfg_a = write_config(tmp_path, payload, name="a.json")
         cfg_b = write_config(tmp_path, payload, name="b.json")
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert main(["simulate", "--config", cfg_a, "--out", str(out_a)]) == 0
-        assert main(["simulate", "--config", cfg_b, "--out", str(out_b)]) == 0
-        for name in ("trajectory.csv", "velocities.csv", "terminal.csv", "summary.json", "manifest.json"):
+        assert main([command, "--config", cfg_a, "--out", str(out_a)]) == 0
+        assert main([command, "--config", cfg_b, "--out", str(out_b)]) == 0
+        names = sorted(path.name for path in out_a.iterdir())
+        assert names == sorted(path.name for path in out_b.iterdir())
+        assert "manifest.json" in names and len(names) >= 3
+        for name in names:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_threads_env_fallback(self, tmp_path, monkeypatch):
@@ -396,6 +412,59 @@ class TestExitCodes:
             ("simulate", {"control": {"type": "constant", "level": float("nan")}}, 3, "level must be finite"),
             ("simulate", {"control": {"type": "constant", "level": "0.5"}}, 3, "level must be a number"),
             ("probes", {"alpha": True}, 3, "alpha must be a number"),
+            (
+                "simulate",
+                {"kernel": {"family": "exponential", "params": {"amplitude": "0.1", "rate": 1.0}}},
+                3,
+                "amplitude must be a number",
+            ),
+            (
+                "simulate",
+                {"kernel": {"family": "exponential", "params": {"amplitude": True, "rate": 1.0}}},
+                3,
+                "amplitude must be a number",
+            ),
+            (
+                "simulate",
+                {"kernel": {"family": "exponential", "params": {"rate": 1.0}}},
+                3,
+                "missing required field 'amplitude' in kernel params",
+            ),
+            (
+                "simulate",
+                {"kernel": {"family": "prony", "params": {"amplitudes": ["0.1"], "rates": [1.0]}}},
+                3,
+                "amplitudes must be a number",
+            ),
+            (
+                "simulate",
+                {"control": {"type": "tones", "omegas": ["1"], "amplitudes": [0.5]}},
+                3,
+                "omegas must be a number",
+            ),
+            (
+                "simulate",
+                {"control": {"type": "tones", "omegas": [float("nan")], "amplitudes": [0.5]}},
+                3,
+                "omegas must be finite",
+            ),
+            (
+                "simulate",
+                {"control": {"type": "tones", "omegas": [1.0], "amplitudes": [True]}},
+                3,
+                "amplitudes must be a number",
+            ),
+            (
+                "simulate",
+                {"control": {"type": "tones", "omegas": [1.0], "amplitudes": [0.5], "phases": ["0"]}},
+                3,
+                "phases must be a number",
+            ),
+            ("verify", {"target": {"xi": ["1", 0], "eta": [0, 0]}}, 3, "xi must be a number"),
+            ("verify", {"target": {"xi": [float("nan"), 0], "eta": [0, 0]}}, 3, "xi must be finite"),
+            ("verify", {"target": {"xi": [0, 0], "eta": [0, True]}}, 3, "eta must be a number"),
+            ("simulate", {"geometry": {"kind": "interval", "lengths": ["1.0"]}}, 3, "lengths must be a number"),
+            ("simulate", {"kernel": {"family": ["prony"], "params": {}}}, 3, "unknown kernel family"),
         ],
         ids=[
             "alpha-nan",
@@ -421,6 +490,19 @@ class TestExitCodes:
             "level-nan",
             "level-string",
             "alpha-boolean",
+            "kernel-param-string",
+            "kernel-param-boolean",
+            "kernel-param-missing",
+            "prony-amplitude-string",
+            "tone-omega-string",
+            "tone-omega-nan",
+            "tone-amplitude-boolean",
+            "tone-phase-string",
+            "target-xi-string",
+            "target-xi-nan",
+            "target-eta-boolean",
+            "geometry-length-string",
+            "kernel-family-list",
         ],
     )
     def test_field_values_exit_codes(self, tmp_path, capsys, command, mutation, code, message):

@@ -24,7 +24,7 @@ from viscowave.modal_dynamics import (
     tone_control,
 )
 from viscowave.quadrature import trapezoid_weights
-from viscowave.spectral_basis import build_interval_basis
+from viscowave.spectral_basis import build_interval_basis, build_rectangle_basis
 
 
 class TestGramAssembly:
@@ -273,6 +273,30 @@ class TestNormGrowthProbe:
         with pytest.raises(ValueError):
             norm_growth_probe(basis, MemoryKernel(), grid, [2, 4], trials=0)
 
+    @pytest.mark.parametrize(
+        "basis",
+        [build_interval_basis(1.0, 12), build_rectangle_basis(1.0, 1.5, 3, 6)],
+        ids=["interval", "rectangle"],
+    )
+    def test_ratios_match_per_trial_forward_runs(self, basis):
+        # The terminal map applied to each trial's modal forcing must give the
+        # terminal state of a forward run of that trial's control.
+        grid = TimeGrid(2.5, 300)
+        kernel = MemoryKernel(b=0.2, kernel=PronyKernel((0.03, 0.05, 0.04), (0.5, 2.0, 5.0)))
+        counts = [3, basis.n_modes]
+        report = norm_growth_probe(basis, kernel, grid, counts, trials=3, seed=4, alpha=0.6)
+        rng = np.random.default_rng(4)
+        best = np.zeros((len(counts), 2))
+        for _ in range(3):
+            f = BoundaryControl(rng.standard_normal((basis.n_quad, grid.n_nodes)), grid)
+            term = forward_simulate(basis, kernel, f, grid).terminal
+            sq = term.xi**2 + term.eta**2
+            wsq = basis.mu ** (2.0 * (0.6 - 1.0)) * sq
+            ratios = [[np.sqrt(sq[:m].sum()), np.sqrt(wsq[:m].sum())] for m in counts]
+            best = np.maximum(best, np.array(ratios) / control_l2_norm(basis, f))
+        got = np.array([[r.max_ratio, r.max_weighted_ratio] for r in report.rows])
+        assert np.max(np.abs(got - best) / best) <= 1e-12
+
 
 class TestPerturbationCompactness:
     def test_zero_kernel_perturbation_vanishes(self):
@@ -348,6 +372,9 @@ class TestOneInversePerMode:
         assert sum(inverted_rows) == probe_modes
         inverted_rows.clear()
         gronwall_bound_check(basis, kernel, grid, trials=3)
+        assert sum(inverted_rows) == m
+        inverted_rows.clear()
+        norm_growth_probe(basis, kernel, grid, [probe_modes, m], trials=3)
         assert sum(inverted_rows) == m
         assert gram.psi_table.shape == (2 * m, grid.n_nodes)
 

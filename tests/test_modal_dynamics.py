@@ -13,8 +13,6 @@ from viscowave.memory_kernel import (
 from viscowave.modal_dynamics import (
     BoundaryControl,
     StatePair,
-    _free_memory_batch,
-    _wave_response_batch,
     adjoint_trace,
     control_l2_norm,
     controlled_memory_modal,
@@ -23,6 +21,7 @@ from viscowave.modal_dynamics import (
     gronwall_bound_check,
     memory_oscillator_kernels,
     sobolev_norm,
+    terminal_response_map,
     tone_control,
     wave_modal_response,
     zero_control,
@@ -71,6 +70,19 @@ class TestWaveModalResponse:
             wave_modal_response(0.0, np.ones(grid.n_nodes), grid)
         with pytest.raises(ValueError):
             wave_modal_response(1.0, np.ones(3), grid)
+        # Array mu: every entry must be positive, and the forcing length is
+        # checked whatever the batch shape.
+        mus = np.array([[1.0], [-2.0]])
+        with pytest.raises(ValueError, match="mu must be positive"):
+            wave_modal_response(mus, np.ones((2, grid.n_nodes)), grid)
+        with pytest.raises(ValueError, match="mu must be positive"):
+            free_memory_modal(1.0, 0.0, mus, MemoryKernel(), grid)
+        with pytest.raises(ValueError, match="mu must be positive"):
+            controlled_memory_modal(np.ones(grid.n_nodes), mus, MemoryKernel(), grid)
+        with pytest.raises(ValueError, match="forcing has 3 samples"):
+            wave_modal_response(np.array([1.0, 2.0]), np.ones((2, 3)), grid)
+        with pytest.raises(ValueError, match="forcing has 3 samples"):
+            controlled_memory_modal(np.ones((2, 3)), np.array([1.0, 2.0]), MemoryKernel(), grid)
 
 
 class TestAngleAdditionSums:
@@ -109,7 +121,7 @@ class TestAngleAdditionSums:
     def test_wave_responses_of_one_forcing_per_mode(self):
         grid = self.grid
         g = np.random.default_rng(8).standard_normal((self.mus.size, grid.n_nodes))
-        u, up = _wave_response_batch(self.mus, g, grid)
+        u, up = wave_modal_response(self.mus, g, grid)
         phase = self.mus[:, None] * grid.times
         self.assert_close(u, trapezoid_convolve(np.sin(phase), g, grid.dt) / self.mus[:, None])
         self.assert_close(up, trapezoid_convolve(np.cos(phase), g, grid.dt))
@@ -120,7 +132,7 @@ class TestAngleAdditionSums:
         grid = self.grid
         impulses = np.zeros((1, 2, grid.n_nodes))
         impulses[0, 0, 0] = impulses[0, 1, 1] = 1.0
-        u, up = _wave_response_batch(self.mus[:, None], impulses, grid)
+        u, up = wave_modal_response(self.mus[:, None], impulses, grid)
         phase = self.mus[:, None, None] * grid.times
         impulses = np.broadcast_to(impulses, (self.mus.size, 2, grid.n_nodes))
         ref_u = trapezoid_convolve(np.sin(phase), impulses, grid.dt) / self.mus[:, None, None]
@@ -237,6 +249,25 @@ class TestForwardSimulate:
             forward_simulate(basis, MemoryKernel(), bad, grid)
 
 
+class TestTerminalResponseMap:
+    def test_columns_match_forward_runs_of_nodal_impulses(self):
+        # The interval's one control node carries the traces, so an impulse
+        # control at node p forces mode m with trace_m e_p.
+        basis = build_interval_basis(1.0, 6)
+        grid = TimeGrid(2.5, 301)
+        kernel = MemoryKernel(b=0.2, kernel=PronyKernel((0.03, 0.05, 0.04), (0.5, 2.0, 5.0)))
+        map_xi, map_eta = terminal_response_map(basis.mu, kernel, grid)
+        assert map_xi.shape == map_eta.shape == (6, grid.n_nodes)
+        n = grid.n_nodes
+        for p in (0, 1, n // 2, n - 1):
+            values = np.zeros((1, n))
+            values[0, p] = 1.0
+            sim = forward_simulate(basis, kernel, BoundaryControl(values, grid), grid)
+            got = basis.traces[:, 0] * np.stack([map_xi[:, p], map_eta[:, p]])
+            want = np.stack([sim.terminal.xi, sim.terminal.eta])
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestAdjointTrace:
     def test_single_mode_without_memory(self):
         # Data (xi, eta) = (1, 0) on mode 1 propagates as cos(mu_1 t); the trace
@@ -320,7 +351,7 @@ class TestGronwallBound:
         expected = np.zeros(basis.n_modes)
         for _ in range(8):
             theta = rng.uniform(0.0, 2.0 * np.pi, size=basis.n_modes)
-            psi = _free_memory_batch(np.cos(theta), np.sin(theta), basis.mu, kernel, grid)
+            psi = free_memory_modal(np.cos(theta), np.sin(theta), basis.mu, kernel, grid)
             expected = np.maximum(expected, np.max(np.abs(psi), axis=1))
         assert np.max(np.abs(report.per_mode_max - expected)) <= 1e-13 * expected.max()
         assert report.m_observed == report.per_mode_max.max()
