@@ -119,7 +119,7 @@ def _truncated(basis: SpectralBasis, modes: int) -> SpectralBasis:
 
 def _build_basis(config: dict, modes: int):
     block = _as_block(config, "geometry")
-    lengths = _reals(_require(block, "lengths", "geometry block"), "lengths")
+    lengths = _reals(_require(block, "lengths", "geometry block"), "lengths", (1,))
     geometry = Geometry(_require(block, "kind", "geometry block"), lengths)
     resolved = {"kind": geometry.kind, "lengths": list(geometry.lengths)}
     if geometry.kind == "interval":
@@ -149,12 +149,14 @@ def _build_kernel(config: dict):
     params = block.get("params", {})
     if not isinstance(params, dict):
         raise ValueError("kernel params must be an object")
-    # Every param the family reads is required, and all but a file path are real;
-    # kernel_from_spec rejects an unknown family.
+    # Every param the family reads is required, and all but a file path are real:
+    # a list for the Prony series, one number otherwise.  kernel_from_spec
+    # rejects an unknown family.
+    ranks = (1,) if family == "prony" else (0,)
     checked = {}
     for key in FAMILY_PARAMS.get(family, ()) if isinstance(family, str) else ():
         value = _require(params, key, "kernel params")
-        checked[key] = value if key == "path" else _reals(value, key)
+        checked[key] = value if key == "path" else _reals(value, key, ranks)
     kernel = MemoryKernel(b=b, kernel=kernel_from_spec(family, checked))
     resolved = {"b": b, "family": family, "params": params}
     return kernel, resolved
@@ -180,11 +182,28 @@ def _real(value, name: str) -> float:
     return real
 
 
-def _reals(value, name: str) -> np.ndarray:
-    """A real field that may be a (nested) list, as an array; _real checks each element."""
-    if isinstance(value, list):
-        return np.array([_reals(v, name) for v in value])
-    return np.asarray(_real(value, name))
+_RANK_NAMES = ("a number", "a list of numbers", "a list of lists of numbers")
+
+
+def _reals(value, name: str, ranks) -> np.ndarray:
+    """A real field given as a number or a rectangular nested list, as an array.
+
+    _real checks each element; the array's rank must be one of ranks.
+    """
+    array = _nested_reals(value, name)
+    if array.ndim not in ranks:
+        expected = " or ".join(_RANK_NAMES[r] for r in ranks)
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
+    return array
+
+
+def _nested_reals(value, name: str) -> np.ndarray:
+    if not isinstance(value, list):
+        return np.asarray(_real(value, name))
+    items = [_nested_reals(v, name) for v in value]
+    if len({item.shape for item in items}) > 1:
+        raise ValueError(f"{name} must be a rectangular list, got ragged {value!r}")
+    return np.array(items)
 
 
 def _count(value, name: str) -> int:
@@ -192,6 +211,13 @@ def _count(value, name: str) -> int:
     if not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _counts(value, name: str) -> list:
+    """A list-of-whole-numbers field as a list of ints."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list of integers, got {value!r}")
+    return [_count(v, f"{name} entry") for v in value]
 
 
 def _resolve_seed(config: dict) -> int:
@@ -228,9 +254,10 @@ def _build_control(block, basis: SpectralBasis, grid: TimeGrid, seed: int):
         values = np.full((basis.n_quad, grid.n_nodes), level)
         return BoundaryControl(values=values, grid=grid), resolved
     if kind == "tones":
-        omegas = _reals(_require(block, "omegas", "control block"), "omegas")
-        amplitudes = _reals(_require(block, "amplitudes", "control block"), "amplitudes")
-        phases = _reals(block.get("phases", np.zeros_like(amplitudes).tolist()), "phases")
+        omegas = _reals(_require(block, "omegas", "control block"), "omegas", (0, 1))
+        amplitudes = _reals(_require(block, "amplitudes", "control block"), "amplitudes", (0, 1, 2))
+        phases = block.get("phases", np.zeros_like(amplitudes).tolist())
+        phases = _reals(phases, "phases", (0, 1, 2))
         if amplitudes.ndim == 1:
             amplitudes = np.tile(amplitudes, (basis.n_quad, 1))
         if phases.ndim == 1:
@@ -252,8 +279,8 @@ def _build_target(config: dict, basis: SpectralBasis, seed: int):
     block = _as_block(config, "target")
     resolved = dict(block)
     if "xi" in block or "eta" in block:
-        xi = _reals(_require(block, "xi", "target block"), "xi")
-        eta = _reals(_require(block, "eta", "target block"), "eta")
+        xi = _reals(_require(block, "xi", "target block"), "xi", (1,))
+        eta = _reals(_require(block, "eta", "target block"), "eta", (1,))
         if xi.shape != (basis.n_modes,) or eta.shape != (basis.n_modes,):
             raise ValueError(
                 f"target xi/eta must be length-{basis.n_modes} lists matching the mode count"
@@ -405,7 +432,7 @@ def _cmd_verify(config, out, threads):
 
 def _cmd_gram_spectrum(config, out, threads):
     basis, kernel, grid, seed, resolved = _common_setup(config)
-    counts = [_count(m, "mode_counts entry") for m in _require(config, "mode_counts", "config")]
+    counts = _counts(_require(config, "mode_counts", "config"), "mode_counts")
     resolved["mode_counts"] = counts
     rows = riesz_fisher_diagnostic(basis, kernel, grid, counts, threads=threads)
     # With no positive minimum eigenvalue the condition number cell is empty,
@@ -495,10 +522,12 @@ def _cmd_probes(config, out, threads):
     basis, kernel, grid, seed, resolved = _common_setup(config)
     trials = _count(config.get("trials", 8), "trials")
     alpha = _real(config.get("alpha", 0.55), "alpha")
-    default_counts = sorted({max(1, basis.n_modes // 4), max(2, basis.n_modes // 2), basis.n_modes})
-    counts = [_count(m, "mode_counts entry") for m in config.get("mode_counts", default_counts)]
-    pert_modes = config.get("perturbation_modes", min(16, basis.n_modes))
-    pert_modes = _count(pert_modes, "perturbation_modes")
+    m = basis.n_modes
+    default_counts = sorted({max(1, m // 4), min(m, max(2, m // 2)), m})
+    counts = _counts(config.get("mode_counts", default_counts), "mode_counts")
+    pert_modes = _count(config.get("perturbation_modes", min(16, m)), "perturbation_modes")
+    if not 1 <= pert_modes <= m:
+        raise ValueError(f"perturbation_modes must lie in [1, {m}], got {pert_modes}")
     resolved.update(
         {
             "trials": trials,

@@ -64,6 +64,14 @@ class GramSystem:
         return self.matrix.shape[0] // 2
 
 
+def _spectrum(matrix: np.ndarray) -> tuple[float, float, float]:
+    """Smallest and largest eigenvalue of a symmetric matrix and the condition
+    number, their ratio, which is inf unless the smallest is positive."""
+    eigs = np.linalg.eigvalsh(matrix)
+    min_eig, max_eig = float(eigs[0]), float(eigs[-1])
+    return min_eig, max_eig, max_eig / min_eig if min_eig > 0.0 else float("inf")
+
+
 def assemble_gram(
     basis: SpectralBasis,
     kernel: MemoryKernel,
@@ -105,9 +113,7 @@ def assemble_gram(
     gram = np.tile(boundary_gram, (2, 2)) * time_gram
     gram = np.triu(gram) + np.triu(gram, 1).T
 
-    eigs = np.linalg.eigvalsh(gram)
-    min_eig, max_eig = float(eigs[0]), float(eigs[-1])
-    cond = max_eig / min_eig if min_eig > 0.0 else float("inf")
+    min_eig, max_eig, cond = _spectrum(gram)
     return GramSystem(
         matrix=gram,
         min_eigenvalue=min_eig,
@@ -218,8 +224,8 @@ class GramSpectrumRow:
 
 def _checked_mode_counts(basis: SpectralBasis, mode_counts) -> list:
     counts = [int(m) for m in mode_counts]
-    if not counts or any(b <= a for a, b in zip(counts, counts[1:])):
-        raise ValueError("mode_counts must be a non-empty strictly increasing list")
+    if not counts or counts[0] < 1 or any(b <= a for a, b in zip(counts, counts[1:])):
+        raise ValueError("mode_counts must be a non-empty strictly increasing list of positive counts")
     if counts[-1] > basis.n_modes:
         raise ValueError(f"mode_counts exceed the {basis.n_modes} stored modes")
     return counts
@@ -237,18 +243,22 @@ def riesz_fisher_diagnostic(
     A positive, slowly shrinking minimum eigenvalue is the discrete coercivity
     (Riesz-Fisher) signal; the condition number tracks the absent upper frame
     bound.  Modal decoupling makes each smaller Gram a principal submatrix of
-    the largest one, so only one assembly is needed.
+    the largest one, so only one assembly is needed, and its own spectrum is
+    the last row.
     """
     counts = _checked_mode_counts(basis, mode_counts)
     top = assemble_gram(basis, kernel, grid, counts[-1], threads=threads)
     m_top = counts[-1]
     rows = []
-    for m in counts:
+    for m in counts[:-1]:
         idx = np.concatenate([np.arange(m), m_top + np.arange(m)])
-        eigs = np.linalg.eigvalsh(top.matrix[np.ix_(idx, idx)])
-        min_eig, max_eig = float(eigs[0]), float(eigs[-1])
-        cond = max_eig / min_eig if min_eig > 0.0 else float("inf")
+        min_eig, _, cond = _spectrum(top.matrix[np.ix_(idx, idx)])
         rows.append(GramSpectrumRow(n_modes=m, min_eigenvalue=min_eig, condition_number=cond))
+    rows.append(
+        GramSpectrumRow(
+            n_modes=m_top, min_eigenvalue=top.min_eigenvalue, condition_number=top.condition_number
+        )
+    )
     return rows
 
 

@@ -180,7 +180,10 @@ def _kernel_samples(kernel: Union[Kernel, np.ndarray], grid: TimeGrid) -> np.nda
 
 
 def convolve(kernel: Union[Kernel, np.ndarray], g: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """(K * g)(t_j) on the grid by the product trapezoid rule; O(dt^2)."""
+    """(K * g)(t_j) on the grid by the product trapezoid rule; O(dt^2).
+
+    g may carry leading batch axes, which the kernel samples broadcast against.
+    """
     gg = np.asarray(g, dtype=float)
     if gg.shape[-1] != grid.n_nodes:
         raise ValueError(f"signal has {gg.shape[-1]} samples but the grid has {grid.n_nodes}")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import fftconvolve
+import scipy.fft
 
 
 def trapezoid_weights(n_nodes: int, dt: float) -> np.ndarray:
@@ -19,9 +19,11 @@ def trapezoid_convolve(kernel: np.ndarray, g: np.ndarray, dt: float) -> np.ndarr
     """Causal convolution (kernel * g)(t_j) = int_0^{t_j} kernel(t_j - s) g(s) ds.
 
     Product trapezoid rule on the shared uniform grid: full discrete convolution
-    with the end weights halved.  Both arrays carry time on the last axis and
-    broadcast against each other on the leading axes, so batched evaluation over
-    mode or trial axes is a single call.
+    with the end weights halved.  The full convolution is one real FFT product
+    on scipy.fft, zero-padded to a fast length of at least 2n - 1 so nothing
+    wraps.  Both arrays carry time on the last axis and broadcast against each
+    other on the leading axes, so batched evaluation over mode or trial axes is
+    a single call.
     """
     k = np.asarray(kernel, dtype=float)
     f = np.asarray(g, dtype=float)
@@ -30,7 +32,9 @@ def trapezoid_convolve(kernel: np.ndarray, g: np.ndarray, dt: float) -> np.ndarr
             f"kernel and signal disagree on grid length: {k.shape[-1]} vs {f.shape[-1]}"
         )
     n = k.shape[-1]
-    full = fftconvolve(k, f, axes=-1)[..., :n]
+    size = scipy.fft.next_fast_len(max(2 * n - 1, 1), real=True)
+    spec = scipy.fft.rfft(k, size, axis=-1) * scipy.fft.rfft(f, size, axis=-1)
+    full = scipy.fft.irfft(spec, size, axis=-1)[..., :n]
     # Halve the two end contributions of each partial sum (trapezoid ends).
     return dt * (full - 0.5 * (k * f[..., :1] + k[..., :1] * f))
 

@@ -272,6 +272,15 @@ class TestDiagnostics:
         assert summary["max_trace_ratio"] > 0.0
         assert np.isclose(summary["weyl_constant"], np.pi / 2, atol=1e-12)
 
+    def test_probes_single_mode_defaults(self, tmp_path):
+        cfg = write_config(tmp_path, base_config(modes=1, grid={"horizon": 2.0, "steps": 100}, trials=2))
+        out = tmp_path / "out"
+        assert main(["probes", "--config", cfg, "--out", str(out)]) == 0
+        resolved = read_manifest(out)["config"]
+        assert resolved["mode_counts"] == [1]
+        assert resolved["perturbation_modes"] == 1
+        assert len((out / "norm_growth.csv").read_text().splitlines()) == 2
+
 
 SMALL_RUNS = {
     "simulate": base_config(modes=3, control={"type": "noise"}, grid={"horizon": 1.5, "steps": 80}),
@@ -465,6 +474,41 @@ class TestExitCodes:
             ("verify", {"target": {"xi": [0, 0], "eta": [0, True]}}, 3, "eta must be a number"),
             ("simulate", {"geometry": {"kind": "interval", "lengths": ["1.0"]}}, 3, "lengths must be a number"),
             ("simulate", {"kernel": {"family": ["prony"], "params": {}}}, 3, "unknown kernel family"),
+            (
+                "simulate",
+                {"geometry": {"kind": "interval", "lengths": 1.0}},
+                3,
+                "lengths must be a list of numbers",
+            ),
+            (
+                "simulate",
+                {"kernel": {"family": "prony", "params": {"amplitudes": 0.1, "rates": [1.0]}}},
+                3,
+                "amplitudes must be a list of numbers",
+            ),
+            (
+                "simulate",
+                {"kernel": {"family": "prony", "params": {"amplitudes": [[0.1]], "rates": [1.0]}}},
+                3,
+                "amplitudes must be a list of numbers",
+            ),
+            (
+                "simulate",
+                {"control": {"type": "tones", "omegas": [1.0, 2.0], "amplitudes": [[1.0], [1.0, 2.0]]}},
+                3,
+                "amplitudes must be a rectangular list",
+            ),
+            (
+                "simulate",
+                {"control": {"type": "tones", "omegas": [[1.0]], "amplitudes": [0.5]}},
+                3,
+                "omegas must be a number or a list of numbers",
+            ),
+            ("gram-spectrum", {"mode_counts": 2}, 3, "mode_counts must be a list of integers"),
+            ("probes", {"mode_counts": 2}, 3, "mode_counts must be a list of integers"),
+            ("probes", {"perturbation_modes": 0}, 3, "perturbation_modes must lie in [1, 2]"),
+            ("gram-spectrum", {"mode_counts": [-1, 2]}, 3, "list of positive counts"),
+            ("probes", {"mode_counts": [0, 1]}, 3, "list of positive counts"),
         ],
         ids=[
             "alpha-nan",
@@ -503,6 +547,16 @@ class TestExitCodes:
             "target-eta-boolean",
             "geometry-length-string",
             "kernel-family-list",
+            "geometry-lengths-scalar",
+            "prony-amplitudes-scalar",
+            "prony-amplitudes-nested",
+            "tone-amplitudes-ragged",
+            "tone-omegas-nested",
+            "spectrum-mode-counts-scalar",
+            "probes-mode-counts-scalar",
+            "perturbation-modes-zero",
+            "spectrum-mode-counts-negative",
+            "probes-mode-counts-zero",
         ],
     )
     def test_field_values_exit_codes(self, tmp_path, capsys, command, mutation, code, message):

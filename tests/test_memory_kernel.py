@@ -117,6 +117,16 @@ class TestConvolve:
         assert abs(out[idx] - (1.0 - np.exp(-1.0))) <= 1e-6
         assert np.max(np.abs(out - (1.0 - np.exp(-grid.times)))) <= 1e-6
 
+    def test_kernel_broadcasts_over_signal_rows(self):
+        rng = np.random.default_rng(9)
+        grid = TimeGrid(1.0, 120)
+        kernel = ExponentialKernel(0.5, 2.0)
+        g = rng.standard_normal((3, grid.n_nodes))
+        out = convolve(kernel, g, grid)
+        assert out.shape == g.shape
+        for row, gi in zip(out, g):
+            assert np.allclose(row, convolve(kernel, gi, grid), atol=1e-13, rtol=0)
+
     def test_commutes(self):
         grid = TimeGrid(1.5, 300)
         n = np.exp(-grid.times) * (1.0 + grid.times)

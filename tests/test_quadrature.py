@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -54,17 +59,68 @@ class TestTrapezoidConvolve:
         assert np.max(np.abs(fast - slow)) <= 1e-12
 
     def test_batched_rows_match_scalar_calls(self):
+        # Equal shapes, kernels broadcast over a row axis, and one kernel
+        # against batches of rank 1 and 2.
         rng = np.random.default_rng(6)
         grid = TimeGrid(1.0, 80)
-        k = rng.standard_normal((3, grid.n_nodes))
-        g = rng.standard_normal((3, grid.n_nodes))
-        batched = trapezoid_convolve(k, g, grid.dt)
-        for i in range(3):
-            assert np.allclose(batched[i], trapezoid_convolve(k[i], g[i], grid.dt), atol=1e-13)
+        for k_shape, g_shape in [((3,), (3,)), ((1,), (3,)), ((), (3,)), ((7, 1), (7, 3)), ((), (7, 3))]:
+            k = rng.standard_normal((*k_shape, grid.n_nodes))
+            g = rng.standard_normal((*g_shape, grid.n_nodes))
+            batched = trapezoid_convolve(k, g, grid.dt)
+            assert batched.shape == g.shape
+            kk = np.broadcast_to(k, g.shape)
+            for i in np.ndindex(g.shape[:-1]):
+                scalar = trapezoid_convolve(kk[i], g[i], grid.dt)
+                assert np.allclose(batched[i], scalar, atol=1e-13, rtol=0), (k_shape, g_shape, i)
+
+    @pytest.mark.parametrize(
+        "k_shape, g_shape",
+        [
+            ((0,), (0,)),
+            ((2,), (2,)),
+            ((3,), (3,)),
+            ((5,), (5,)),
+            ((513,), (513,)),
+            ((2001,), (2001,)),
+            ((40, 2001), (40, 2001)),
+            ((1, 6001), (3, 6001)),
+            ((7, 1, 1000), (7, 3, 1000)),
+        ],
+    )
+    def test_bitwise_equal_to_fftconvolve_formula(self, k_shape, g_shape):
+        # Reference: the same product trapezoid through scipy.signal.fftconvolve,
+        # which the package does not import; the scipy.fft route matches it bit
+        # for bit.
+        from scipy.signal import fftconvolve
+
+        rng = np.random.default_rng(7)
+        k = rng.standard_normal(k_shape)
+        g = rng.standard_normal(g_shape)
+        dt, n = 0.01, k.shape[-1]
+        ref = dt * (fftconvolve(k, g, axes=-1)[..., :n] - 0.5 * (k * g[..., :1] + k[..., :1] * g))
+        out = trapezoid_convolve(k, g, dt)
+        assert out.shape == ref.shape
+        assert np.array_equal(out, ref)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             trapezoid_convolve(np.ones(5), np.ones(6), 0.1)
+
+
+class TestImportFootprint:
+    def test_cli_import_loads_only_the_fft_part_of_scipy(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        code = (
+            "import sys, viscowave.cli; "
+            "print(' '.join(m for m in ('scipy.signal', 'scipy.stats', 'scipy.interpolate', "
+            "'scipy.optimize') if m in sys.modules))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == ""
 
 
 class TestGaussLegendrePanels:
