@@ -37,6 +37,7 @@ from .memory_kernel import FAMILY_PARAMS, MemoryKernel, kernel_from_spec, transf
 from .modal_dynamics import (
     DEFAULT_SEED,
     BoundaryControl,
+    ModalOperator,
     StatePair,
     control_l2_norm,
     forward_simulate,
@@ -50,6 +51,7 @@ from .spectral_basis import (
     SpectralBasis,
     build_interval_basis,
     build_rectangle_basis,
+    default_nodes_per_face,
     trace_estimate_check,
     weyl_growth_constant,
 )
@@ -68,6 +70,8 @@ COMMANDS = (
 )
 
 _FMT = "%.17g"
+# Bytes the largest float64 array of a run may take; a config above it exits 3.
+_ARRAY_BUDGET = 2**30
 
 
 class ConfigError(Exception):
@@ -117,12 +121,16 @@ def _truncated(basis: SpectralBasis, modes: int) -> SpectralBasis:
     )
 
 
-def _build_basis(config: dict, modes: int):
+def _build_basis(config: dict, modes: int, arrays):
+    """The basis of the geometry block.  arrays(n_quad) gives the run's large
+    arrays for n_quad control nodes; they are checked against the budget
+    before the basis is built."""
     block = _as_block(config, "geometry")
     lengths = _reals(_require(block, "lengths", "geometry block"), "lengths", (1,))
     geometry = Geometry(_require(block, "kind", "geometry block"), lengths)
     resolved = {"kind": geometry.kind, "lengths": list(geometry.lengths)}
     if geometry.kind == "interval":
+        _check_budget(arrays(1))
         basis = build_interval_basis(geometry.lengths[0], modes)
     else:
         per_axis = block.get("modes_per_axis", math.ceil(math.sqrt(modes)))
@@ -132,12 +140,26 @@ def _build_basis(config: dict, modes: int):
                 f"modes_per_axis={per_axis} yields only {per_axis**2} modes, need {modes}"
             )
         nodes = block.get("nodes_per_face")
-        nodes = None if nodes is None else _count(nodes, "nodes_per_face")
+        nodes = default_nodes_per_face(per_axis) if nodes is None else _count(nodes, "nodes_per_face")
+        # The basis traces every one of the per_axis^2 candidate modes.
+        candidates = {"modes_per_axis^2 x 2 nodes_per_face": per_axis**2 * 2 * nodes}
+        _check_budget({**candidates, **arrays(2 * nodes)})
         basis = build_rectangle_basis(*geometry.lengths, per_axis, nodes)
         basis = _truncated(basis, modes)
         resolved["modes_per_axis"] = per_axis
         resolved["nodes_per_face"] = int(basis.n_quad // 2)
     return basis, resolved
+
+
+def _check_budget(arrays: dict) -> None:
+    """arrays maps the fields an array grows with to its element count; the
+    largest must fit in _ARRAY_BUDGET bytes of doubles."""
+    name, count = max(arrays.items(), key=lambda item: item[1])
+    if 8 * count > _ARRAY_BUDGET:
+        raise ValueError(
+            f"the {name} array would take {8 * count:.3g} bytes, above the budget of "
+            f"{_ARRAY_BUDGET:.3g} bytes; reduce those fields"
+        )
 
 
 def _build_kernel(config: dict):
@@ -319,11 +341,23 @@ def _write_terminal(path: Path, terminal: StatePair) -> None:
     )
 
 
-def _common_setup(config: dict):
+def _common_setup(config: dict, command_arrays=lambda modes, cells: {}):
+    """Basis, kernel, grid and seed of a config.  command_arrays(modes, cells)
+    names the command's own large arrays, with cells the count of control
+    samples; the budget check covers them and the modal tables."""
     modes = _count(_require(config, "modes", "config"), "modes")
-    basis, geometry_resolved = _build_basis(config, modes)
-    kernel, kernel_resolved = _build_kernel(config)
     grid, grid_resolved = _build_grid(config)
+
+    def arrays(n_quad: int) -> dict:
+        cells = n_quad * grid.n_nodes
+        return {
+            "modes x (steps + 1)": modes * grid.n_nodes,
+            "2 nodes_per_face x (steps + 1)": cells,
+            **command_arrays(modes, cells),
+        }
+
+    basis, geometry_resolved = _build_basis(config, modes, arrays)
+    kernel, kernel_resolved = _build_kernel(config)
     seed = _resolve_seed(config)
     resolved = {
         "schema_version": SCHEMA_VERSION,
@@ -366,16 +400,24 @@ def _cmd_simulate(config, out, threads):
     return resolved
 
 
+def _gram_arrays(modes: int, cells: int) -> dict:
+    return {"(2 modes)^2 Gram": 4 * modes**2}
+
+
 def _cmd_synthesize(config, out, threads):
-    basis, kernel, grid, seed, resolved = _common_setup(config)
+    basis, kernel, grid, seed, resolved = _common_setup(config, _gram_arrays)
     target, target_resolved = _build_target(config, basis, seed)
     regularization = _real(config.get("regularization", 0.0), "regularization")
     resolved["target"] = target_resolved
     resolved["regularization"] = regularization
 
-    gram = assemble_gram(basis, kernel, grid, basis.n_modes, regularization, threads)
+    operator = ModalOperator(basis.mu, kernel, grid)
+    gram = assemble_gram(basis, kernel, grid, basis.n_modes, regularization, threads, operator=operator)
     result = solve_min_norm_control(gram, basis, kernel, grid, target)
-    verified = forward_simulate(basis, kernel, result.control, grid)
+    verified = forward_simulate(basis, kernel, result.control, grid, operator=operator)
+    # Free the modal tables before the CSV writes, which would otherwise
+    # allocate on top of them.
+    del operator
     err = terminal_error(verified.terminal, target)
 
     nodes = [f"node_{q}" for q in range(basis.n_quad)]
@@ -431,7 +473,7 @@ def _cmd_verify(config, out, threads):
 
 
 def _cmd_gram_spectrum(config, out, threads):
-    basis, kernel, grid, seed, resolved = _common_setup(config)
+    basis, kernel, grid, seed, resolved = _common_setup(config, _gram_arrays)
     counts = _counts(_require(config, "mode_counts", "config"), "mode_counts")
     resolved["mode_counts"] = counts
     rows = riesz_fisher_diagnostic(basis, kernel, grid, counts, threads=threads)
@@ -458,17 +500,20 @@ def _cmd_gram_spectrum(config, out, threads):
 
 
 def _cmd_duality_check(config, out, threads):
-    basis, kernel, grid, seed, resolved = _common_setup(config)
     trials = _count(config.get("trials", 5), "trials")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n_tones = _count(config.get("tones", 3), "tones")
     if n_tones < 1:
         raise ValueError(f"tones must be >= 1, got {n_tones}")
+    basis, kernel, grid, seed, resolved = _common_setup(
+        config, lambda modes, cells: {"2 nodes_per_face x tones x (steps + 1)": n_tones * cells}
+    )
     resolved.update({"trials": trials, "tones": n_tones})
 
     rng = np.random.default_rng(seed)
     omegas = np.arange(1, n_tones + 1) * np.pi / grid.horizon
+    operator = ModalOperator(basis.mu, kernel, grid)
     rows = []
     for trial in range(1, trials + 1):
         amplitudes = rng.standard_normal((basis.n_quad, n_tones))
@@ -477,7 +522,7 @@ def _cmd_duality_check(config, out, threads):
         data = rng.standard_normal(2 * basis.n_modes)
         data /= np.linalg.norm(data)
         v = StatePair(xi=data[: basis.n_modes], eta=data[basis.n_modes :], mu=basis.mu.copy())
-        report = duality_check(basis, kernel, grid, control, v)
+        report = duality_check(basis, kernel, grid, control, v, operator=operator)
         rows.append((trial, report.lhs, report.rhs, report.rel_gap))
     table = np.array(rows)
     _write_table(
@@ -495,6 +540,7 @@ def _cmd_duality_check(config, out, threads):
 def _cmd_maccamy(config, out, threads):
     kernel, kernel_resolved = _build_kernel(config)
     grid, grid_resolved = _build_grid(config)
+    _check_budget({"steps + 1": grid.n_nodes})
     seed = _resolve_seed(config)
     resolved = {
         "schema_version": SCHEMA_VERSION,
@@ -518,16 +564,24 @@ def _cmd_maccamy(config, out, threads):
     return resolved
 
 
+def _perturbation_modes(config: dict, modes: int) -> int:
+    pert_modes = _count(config.get("perturbation_modes", min(16, modes)), "perturbation_modes")
+    if not 1 <= pert_modes <= modes:
+        raise ValueError(f"perturbation_modes must lie in [1, {modes}], got {pert_modes}")
+    return pert_modes
+
+
 def _cmd_probes(config, out, threads):
-    basis, kernel, grid, seed, resolved = _common_setup(config)
+    compactness = "2 perturbation_modes x 2 nodes_per_face x (steps + 1)"
+    basis, kernel, grid, seed, resolved = _common_setup(
+        config, lambda modes, cells: {compactness: 2 * _perturbation_modes(config, modes) * cells}
+    )
     trials = _count(config.get("trials", 8), "trials")
     alpha = _real(config.get("alpha", 0.55), "alpha")
     m = basis.n_modes
     default_counts = sorted({max(1, m // 4), min(m, max(2, m // 2)), m})
     counts = _counts(config.get("mode_counts", default_counts), "mode_counts")
-    pert_modes = _count(config.get("perturbation_modes", min(16, m)), "perturbation_modes")
-    if not 1 <= pert_modes <= m:
-        raise ValueError(f"perturbation_modes must lie in [1, {m}], got {pert_modes}")
+    pert_modes = _perturbation_modes(config, m)
     resolved.update(
         {
             "trials": trials,
@@ -537,10 +591,13 @@ def _cmd_probes(config, out, threads):
         }
     )
 
-    gronwall = gronwall_bound_check(basis, kernel, grid, trials=trials, seed=seed)
+    operator = ModalOperator(basis.mu, kernel, grid)
+    gronwall = gronwall_bound_check(basis, kernel, grid, trials=trials, seed=seed, operator=operator)
     trace = trace_estimate_check(basis)
-    growth = norm_growth_probe(basis, kernel, grid, counts, trials=trials, seed=seed, alpha=alpha)
-    pert = perturbation_compactness_probe(basis, kernel, grid, pert_modes)
+    growth = norm_growth_probe(
+        basis, kernel, grid, counts, trials=trials, seed=seed, alpha=alpha, operator=operator
+    )
+    pert = perturbation_compactness_probe(basis, kernel, grid, pert_modes, operator=operator)
 
     modes = np.arange(1, basis.n_modes + 1)
     _write_table(
@@ -643,6 +700,7 @@ def main(argv=None) -> int:
             "command": args.command,
             "threads": threads,
             "viscowave_version": _package_version(),
+            "versions": _versions(),
             "config": resolved,
         }
         _write_json(out / "manifest.json", manifest)
@@ -659,6 +717,15 @@ def _package_version() -> str:
     from . import __version__
 
     return __version__
+
+
+def _versions() -> dict:
+    """The interpreter's and the numerical libraries' versions."""
+    import platform
+
+    import scipy
+
+    return {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__}
 
 
 if __name__ == "__main__":

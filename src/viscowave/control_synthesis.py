@@ -27,13 +27,14 @@ from .grids import TimeGrid
 from .memory_kernel import MemoryKernel
 from .modal_dynamics import (
     DEFAULT_SEED,
+    UNIT_DATA,
     BoundaryControl,
+    ModalOperator,
     StatePair,
     adjoint_trace,
+    basis_operator,
     control_l2_norm,
     forward_simulate,
-    free_memory_modal,
-    terminal_response_map,
 )
 from .quadrature import trapezoid_weights
 from .spectral_basis import SpectralBasis, control_time_lower_bound
@@ -79,6 +80,8 @@ def assemble_gram(
     n_modes: int,
     regularization: float = 0.0,
     threads: int = 1,
+    *,
+    operator: ModalOperator | None = None,
 ) -> GramSystem:
     """Gram matrix of the 2M canonical adjoint traces in L2(0,T; L2(Gamma_1)).
 
@@ -86,7 +89,8 @@ def assemble_gram(
     homogeneous modal solutions); both integrals use the stored quadrature.
     The matrix is stored unregularized; regularization only enters the solve.
     threads sets the FFT worker count and does not change the result.
-    Warns when the horizon sits below the sharp control-time bound.
+    operator is as in forward_simulate.  Warns when the horizon sits below
+    the sharp control-time bound.
     """
     if not 1 <= n_modes <= basis.n_modes:
         raise ValueError(f"n_modes must lie in [1, {basis.n_modes}], got {n_modes}")
@@ -100,11 +104,11 @@ def assemble_gram(
             stacklevel=2,
         )
     m = n_modes
-    # Each mode marches its data (1, 0) and (0, 1) against one kernel; rows
-    # then go to the (e_m, 0)-first order.
+    op = basis_operator(basis, kernel, grid, m, operator)
+    # Each mode marches its data (1, 0) and (0, 1) against one kernel, which
+    # gives the rows in the (e_m, 0)-first order.
     with scipy.fft.set_workers(threads):
-        psi = free_memory_modal(np.r_[1.0, 0.0], np.r_[0.0, 1.0], basis.mu[:m, None], kernel, grid)
-    psi = psi.swapaxes(0, 1).reshape(2 * m, grid.n_nodes)
+        psi = op.free(*UNIT_DATA)[:, :m].reshape(2 * m, grid.n_nodes)
 
     wt = trapezoid_weights(grid.n_nodes, grid.dt)
     time_gram = (psi * wt[None, :]) @ psi.T
@@ -198,17 +202,20 @@ def duality_check(
     grid: TimeGrid,
     control: BoundaryControl,
     v: StatePair,
+    *,
+    operator: ModalOperator | None = None,
 ) -> DualityReport:
     """Evaluate both sides of the pairing identity on independent code paths.
 
     lhs integrates the time-reversed adjoint trace against the control; rhs
     pairs the forward-simulated weighted terminal state with the swapped slots
-    of v.  Agreement is O(dt^2) for smooth data.
+    of v.  Agreement is O(dt^2) for smooth data.  operator is as in
+    forward_simulate.
     """
-    tr = adjoint_trace(basis, kernel, v, grid)
+    tr = adjoint_trace(basis, kernel, v, grid, operator=operator)
     wt = trapezoid_weights(grid.n_nodes, grid.dt)
     lhs = float(np.sum(basis.quad_weights[:, None] * tr.values * control.values * wt[None, :]))
-    sim = forward_simulate(basis, kernel, control, grid)
+    sim = forward_simulate(basis, kernel, control, grid, operator=operator)
     m = v.n_modes
     rhs = float(sim.terminal.xi[:m] @ v.eta + sim.terminal.eta[:m] @ v.xi)
     gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
@@ -285,6 +292,8 @@ def norm_growth_probe(
     trials: int = 5,
     seed: int = DEFAULT_SEED,
     alpha: float = 0.55,
+    *,
+    operator: ModalOperator | None = None,
 ) -> NormGrowthReport:
     """Terminal-norm growth of rough controls across truncation levels.
 
@@ -294,11 +303,12 @@ def norm_growth_probe(
     (H^alpha, H^(alpha-1)) regularity scale of the flow) keeps it bounded.
     The terminal state is linear in the modal forcing, so each trial applies
     one terminal impulse map, marched once per mode, to its modal forcing.
+    operator is as in forward_simulate.
     """
     counts = _checked_mode_counts(basis, mode_counts)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    map_xi, map_eta = terminal_response_map(basis.mu, kernel, grid)
+    (map_xi, map_eta), _ = basis_operator(basis, kernel, grid, basis.n_modes, operator).terminal_maps
     tw = basis.traces * basis.quad_weights[None, :]
     rng = np.random.default_rng(seed)
     best = {m: 0.0 for m in counts}
@@ -326,26 +336,34 @@ class PerturbationReport:
 
 
 def perturbation_compactness_probe(
-    basis: SpectralBasis, kernel: MemoryKernel, grid: TimeGrid, n_modes: int
+    basis: SpectralBasis,
+    kernel: MemoryKernel,
+    grid: TimeGrid,
+    n_modes: int,
+    *,
+    operator: ModalOperator | None = None,
 ) -> PerturbationReport:
     """Singular values of the discrete memory perturbation of the control map.
 
     Columns of the probed matrix are the weighted terminal differences
     (controlled-with-memory minus memoryless) of unit-norm nodal impulse
     controls; fast singular-value decay is the compactness signature that
-    lets the memoryless controllability survive the perturbation.
+    lets the memoryless controllability survive the perturbation.  Both maps
+    come from one operator, whose leading n_modes rows are read; operator is
+    as in forward_simulate.
     """
     if not 1 <= n_modes <= basis.n_modes:
         raise ValueError(f"n_modes must lie in [1, {basis.n_modes}], got {n_modes}")
     m = n_modes
-    memory = terminal_response_map(basis.mu[:m], kernel, grid)
-    memoryless = terminal_response_map(basis.mu[:m], MemoryKernel(), grid)
+    memory, memoryless = basis_operator(basis, kernel, grid, m, operator).terminal_maps
 
     # Tensor with the trace/boundary-weight factor and rescale columns so each
     # corresponds to a unit-L2 control; singular values then track the
     # underlying operator, not the grid.
     tw = basis.traces[:m] * basis.quad_weights[None, :]
-    blocks = [np.einsum("mq,mp->mqp", tw, a - b).reshape(m, -1) for a, b in zip(memory, memoryless)]
+    blocks = [
+        np.einsum("mq,mp->mqp", tw, a[:m] - b[:m]).reshape(m, -1) for a, b in zip(memory, memoryless)
+    ]
     matrix = np.vstack(blocks)
     wt = trapezoid_weights(grid.n_nodes, grid.dt)
     col_norm = np.sqrt(np.outer(basis.quad_weights, wt)).reshape(-1)

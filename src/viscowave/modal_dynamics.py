@@ -14,6 +14,12 @@ driven by the memoryless wave response.  The homogeneous (adjoint) modes use
 the same kernel driven by xi_n cos(mu_n t) + eta_n sin(mu_n t), which encodes
 initial data psi(0) = xi, psi'(0) with modal coefficients mu_n eta_n.
 
+ModalOperator holds everything that depends on the modes alone: the
+sin(mu_n t) and cos(mu_n t) tables, the kernels and their marching
+reciprocals.  A caller that solves several modal problems builds one and
+hands it to every solve, so each mode's kernel is built and inverted once;
+the public solvers build one per call.
+
 Every convolution with sin(mu_n .) or cos(mu_n .) here (the Duhamel responses
 and K * sin(mu_n .) in the kernels) is a product-trapezoid sum evaluated by
 angle addition, sin(mu (t_j - t_i)) = s_j c_i - c_j s_i, as two cumulative
@@ -23,6 +29,7 @@ sums in O(n) per row; quadrature.trapezoid_convolve is the FFT reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,9 +37,12 @@ from .grids import TimeGrid
 from .memory_kernel import MemoryKernel
 from .quadrature import trapezoid_weights
 from .spectral_basis import SpectralBasis
-from .volterra import march_difference_kernel
+from .volterra import FactoredKernel, march_difference_kernel
 
 DEFAULT_SEED = 1870
+# The data (xi, eta) = (1, 0) and (0, 1) for every mode, on a leading axis.
+UNIT_DATA = np.eye(2)[..., None]
+UNIT_DATA.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -134,6 +144,105 @@ def control_l2_norm(basis: SpectralBasis, control: BoundaryControl) -> float:
     return float(np.sqrt(sq))
 
 
+def _positive(mu) -> np.ndarray:
+    mus = np.asarray(mu, dtype=float)
+    if np.any(mus <= 0.0):
+        raise ValueError(f"mu must be positive, got {mu}")
+    return mus
+
+
+class ModalOperator:
+    """The memory operator I - (G_n/mu_n)* of each mode, built once.
+
+    Holds the sin(mu t) and cos(mu t) tables, the kernels G_n/mu_n (as
+    `kernels`) and, from the first march on, the spectrum of each kernel's
+    marching reciprocal, so every problem solved through one operator inverts
+    each mode's kernel once.  mus may have any shape; like every solver in
+    this module, it broadcasts against the leading axes of the data, so
+    forcings of shape (r, M, n) give r forcings per mode of mus (M,).
+    """
+
+    def __init__(self, mus, kernel: MemoryKernel, grid: TimeGrid):
+        self.mus = _positive(mus)
+        self.kernel = kernel
+        self.grid = grid
+        mu = self.mus[..., None]
+        phase = mu * grid.times
+        self._cos = np.cos(phase)
+        self._sin = np.sin(phase, out=phase)
+        g = kernel.b * self._sin
+        k_samples = np.asarray(kernel.kernel.values(grid.times), dtype=float)
+        if np.any(k_samples != 0.0):
+            # The convolution commutes: K * sin(mu .) is the sine sum with g = K.
+            g += _trig_convolutions(self._sin, self._cos, k_samples, grid.dt, cosine=False)[0]
+        g /= mu
+        self.kernels = g
+        self._factored = FactoredKernel(self.kernels, grid.dt)
+
+    def wave(self, forcing: np.ndarray):
+        """Memoryless modal response to a forcing g: Duhamel sine/cosine integrals.
+
+            u(t)  = (1/mu) int_0^t sin(mu (t-s)) g(s) ds
+            u'(t) =        int_0^t cos(mu (t-s)) g(s) ds
+
+        Returns (u, u') sampled on the grid; both are O(dt^2) product-trapezoid
+        convolutions.
+        """
+        g = np.asarray(forcing, dtype=float)
+        if g.shape[-1] != self.grid.n_nodes:
+            raise ValueError(f"forcing has {g.shape[-1]} samples, grid has {self.grid.n_nodes}")
+        u, up = _trig_convolutions(self._sin, self._cos, g, self.grid.dt)
+        u /= self.mus[..., None]
+        return u, up
+
+    def free(self, xi, eta) -> np.ndarray:
+        """Homogeneous memory mode with data psi(0) = xi, psi'(0) = mu * eta.
+
+        Solves psi = xi cos(mu t) + eta sin(mu t) + (G/mu) * psi by trapezoid
+        marching, the convolution form of the modal memory equation.
+        """
+        xi, eta = np.asarray(xi, dtype=float)[..., None], np.asarray(eta, dtype=float)[..., None]
+        forcing = xi * self._cos + eta * self._sin
+        return march_difference_kernel(self._factored, forcing, self.grid.dt)
+
+    def forced(self, forcing: np.ndarray) -> np.ndarray:
+        """Forced memory mode from rest: the (w, w') stack sampled on the grid.
+
+        w solves w = u + (G/mu) * w with u the memoryless Duhamel response; the
+        velocity solves the same Volterra equation driven by u' (the
+        differentiated displacement equation), so both components are
+        second-order consistent.
+        """
+        return march_difference_kernel(self._factored, np.stack(self.wave(forcing)), self.grid.dt)
+
+    @cached_property
+    def terminal_maps(self):
+        """Weighted terminal states (mu w(T), w'(T)) of a unit modal impulse at
+        every node, with the memory and without it.
+
+        Returns (memory, memoryless), each a pair of arrays of shape
+        mus.shape + (n,); column p answers the modal forcing e_p, so
+        sum(map * g, axis=-1) is the terminal state a modal forcing g drives.
+        Each mode marches impulses at nodes 0 and 1 against its kernel.
+        Marching is Toeplitz on nodes >= 1 (only node 0 has the half trapezoid
+        weight), so an impulse at node p >= 1 answers with the node-1 response
+        delayed by p - 1: its terminal value is that response at node n - p.
+        The memoryless map reads the wave response the march is driven by.
+        """
+        impulses = np.zeros((2,) + (1,) * self.mus.ndim + (self.grid.n_nodes,))
+        impulses[0, ..., 0] = impulses[1, ..., 1] = 1.0
+        u = np.stack(self.wave(impulses))
+        w = march_difference_kernel(self._factored, u, self.grid.dt)
+        return self._weighted_terminal(w), self._weighted_terminal(u)
+
+    def _weighted_terminal(self, w: np.ndarray):
+        # Node 0's terminal value, then the node-1 response read backwards (p = 1..n-1).
+        xi, eta = np.concatenate([w[:, 0, ..., -1:], w[:, 1, ..., :0:-1]], axis=-1)
+        xi *= self.mus[..., None]
+        xi.flags.writeable = eta.flags.writeable = False
+        return xi, eta
+
+
 def memory_oscillator_kernels(
     mus: np.ndarray, kernel: MemoryKernel, grid: TimeGrid
 ) -> np.ndarray:
@@ -141,15 +250,7 @@ def memory_oscillator_kernels(
 
     mus may have any shape; the kernels have shape mus.shape + (n_nodes,).
     """
-    mus = np.asarray(mus, dtype=float)[..., None]
-    phase = mus * grid.times
-    sines = np.sin(phase)
-    g = kernel.b * sines
-    k_samples = np.asarray(kernel.kernel.values(grid.times), dtype=float)
-    if np.any(k_samples != 0.0):
-        # The convolution commutes: K * sin(mu .) is the sine sum with g = K.
-        g = g + _trig_convolutions(sines, np.cos(phase), k_samples, grid.dt, cosine=False)[0]
-    return g / mus
+    return ModalOperator(mus, kernel, grid).kernels
 
 
 def _trig_convolutions(s: np.ndarray, c: np.ndarray, g: np.ndarray, dt: float, cosine=True):
@@ -160,84 +261,67 @@ def _trig_convolutions(s: np.ndarray, c: np.ndarray, g: np.ndarray, dt: float, c
     Of the halved end terms, the first is g_0 in C (t_0 = 0) and 0 in S, and
     the last is 0 for the sine and g for the cosine.  Arrays broadcast on the
     leading axes, time is the last.  Returns (sine, cosine); the cosine is
-    None when not asked for.
+    None when not asked for.  The steps run in place, so few temporaries of
+    the result's size are alive at once.
     """
-    cum_c = np.cumsum(c * g, axis=-1) - 0.5 * g[..., :1]
+    cum_c = np.cumsum(c * g, axis=-1)
+    cum_c -= 0.5 * g[..., :1]
     cum_s = np.cumsum(s * g, axis=-1)
-    sine = dt * (s * cum_c - c * cum_s)
+    sine = s * cum_c
+    sine -= c * cum_s
+    sine *= dt
     if not cosine:
         return sine, None
-    return sine, dt * (c * cum_c + s * cum_s - 0.5 * g)
+    cum_c *= c
+    cum_s *= s
+    cum_c += cum_s
+    cum_c -= 0.5 * g
+    cum_c *= dt
+    return sine, cum_c
 
 
-def _positive(mu) -> np.ndarray:
-    mus = np.asarray(mu, dtype=float)
-    if np.any(mus <= 0.0):
-        raise ValueError(f"mu must be positive, got {mu}")
-    return mus
+def basis_operator(
+    basis: SpectralBasis,
+    kernel: MemoryKernel,
+    grid: TimeGrid,
+    modes: int,
+    operator: ModalOperator | None,
+) -> ModalOperator:
+    """A new operator of the basis's first `modes` modes, or `operator` after
+    checking that it is ModalOperator(basis.mu, kernel, grid)."""
+    if operator is None:
+        return ModalOperator(basis.mu[:modes], kernel, grid)
+    same_basis = np.array_equal(operator.mus, basis.mu)
+    if operator.kernel is not kernel or operator.grid != grid or not same_basis:
+        raise ValueError("operator must be ModalOperator(basis.mu, kernel, grid) for this basis")
+    return operator
 
 
 def wave_modal_response(mu, forcing: np.ndarray, grid: TimeGrid):
-    """Memoryless modal response to a forcing g: Duhamel sine/cosine integrals.
+    """Memoryless modal response (u, u') to a forcing; see ModalOperator.wave.
 
-        u(t)  = (1/mu) int_0^t sin(mu (t-s)) g(s) ds
-        u'(t) =        int_0^t cos(mu (t-s)) g(s) ds
-
-    Returns (u, u') sampled on the grid; both are O(dt^2) product-trapezoid
-    convolutions.  mu of any shape broadcasts against the leading axes of the
-    forcing (mu[:, None] meets several forcings per mode), as in every solver below.
+    mu of any shape broadcasts against the leading axes of the forcing, as in
+    every solver below.
     """
-    mus = _positive(mu)[..., None]
-    g = np.asarray(forcing, dtype=float)
-    if g.shape[-1] != grid.n_nodes:
-        raise ValueError(f"forcing has {g.shape[-1]} samples, grid has {grid.n_nodes}")
-    phase = mus * grid.times
-    u, up = _trig_convolutions(np.sin(phase), np.cos(phase), g, grid.dt)
-    return u / mus, up
+    return ModalOperator(mu, MemoryKernel(), grid).wave(forcing)
 
 
 def free_memory_modal(xi, eta, mu, kernel: MemoryKernel, grid: TimeGrid) -> np.ndarray:
-    """Homogeneous memory mode with data psi(0) = xi, psi'(0) = mu * eta.
-
-    Solves psi = xi cos(mu t) + eta sin(mu t) + (G/mu) * psi by trapezoid
-    marching, the convolution form of the modal memory equation; xi, eta and
-    mu broadcast against each other.
-    """
-    mus = _positive(mu)
-    phase = mus[..., None] * grid.times
-    xi, eta = np.asarray(xi, dtype=float)[..., None], np.asarray(eta, dtype=float)[..., None]
-    forcing = xi * np.cos(phase) + eta * np.sin(phase)
-    return march_difference_kernel(memory_oscillator_kernels(mus, kernel, grid), forcing, grid.dt)
+    """Homogeneous memory mode with data psi(0) = xi, psi'(0) = mu * eta;
+    see ModalOperator.free.  xi, eta and mu broadcast against each other."""
+    return ModalOperator(mu, kernel, grid).free(xi, eta)
 
 
 def controlled_memory_modal(forcing: np.ndarray, mu, kernel: MemoryKernel, grid: TimeGrid):
-    """Forced memory mode from rest: returns (w, w') sampled on the grid.
-
-    w solves w = u + (G/mu) * w with u the memoryless Duhamel response; the
-    velocity solves the same Volterra equation driven by u' (the differentiated
-    displacement equation), so both components are second-order consistent.
-    """
-    u = np.stack(wave_modal_response(mu, forcing, grid))
-    return march_difference_kernel(memory_oscillator_kernels(mu, kernel, grid), u, grid.dt)
+    """Forced memory mode from rest: returns (w, w') sampled on the grid; see
+    ModalOperator.forced."""
+    return ModalOperator(mu, kernel, grid).forced(forcing)
 
 
 def terminal_response_map(mus: np.ndarray, kernel: MemoryKernel, grid: TimeGrid):
-    """Weighted terminal state (mu w(T), w'(T)) of a unit modal impulse at every node.
-
-    Returns two (M, n) arrays; column p answers the modal forcing e_p, so
-    sum(map * g, axis=1) is the terminal state a modal forcing g drives.  Each
-    mode marches impulses at nodes 0 and 1 against one kernel.  Marching is
-    Toeplitz on nodes >= 1 (only node 0 has the half trapezoid weight), so an
-    impulse at node p >= 1 answers with the node-1 response delayed by p - 1:
-    its terminal value is that response at node n - p.
-    """
-    mus = np.asarray(mus, dtype=float)[:, None]
-    impulses = np.zeros((1, 2, grid.n_nodes))
-    impulses[0, 0, 0] = impulses[0, 1, 1] = 1.0
-    w = controlled_memory_modal(impulses, mus, kernel, grid)
-    # Node 0's terminal value, then the node-1 response read backwards (p = 1..n-1).
-    xi, eta = np.concatenate([w[..., 0, -1:], w[..., 1, :0:-1]], axis=-1)
-    return mus * xi, eta
+    """Weighted terminal state (mu w(T), w'(T)) of a unit modal impulse at every
+    node: two arrays of shape mus.shape + (n,); see ModalOperator.terminal_maps."""
+    return ModalOperator(mus, kernel, grid).terminal_maps[0]
 
 
 @dataclass(frozen=True)
@@ -247,12 +331,19 @@ class SimulationResult:
 
 
 def forward_simulate(
-    basis: SpectralBasis, kernel: MemoryKernel, control: BoundaryControl, grid: TimeGrid
+    basis: SpectralBasis,
+    kernel: MemoryKernel,
+    control: BoundaryControl,
+    grid: TimeGrid,
+    *,
+    operator: ModalOperator | None = None,
 ) -> SimulationResult:
     """Drive the system from rest with a boundary traction.
 
     The terminal StatePair stores (mu_n w_n(T), w_n'(T)), the weighted state
-    the synthesis layer targets.
+    the synthesis layer targets.  A caller that solves several problems passes
+    its ModalOperator(basis.mu, kernel, grid) as operator; without one, the
+    call builds its own.
     """
     if control.grid != grid:
         raise ValueError("control was sampled on a different grid")
@@ -261,25 +352,34 @@ def forward_simulate(
             f"control has {control.values.shape[0]} boundary nodes, basis has {basis.n_quad}"
         )
     g_modal = (basis.traces * basis.quad_weights[None, :]) @ control.values
-    w, wp = controlled_memory_modal(g_modal, basis.mu, kernel, grid)
+    w, wp = basis_operator(basis, kernel, grid, basis.n_modes, operator).forced(g_modal)
     trajectory = ModalTrajectory(values=w, velocities=wp, mu=basis.mu, grid=grid)
     terminal = StatePair(xi=basis.mu * w[:, -1], eta=wp[:, -1], mu=basis.mu)
     return SimulationResult(trajectory=trajectory, terminal=terminal)
 
 
 def adjoint_trace(
-    basis: SpectralBasis, kernel: MemoryKernel, v: StatePair, grid: TimeGrid
+    basis: SpectralBasis,
+    kernel: MemoryKernel,
+    v: StatePair,
+    grid: TimeGrid,
+    *,
+    operator: ModalOperator | None = None,
 ) -> BoundaryControl:
     """Control-face trace of the time-reversed homogeneous solution.
 
     For data (xi, eta) on the leading len(v) modes the returned samples are
     sum_n (phi_n|_{Gamma_1})(x_q) psi_n(T - t_j); the time reversal is exact on
-    the uniform grid.  These traces span the synthesis ansatz space.
+    the uniform grid.  These traces span the synthesis ansatz space.  operator
+    is as in forward_simulate.
     """
     m = v.n_modes
     if m > basis.n_modes:
         raise ValueError(f"state pair has {m} modes but the basis stores {basis.n_modes}")
-    psi = free_memory_modal(v.xi, v.eta, basis.mu[:m], kernel, grid)
+    op = basis_operator(basis, kernel, grid, m, operator)
+    # Modes of the operator beyond the data's carry zero data.
+    xi, eta = (np.pad(d, (0, op.mus.size - m)) for d in (v.xi, v.eta))
+    psi = op.free(xi, eta)[:m]
     values = basis.traces[:m].T @ psi[:, ::-1]
     return BoundaryControl(values=values, grid=grid)
 
@@ -298,20 +398,21 @@ def gronwall_bound_check(
     grid: TimeGrid,
     trials: int = 8,
     seed: int = DEFAULT_SEED,
+    *,
+    operator: ModalOperator | None = None,
 ) -> GronwallReport:
     """Sample max_t |psi_n(t)| over random per-mode unit data (xi_n, eta_n).
 
     The observed bound should be uniform in the mode index: high modes feel the
     memory only through G_n/mu_n, so adding modes must not inflate it.  psi is
     linear in its data, so each mode marches (1, 0) and (0, 1) once and a
-    trial's data (cos theta, sin theta) combines the two responses.
+    trial's data (cos theta, sin theta) combines the two responses.  operator
+    is as in forward_simulate.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    psi_c, psi_s = free_memory_modal(
-        np.r_[1.0, 0.0], np.r_[0.0, 1.0], basis.mu[:, None], kernel, grid
-    ).swapaxes(0, 1)
+    psi_c, psi_s = basis_operator(basis, kernel, grid, basis.n_modes, operator).free(*UNIT_DATA)
     per_mode = np.zeros(basis.n_modes)
     for _ in range(trials):
         theta = rng.uniform(0.0, 2.0 * np.pi, size=basis.n_modes)[:, None]

@@ -113,6 +113,12 @@ def build_interval_basis(length: float, n_modes: int) -> SpectralBasis:
     )
 
 
+def default_nodes_per_face(n_modes_per_axis: int) -> int:
+    """Gauss-Legendre nodes per control face that integrate products of the
+    stored traces to near machine accuracy."""
+    return max(8, 4 * n_modes_per_axis + 8)
+
+
 def build_rectangle_basis(
     a: float, b: float, n_modes_per_axis: int, nodes_per_face: int | None = None
 ) -> SpectralBasis:
@@ -124,14 +130,13 @@ def build_rectangle_basis(
 
     sorted by eigenfrequency, ties broken lexicographically in (m, n).  The
     control faces {x=a} and {y=b} carry composite Gauss-Legendre quadrature;
-    nodes_per_face defaults to max(8, 4*n_modes_per_axis + 8) so that products
-    of stored traces are integrated to near machine accuracy.
+    nodes_per_face defaults to default_nodes_per_face(n_modes_per_axis).
     """
     geometry = Geometry.rectangle(a, b)
     if n_modes_per_axis < 1:
         raise ValueError(f"n_modes_per_axis must be >= 1, got {n_modes_per_axis}")
     if nodes_per_face is None:
-        nodes_per_face = max(8, 4 * n_modes_per_axis + 8)
+        nodes_per_face = default_nodes_per_face(n_modes_per_axis)
 
     m = np.arange(1, n_modes_per_axis + 1)
     alpha = (m - 0.5) * np.pi / a

@@ -8,15 +8,17 @@ FFT product, and Picard iteration on the same quadrature.  The reciprocal
 depends on the kernel alone, so it is computed once per kernel row, however
 many forcings share that row, and kept as its spectrum at the length of the
 full product: each forcing row then costs one forward and one inverse real
-FFT.  Inside the reciprocal both products of a Newton step are cyclic at one
-length and share the spectrum of the known coefficients.  The two routes
-cross-validate each other; on contraction problems they agree to the
-fixed-point tolerance.
+FFT.  A FactoredKernel keeps those spectra across marches, so a caller that
+solves several problems with one kernel inverts it once.  Inside the
+reciprocal both products of a Newton step are cyclic at one length and share
+the spectrum of the known coefficients.  The two routes cross-validate each
+other; on contraction problems they agree to the fixed-point tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.fft
@@ -65,11 +67,49 @@ def _check_problem(problem: VolterraProblem, grid: TimeGrid) -> tuple[np.ndarray
     return g, k
 
 
-def march_difference_kernel(kernel: np.ndarray, forcing: np.ndarray, dt: float) -> np.ndarray:
+class FactoredKernel:
+    """Difference-kernel samples with the marching reciprocal of each row.
+
+    march_difference_kernel takes one in place of the samples.  The
+    reciprocals are computed by the first march and kept as their spectra,
+    so every march through one FactoredKernel inverts each kernel row once.
+    """
+
+    def __init__(self, kernel: np.ndarray, dt: float):
+        k = np.asarray(kernel, dtype=float)
+        if np.any(np.abs(1.0 - 0.5 * dt * k[..., 0]) < _SINGULAR_TOL):
+            raise StepSizeError(
+                "singular diagonal factor 1 - dt/2*k(0) at node 1; reduce the step size"
+            )
+        self.kernel = k
+        self.dt = dt
+        self.memoryless = not np.any(k)
+        # Cyclic products at the length of the full product h * rhs do not wrap.
+        self.size = scipy.fft.next_fast_len(max(1, 2 * k.shape[-1] - 3), real=True)
+
+    @cached_property
+    def spectra(self) -> np.ndarray:
+        """rfft of h per kernel row at length self.size, where h holds the
+        leading coefficients of 1/a(z)."""
+        n = self.kernel.shape[-1]
+        k_rows = self.kernel.reshape(-1, n)
+        step = max(1, _BLOCK_SAMPLES // n)
+        spectra = np.empty((len(k_rows), self.size // 2 + 1), dtype=complex)
+        for rows in (slice(s, s + step) for s in range(0, len(k_rows), step)):
+            a = -self.dt * k_rows[rows, : n - 1]
+            a[:, 0] = 1.0 - 0.5 * self.dt * k_rows[rows, 0]
+            spectra[rows] = scipy.fft.rfft(_reciprocal(a), self.size, axis=-1)
+        return spectra
+
+
+def march_difference_kernel(
+    kernel: np.ndarray | FactoredKernel, forcing: np.ndarray, dt: float
+) -> np.ndarray:
     """Trapezoid marching for difference kernels, batched over leading axes.
 
-    kernel and forcing broadcast against each other; time is the last axis.
-    Each step solves the scalar implicit equation
+    kernel (samples, or a FactoredKernel of them with the same dt) and
+    forcing broadcast against each other; time is the last axis.  Each step
+    solves the scalar implicit equation
 
         y_j (1 - dt/2 k_0) = g_j + dt (1/2 k_j y_0 + sum_{0<i<j} k_{j-i} y_i).
 
@@ -79,29 +119,27 @@ def march_difference_kernel(kernel: np.ndarray, forcing: np.ndarray, dt: float) 
     passed in, kept as its spectrum and shared by every forcing row that row
     broadcasts against.
     """
-    k = np.asarray(kernel, dtype=float)
     f = np.asarray(forcing, dtype=float)
+    if isinstance(kernel, FactoredKernel):
+        if kernel.dt != dt:
+            raise ValueError(f"kernel was factored for dt={kernel.dt}, not {dt}")
+        factored = kernel
+    else:
+        k = np.asarray(kernel, dtype=float)
+        n = np.broadcast_shapes(k.shape, f.shape)[-1]
+        factored = FactoredKernel(np.broadcast_to(k, k.shape[:-1] + (n,)), dt)
+    k = factored.kernel
     shape = np.broadcast_shapes(k.shape, f.shape)
     n = shape[-1]
-    if np.any(np.abs(1.0 - 0.5 * dt * k[..., 0]) < _SINGULAR_TOL):
-        raise StepSizeError(
-            "singular diagonal factor 1 - dt/2*k(0) at node 1; reduce the step size"
-        )
-    if not np.any(k):
-        # Memoryless: every step returns its forcing sample.
+    if factored.memoryless:
+        # Every step returns its forcing sample.
         return np.broadcast_to(f, shape).copy()
     f_rows = np.broadcast_to(f, shape).reshape(-1, n)
-    k_rows = np.broadcast_to(k, k.shape[:-1] + (n,)).reshape(-1, n)
+    k_rows = k.reshape(-1, n)
     # The row of k_rows each output row reads; h is computed once per k row.
     k_of = np.broadcast_to(np.arange(len(k_rows)).reshape(k.shape[:-1]), shape[:-1]).reshape(-1)
+    h_spec, size = factored.spectra, factored.size
     step = max(1, _BLOCK_SAMPLES // n)
-    # Cyclic products at the length of the full product h * rhs do not wrap.
-    size = scipy.fft.next_fast_len(2 * n - 3, real=True)
-    h_spec = np.empty((len(k_rows), size // 2 + 1), dtype=complex)
-    for rows in (slice(s, s + step) for s in range(0, len(k_rows), step)):
-        a = -dt * k_rows[rows, : n - 1]
-        a[:, 0] = 1.0 - 0.5 * dt * k_rows[rows, 0]
-        h_spec[rows] = scipy.fft.rfft(_reciprocal(a), size, axis=-1)
     y = np.empty(f_rows.shape)
     for rows in (slice(s, s + step) for s in range(0, len(y), step)):
         kr, fr = k_rows[k_of[rows]], f_rows[rows]

@@ -1,7 +1,9 @@
 import json
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
 from viscowave.cli import main
 
@@ -66,6 +68,16 @@ class TestSimulate:
         assert manifest["config"]["control"]["type"] == "constant"
         assert manifest["config"]["seed"] == 1870
         assert "viscowave_version" in manifest
+
+    def test_manifest_records_versions(self, tmp_path):
+        cfg = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert read_manifest(out)["versions"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        }
 
     def test_output_dir_from_config(self, tmp_path):
         target_dir = tmp_path / "from_config"
@@ -299,6 +311,21 @@ SMALL_RUNS = {
 }
 
 
+class TestOneInversePerRun:
+    """Each command builds one memory operator and hands it to every solve, so
+    it inverts each mode's kernel once."""
+
+    @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+    def test_each_command_inverts_one_row_per_mode(self, tmp_path, inverted_rows, command):
+        payload = dict(SMALL_RUNS[command])
+        if command != "maccamy":
+            payload["kernel"] = {"b": 0.2, "family": "exponential", "params": {"amplitude": 0.1, "rate": 1.0}}
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        # maccamy marches the one resolvent row.
+        assert sum(inverted_rows) == (1 if command == "maccamy" else payload["modes"])
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
     def test_identical_configs_give_identical_bytes(self, tmp_path, command):
@@ -509,6 +536,29 @@ class TestExitCodes:
             ("probes", {"perturbation_modes": 0}, 3, "perturbation_modes must lie in [1, 2]"),
             ("gram-spectrum", {"mode_counts": [-1, 2]}, 3, "list of positive counts"),
             ("probes", {"mode_counts": [0, 1]}, 3, "list of positive counts"),
+            # Size budget: each config's arrays would take terabytes, so a
+            # missing check fails with MemoryError, not a real allocation.
+            ("simulate", {"grid": {"horizon": 1.0, "steps": 10**13}}, 3, "modes x (steps + 1) array would take"),
+            (
+                "simulate",
+                {"modes": 4, "geometry": {"kind": "rectangle", "lengths": [1.0, 1.0], "nodes_per_face": 10**12}},
+                3,
+                "2 nodes_per_face x (steps + 1) array would take",
+            ),
+            (
+                "synthesize",
+                {"modes": 300000, "grid": {"horizon": 1.0, "steps": 2}, "target": {"type": "random-smooth"}},
+                3,
+                "(2 modes)^2 Gram array would take",
+            ),
+            (
+                "probes",
+                {"modes": 16, "grid": {"horizon": 1.0, "steps": 10**12}},
+                3,
+                "2 perturbation_modes x 2 nodes_per_face x (steps + 1) array would take",
+            ),
+            ("duality-check", {"tones": 10**12}, 3, "2 nodes_per_face x tones x (steps + 1) array would take"),
+            ("maccamy", {"grid": {"horizon": 1.0, "steps": 10**13}}, 3, "steps + 1 array would take"),
         ],
         ids=[
             "alpha-nan",
@@ -557,6 +607,12 @@ class TestExitCodes:
             "perturbation-modes-zero",
             "spectrum-mode-counts-negative",
             "probes-mode-counts-zero",
+            "budget-modal-tables",
+            "budget-control-samples",
+            "budget-gram",
+            "budget-compactness-matrix",
+            "budget-duality-tones",
+            "budget-maccamy-grid",
         ],
     )
     def test_field_values_exit_codes(self, tmp_path, capsys, command, mutation, code, message):

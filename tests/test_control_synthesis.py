@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from viscowave import volterra
 from viscowave.control_synthesis import (
     IllPosedSystemError,
     assemble_gram,
@@ -17,7 +16,9 @@ from viscowave.grids import TimeGrid
 from viscowave.memory_kernel import ExponentialKernel, MemoryKernel, PronyKernel
 from viscowave.modal_dynamics import (
     BoundaryControl,
+    ModalOperator,
     StatePair,
+    adjoint_trace,
     control_l2_norm,
     forward_simulate,
     gronwall_bound_check,
@@ -344,18 +345,6 @@ class TestOneInversePerMode:
     """The memory operator depends on the mode alone: each mode's kernel is
     inverted once, however many forcings it meets."""
 
-    @pytest.fixture
-    def inverted_rows(self, monkeypatch):
-        counts = []
-        reciprocal = volterra._reciprocal
-
-        def counting(a):
-            counts.append(a.shape[0])
-            return reciprocal(a)
-
-        monkeypatch.setattr(volterra, "_reciprocal", counting)
-        return counts
-
     def test_each_layer_inverts_one_row_per_mode(self, inverted_rows):
         m, probe_modes = 40, 16
         basis = build_interval_basis(1.0, m)
@@ -377,6 +366,75 @@ class TestOneInversePerMode:
         norm_growth_probe(basis, kernel, grid, [probe_modes, m], trials=3)
         assert sum(inverted_rows) == m
         assert gram.psi_table.shape == (2 * m, grid.n_nodes)
+
+    def test_consecutive_calls_invert_afresh(self, inverted_rows):
+        # Nothing is kept between calls: each call without an operator builds
+        # and inverts its own.
+        m = 12
+        basis = build_interval_basis(1.0, m)
+        kernel = MemoryKernel(b=0.2, kernel=ExponentialKernel(0.1, 1.0))
+        grid = TimeGrid(2.5, 300)
+        first = assemble_gram(basis, kernel, grid, n_modes=m)
+        assert inverted_rows == [m]
+        second = assemble_gram(basis, kernel, grid, n_modes=m)
+        assert inverted_rows == [m, m]
+        assert np.array_equal(first.matrix, second.matrix)
+
+
+class TestSharedOperator:
+    """One ModalOperator(basis.mu, kernel, grid) handed to every solver gives
+    the bits of the operators each call builds for itself, and inverts each
+    mode's kernel once in all."""
+
+    basis = build_interval_basis(1.0, 12)
+    grid = TimeGrid(2.5, 400)
+    kernel = MemoryKernel(b=0.2, kernel=PronyKernel((0.03, 0.05, 0.04), (0.5, 2.0, 5.0)))
+
+    def calls(self, operator):
+        basis, kernel, grid = self.basis, self.kernel, self.grid
+        kw = {} if operator is None else {"operator": operator}
+        rng = np.random.default_rng(4)
+        control = BoundaryControl(values=rng.standard_normal((1, grid.n_nodes)), grid=grid)
+        v = StatePair(xi=rng.standard_normal(7), eta=rng.standard_normal(7), mu=basis.mu[:7])
+        gram = assemble_gram(basis, kernel, grid, 12, **kw)
+        sub = assemble_gram(basis, kernel, grid, 5, **kw)
+        sim = forward_simulate(basis, kernel, control, grid, **kw)
+        trace = adjoint_trace(basis, kernel, v, grid, **kw)
+        dual = duality_check(basis, kernel, grid, control, v, **kw)
+        gron = gronwall_bound_check(basis, kernel, grid, trials=3, **kw)
+        growth = norm_growth_probe(basis, kernel, grid, [4, 12], trials=3, **kw)
+        pert = perturbation_compactness_probe(basis, kernel, grid, 5, **kw)
+        return [
+            gram.matrix,
+            gram.psi_table,
+            sub.matrix,
+            sim.trajectory.values,
+            sim.trajectory.velocities,
+            trace.values,
+            np.array([dual.lhs, dual.rhs]),
+            gron.per_mode_max,
+            np.array([(r.max_ratio, r.max_weighted_ratio) for r in growth.rows]),
+            pert.singular_values,
+        ]
+
+    def test_results_equal_per_call_operators(self, inverted_rows):
+        operator = ModalOperator(self.basis.mu, self.kernel, self.grid)
+        shared = self.calls(operator)
+        assert sum(inverted_rows) == self.basis.n_modes
+        # The compactness probe reads the leading 5 rows of the 12-mode maps,
+        # and a 5-mode operator gives the same singular values to the bit.
+        for got, want in zip(shared, self.calls(None)):
+            assert np.array_equal(got, want)
+
+    def test_rejects_an_operator_of_another_problem(self):
+        basis, kernel, grid = self.basis, self.kernel, self.grid
+        for operator in (
+            ModalOperator(basis.mu, MemoryKernel(b=0.2), grid),
+            ModalOperator(basis.mu, kernel, TimeGrid(2.5, 200)),
+            ModalOperator(basis.mu[:5], kernel, grid),
+        ):
+            with pytest.raises(ValueError, match="operator must be"):
+                assemble_gram(basis, kernel, grid, 5, operator=operator)
 
 
 class TestRandomSmoothTarget:

@@ -12,6 +12,7 @@ from viscowave.memory_kernel import (
 )
 from viscowave.modal_dynamics import (
     BoundaryControl,
+    ModalOperator,
     StatePair,
     adjoint_trace,
     control_l2_norm,
@@ -266,6 +267,27 @@ class TestTerminalResponseMap:
             got = basis.traces[:, 0] * np.stack([map_xi[:, p], map_eta[:, p]])
             want = np.stack([sim.terminal.xi, sim.terminal.eta])
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestModalOperator:
+    def test_terminal_maps_are_computed_once(self, inverted_rows):
+        basis = build_interval_basis(1.0, 6)
+        grid = TimeGrid(2.5, 301)
+        kernel = MemoryKernel(b=0.2, kernel=PronyKernel((0.03, 0.05, 0.04), (0.5, 2.0, 5.0)))
+        operator = ModalOperator(basis.mu, kernel, grid)
+        memory, memoryless = operator.terminal_maps
+        assert operator.terminal_maps[0] is memory
+        assert sum(inverted_rows) == basis.n_modes
+        assert not memory[0].flags.writeable
+        # The memoryless map is the wave response's: a zero kernel marches
+        # its forcing unchanged.
+        zero = ModalOperator(basis.mu, MemoryKernel(), grid).terminal_maps[0]
+        for got, want in zip(memoryless, zero):
+            assert np.array_equal(got, want)
+        # mus of any shape give maps of shape mus.shape + (n,), row for row.
+        square = ModalOperator(basis.mu.reshape(3, 2), kernel, grid).terminal_maps[0]
+        for got, want in zip(square, memory):
+            assert np.array_equal(got.reshape(want.shape), want)
 
 
 class TestAdjointTrace:

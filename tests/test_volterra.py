@@ -135,6 +135,23 @@ class TestStepwiseReference:
         copied = march_difference_kernel(np.repeat(kernels, 3, axis=1), forcing, grid.dt)
         assert np.array_equal(shared, copied)
 
+    def test_factored_kernel_marches_equal_fresh_marches(self, inverted_rows):
+        # A FactoredKernel inverts its rows at the first march and keeps them;
+        # each march through it gives the bits of a march of the samples.
+        grid = TimeGrid(2.5, 2000)
+        mus = (np.arange(1, 41) - 0.5) * np.pi
+        kernel = MemoryKernel(0.2, PronyKernel((0.1, 0.05), (1.0, 3.0)))
+        kernels = memory_oscillator_kernels(mus, kernel, grid)
+        factored = volterra.FactoredKernel(kernels, grid.dt)
+        rng = np.random.default_rng(9)
+        forcings = [rng.standard_normal((k, mus.size, grid.n_nodes)) for k in (1, 2)]
+        got = [march_difference_kernel(factored, f, grid.dt) for f in forcings]
+        assert sum(inverted_rows) == mus.size
+        for f, y in zip(forcings, got):
+            assert np.array_equal(y, march_difference_kernel(kernels, f, grid.dt))
+        with pytest.raises(ValueError, match="factored for dt"):
+            march_difference_kernel(factored, forcings[0], 2.0 * grid.dt)
+
     def test_growing_scalar_solution(self):
         # R = N - N*R with N = -3 is -3 e^{3t}, about -1e7 at T = 5.
         grid = TimeGrid(5.0, 2000)
