@@ -1,9 +1,13 @@
 """Configuration-driven command line front end.
 
 Every run reads a JSON config (with a schema_version field), executes one
-pipeline, and writes CSV/JSON artifacts plus a manifest echoing the fully
-resolved configuration.  Numeric CSV cells use 17 significant digits so
-identical configs reproduce byte-identical files.
+pipeline, and writes CSV/JSON artifacts, a summary.json and a manifest.
+Each config field is read by one _Block.read call, which parses it by its
+type rule, fills in its default and records the value read; the manifest's
+"config" is that record, so it holds every field the run read, as read,
+and no other key, and fed back as a config it reproduces the run.  Numeric
+CSV cells use 17 significant digits so identical configs reproduce
+byte-identical files.
 
 Exit codes: 0 success, 2 unreadable config, 3 invalid configuration values,
 4 numerical failure (singular marching step, ill-posed Gram system).
@@ -46,6 +50,7 @@ from .modal_dynamics import (
     tone_control,
     zero_control,
 )
+from .quadrature import panel_node_count
 from .spectral_basis import (
     Geometry,
     SpectralBasis,
@@ -90,105 +95,49 @@ def _load_config(path: str) -> dict:
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
     version = config.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if version != SCHEMA_VERSION or isinstance(version, bool):
         raise ConfigError(
             f"unsupported schema_version {version!r}; this build reads version {SCHEMA_VERSION}"
         )
     return config
 
 
-def _require(block: dict, key: str, where: str):
-    if key not in block:
-        raise ValueError(f"missing required field {key!r} in {where}")
-    return block[key]
+_REQUIRED = object()
 
 
-def _as_block(config: dict, key: str) -> dict:
-    block = _require(config, key, "config")
-    if not isinstance(block, dict):
-        raise ValueError(f"config field {key!r} must be an object")
-    return block
+class _Block:
+    """One object of a config, read field by field.
 
+    read() parses a field, fills in its default and records the value it read
+    in `resolved`; block() opens a sub-object whose `resolved` nests in this
+    one's.  The manifest echoes the root block's `resolved`, so it holds each
+    field as it was read, defaults included, and no key that was not read.
+    """
 
-def _truncated(basis: SpectralBasis, modes: int) -> SpectralBasis:
-    if modes == basis.n_modes:
-        return basis
-    return replace(
-        basis,
-        mu=basis.mu[:modes],
-        traces=basis.traces[:modes],
-        labels=basis.labels[:modes],
-    )
+    def __init__(self, value, where: str):
+        if not isinstance(value, dict):
+            raise ValueError(f"{where} must be an object")
+        self.value, self.where, self.resolved = value, where, {}
 
+    def _get(self, key: str, default):
+        if key in self.value:
+            return self.value[key]
+        if default is _REQUIRED:
+            raise ValueError(f"missing required field {key!r} in {self.where}")
+        return default
 
-def _build_basis(config: dict, modes: int, arrays):
-    """The basis of the geometry block.  arrays(n_quad) gives the run's large
-    arrays for n_quad control nodes; they are checked against the budget
-    before the basis is built."""
-    block = _as_block(config, "geometry")
-    lengths = _reals(_require(block, "lengths", "geometry block"), "lengths", (1,))
-    geometry = Geometry(_require(block, "kind", "geometry block"), lengths)
-    resolved = {"kind": geometry.kind, "lengths": list(geometry.lengths)}
-    if geometry.kind == "interval":
-        _check_budget(arrays(1))
-        basis = build_interval_basis(geometry.lengths[0], modes)
-    else:
-        per_axis = block.get("modes_per_axis", math.ceil(math.sqrt(modes)))
-        per_axis = _count(per_axis, "modes_per_axis")
-        if per_axis * per_axis < modes:
-            raise ValueError(
-                f"modes_per_axis={per_axis} yields only {per_axis**2} modes, need {modes}"
-            )
-        nodes = block.get("nodes_per_face")
-        nodes = default_nodes_per_face(per_axis) if nodes is None else _count(nodes, "nodes_per_face")
-        # The basis traces every one of the per_axis^2 candidate modes.
-        candidates = {"modes_per_axis^2 x 2 nodes_per_face": per_axis**2 * 2 * nodes}
-        _check_budget({**candidates, **arrays(2 * nodes)})
-        basis = build_rectangle_basis(*geometry.lengths, per_axis, nodes)
-        basis = _truncated(basis, modes)
-        resolved["modes_per_axis"] = per_axis
-        resolved["nodes_per_face"] = int(basis.n_quad // 2)
-    return basis, resolved
+    def read(self, key: str, parse=None, default=_REQUIRED, **options):
+        """The field (or its default) as parse(value, key, **options) reads it."""
+        value = self._get(key, default)
+        if parse is not None:
+            value = parse(value, key, **options)
+        self.resolved[key] = value.tolist() if isinstance(value, np.ndarray) else value
+        return value
 
-
-def _check_budget(arrays: dict) -> None:
-    """arrays maps the fields an array grows with to its element count; the
-    largest must fit in _ARRAY_BUDGET bytes of doubles."""
-    name, count = max(arrays.items(), key=lambda item: item[1])
-    if 8 * count > _ARRAY_BUDGET:
-        raise ValueError(
-            f"the {name} array would take {8 * count:.3g} bytes, above the budget of "
-            f"{_ARRAY_BUDGET:.3g} bytes; reduce those fields"
-        )
-
-
-def _build_kernel(config: dict):
-    block = config.get("kernel", {})
-    if not isinstance(block, dict):
-        raise ValueError("config field 'kernel' must be an object")
-    b = _real(block.get("b", 0.0), "b")
-    family = block.get("family", "zero")
-    params = block.get("params", {})
-    if not isinstance(params, dict):
-        raise ValueError("kernel params must be an object")
-    # Every param the family reads is required, and all but a file path are real:
-    # a list for the Prony series, one number otherwise.  kernel_from_spec
-    # rejects an unknown family.
-    ranks = (1,) if family == "prony" else (0,)
-    checked = {}
-    for key in FAMILY_PARAMS.get(family, ()) if isinstance(family, str) else ():
-        value = _require(params, key, "kernel params")
-        checked[key] = value if key == "path" else _reals(value, key, ranks)
-    kernel = MemoryKernel(b=b, kernel=kernel_from_spec(family, checked))
-    resolved = {"b": b, "family": family, "params": params}
-    return kernel, resolved
-
-
-def _build_grid(config: dict):
-    block = _as_block(config, "grid")
-    horizon = _real(_require(block, "horizon", "grid block"), "horizon")
-    steps = _count(_require(block, "steps", "grid block"), "steps")
-    return TimeGrid(horizon=horizon, steps=steps), {"horizon": horizon, "steps": steps}
+    def block(self, key: str, default=_REQUIRED, where: str | None = None) -> "_Block":
+        sub = _Block(self._get(key, default), where or f"{key} block")
+        self.resolved[key] = sub.resolved
+        return sub
 
 
 def _real(value, name: str) -> float:
@@ -228,11 +177,18 @@ def _nested_reals(value, name: str) -> np.ndarray:
     return np.array(items)
 
 
-def _count(value, name: str) -> int:
-    """A whole-number field as an int; a fraction is an error, never truncated."""
-    if not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+def _count(value, name: str, least: int | None = None, most: int | None = None) -> int:
+    """A whole-number field as an int, within the bounds given; a boolean or a
+    fraction is an error, never truncated."""
+    whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not whole:
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    count = int(value)
+    if most is not None and not least <= count <= most:
+        raise ValueError(f"{name} must lie in [{least}, {most}], got {count}")
+    if least is not None and count < least:
+        raise ValueError(f"{name} must be >= {least}, got {count}")
+    return count
 
 
 def _counts(value, name: str) -> list:
@@ -242,11 +198,47 @@ def _counts(value, name: str) -> list:
     return [_count(v, f"{name} entry") for v in value]
 
 
-def _resolve_seed(config: dict) -> int:
-    seed = _count(config.get("seed", DEFAULT_SEED), "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    return seed
+def _face_nodes(value, name: str) -> int:
+    """A face node count, rounded up to whole panels: the count the basis uses."""
+    return panel_node_count(_count(value, name, least=1))
+
+
+def _path(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _check_budget(arrays: dict) -> None:
+    """arrays maps the fields an array grows with to its element count; the
+    largest must fit in _ARRAY_BUDGET bytes of doubles."""
+    name, count = max(arrays.items(), key=lambda item: item[1])
+    if 8 * count > _ARRAY_BUDGET:
+        raise ValueError(
+            f"the {name} array would take {8 * count:.3g} bytes, above the budget of "
+            f"{_ARRAY_BUDGET:.3g} bytes; reduce those fields"
+        )
+
+
+def _read_grid(root: _Block) -> TimeGrid:
+    block = root.block("grid")
+    return TimeGrid(horizon=block.read("horizon", _real), steps=block.read("steps", _count))
+
+
+def _read_kernel(root: _Block) -> MemoryKernel:
+    block = root.block("kernel", {})
+    b = block.read("b", _real, 0.0)
+    family = block.read("family", default="zero")
+    params = block.block("params", {}, "kernel params")
+    # Every param the family reads is required, and all but a file path are real:
+    # a list for the Prony series, one number otherwise.  kernel_from_spec
+    # rejects an unknown family.
+    ranks = (1,) if family == "prony" else (0,)
+    spec = {
+        key: params.read(key, _path) if key == "path" else params.read(key, _reals, ranks=ranks)
+        for key in (FAMILY_PARAMS.get(family, ()) if isinstance(family, str) else ())
+    }
+    return MemoryKernel(b=b, kernel=kernel_from_spec(family, spec))
 
 
 def _load_control_csv(path: str, basis: SpectralBasis, grid: TimeGrid) -> BoundaryControl:
@@ -261,60 +253,48 @@ def _load_control_csv(path: str, basis: SpectralBasis, grid: TimeGrid) -> Bounda
     return BoundaryControl(values=table[:, 1:].T, grid=grid)
 
 
-def _build_control(block, basis: SpectralBasis, grid: TimeGrid, seed: int):
-    if block is None:
-        block = {"type": "zero"}
-    if not isinstance(block, dict):
-        raise ValueError("control block must be an object")
-    kind = block.get("type", "zero")
-    resolved = dict(block)
-    resolved["type"] = kind
+def _read_control(root: _Block, basis: SpectralBasis, grid: TimeGrid, seed: int) -> BoundaryControl:
+    block = root.block("control", {})
+    kind = block.read("type", default="zero")
     if kind == "zero":
-        return zero_control(basis, grid), resolved
+        return zero_control(basis, grid)
     if kind == "constant":
-        level = _real(_require(block, "level", "control block"), "level")
-        values = np.full((basis.n_quad, grid.n_nodes), level)
-        return BoundaryControl(values=values, grid=grid), resolved
+        values = np.full((basis.n_quad, grid.n_nodes), block.read("level", _real))
+        return BoundaryControl(values=values, grid=grid)
     if kind == "tones":
-        omegas = _reals(_require(block, "omegas", "control block"), "omegas", (0, 1))
-        amplitudes = _reals(_require(block, "amplitudes", "control block"), "amplitudes", (0, 1, 2))
-        phases = block.get("phases", np.zeros_like(amplitudes).tolist())
-        phases = _reals(phases, "phases", (0, 1, 2))
+        omegas = block.read("omegas", _reals, ranks=(0, 1))
+        amplitudes = block.read("amplitudes", _reals, ranks=(0, 1, 2))
+        phases = block.read("phases", _reals, np.zeros_like(amplitudes).tolist(), ranks=(0, 1, 2))
+        # tone_control evaluates every tone at every node and time at once.
+        tones = basis.n_quad * omegas.size * grid.n_nodes
+        _check_budget({"2 nodes_per_face x omegas x (steps + 1)": tones})
         if amplitudes.ndim == 1:
             amplitudes = np.tile(amplitudes, (basis.n_quad, 1))
         if phases.ndim == 1:
             phases = np.tile(phases, (basis.n_quad, 1))
-        control = tone_control(basis, grid, amplitudes, omegas, phases)
-        resolved["phases"] = phases.tolist()
-        return control, resolved
+        return tone_control(basis, grid, amplitudes, omegas, phases)
     if kind == "noise":
         rng = np.random.default_rng(seed)
-        values = rng.standard_normal((basis.n_quad, grid.n_nodes))
-        return BoundaryControl(values=values, grid=grid), resolved
+        return BoundaryControl(values=rng.standard_normal((basis.n_quad, grid.n_nodes)), grid=grid)
     if kind == "file":
-        path = _require(block, "path", "control block")
-        return _load_control_csv(path, basis, grid), resolved
+        return _load_control_csv(block.read("path", _path), basis, grid)
     raise ValueError(f"unknown control type {kind!r}")
 
 
-def _build_target(config: dict, basis: SpectralBasis, seed: int):
-    block = _as_block(config, "target")
-    resolved = dict(block)
-    if "xi" in block or "eta" in block:
-        xi = _reals(_require(block, "xi", "target block"), "xi", (1,))
-        eta = _reals(_require(block, "eta", "target block"), "eta", (1,))
+def _read_target(root: _Block, basis: SpectralBasis, seed: int) -> StatePair:
+    block = root.block("target")
+    if "xi" in block.value or "eta" in block.value:
+        xi = block.read("xi", _reals, ranks=(1,))
+        eta = block.read("eta", _reals, ranks=(1,))
         if xi.shape != (basis.n_modes,) or eta.shape != (basis.n_modes,):
             raise ValueError(
                 f"target xi/eta must be length-{basis.n_modes} lists matching the mode count"
             )
-        return StatePair(xi=xi, eta=eta, mu=basis.mu.copy()), resolved
-    if block.get("type") == "random-smooth":
-        decay = _real(block.get("decay", 2.0), "decay")
-        norm = _real(block.get("norm", 1.0), "norm")
-        rng = np.random.default_rng(seed)
-        target = random_smooth_target(basis, rng, decay=decay, norm=norm)
-        resolved.update({"type": "random-smooth", "decay": decay, "norm": norm})
-        return target, resolved
+        return StatePair(xi=xi, eta=eta, mu=basis.mu.copy())
+    if block.read("type", default=None) == "random-smooth":
+        decay = block.read("decay", _real, 2.0)
+        norm = block.read("norm", _real, 1.0)
+        return random_smooth_target(basis, np.random.default_rng(seed), decay=decay, norm=norm)
     raise ValueError("target block needs either explicit xi/eta lists or type 'random-smooth'")
 
 
@@ -341,75 +321,85 @@ def _write_terminal(path: Path, terminal: StatePair) -> None:
     )
 
 
-def _common_setup(config: dict, command_arrays=lambda modes, cells: {}):
-    """Basis, kernel, grid and seed of a config.  command_arrays(modes, cells)
-    names the command's own large arrays, with cells the count of control
-    samples; the budget check covers them and the modal tables."""
-    modes = _count(_require(config, "modes", "config"), "modes")
-    grid, grid_resolved = _build_grid(config)
+def _setup(root: _Block, arrays=lambda modes, cells: {}):
+    """Basis, kernel, grid and seed of a config.
 
-    def arrays(n_quad: int) -> dict:
-        cells = n_quad * grid.n_nodes
-        return {
+    The size fields are read first, and one budget check covers the modal
+    tables, the control samples, a rectangle's candidate traces and the
+    command's own large arrays, arrays(modes, cells) with cells the count of
+    control samples, before the basis is built.
+    """
+    modes = root.read("modes", _count, least=1)
+    grid = _read_grid(root)
+    block = root.block("geometry")
+    lengths = block.read("lengths", _reals, ranks=(1,))
+    geometry = Geometry(block.read("kind"), lengths)
+    n_quad, candidates = 1, {}
+    if geometry.kind == "rectangle":
+        per_axis = block.read("modes_per_axis", _count, math.ceil(math.sqrt(modes)), least=1)
+        if per_axis * per_axis < modes:
+            raise ValueError(
+                f"modes_per_axis={per_axis} yields only {per_axis**2} modes, need {modes}"
+            )
+        nodes = block.read("nodes_per_face", _face_nodes, default_nodes_per_face(per_axis))
+        n_quad = 2 * nodes
+        # The basis traces every one of the per_axis^2 candidate modes.
+        candidates = {"modes_per_axis^2 x 2 nodes_per_face": per_axis**2 * n_quad}
+    cells = n_quad * grid.n_nodes
+    _check_budget(
+        {
+            **candidates,
             "modes x (steps + 1)": modes * grid.n_nodes,
             "2 nodes_per_face x (steps + 1)": cells,
-            **command_arrays(modes, cells),
+            **arrays(modes, cells),
         }
-
-    basis, geometry_resolved = _build_basis(config, modes, arrays)
-    kernel, kernel_resolved = _build_kernel(config)
-    seed = _resolve_seed(config)
-    resolved = {
-        "schema_version": SCHEMA_VERSION,
-        "modes": modes,
-        "geometry": geometry_resolved,
-        "kernel": kernel_resolved,
-        "grid": grid_resolved,
-        "seed": seed,
-    }
-    return basis, kernel, grid, seed, resolved
+    )
+    if geometry.kind == "interval":
+        basis = build_interval_basis(geometry.lengths[0], modes)
+    else:
+        full = build_rectangle_basis(*geometry.lengths, per_axis, nodes)
+        basis = replace(
+            full, mu=full.mu[:modes], traces=full.traces[:modes], labels=full.labels[:modes]
+        )
+    return basis, _read_kernel(root), grid, root.read("seed", _count, DEFAULT_SEED, least=0)
 
 
-def _base_summary(resolved: dict, basis, grid) -> dict:
+def _summary(root: _Block, basis: SpectralBasis, grid: TimeGrid, **values) -> dict:
     return {
-        "geometry": resolved["geometry"],
-        "kernel": resolved["kernel"],
+        "geometry": root.resolved["geometry"],
+        "kernel": root.resolved["kernel"],
         "T": grid.horizon,
         "M": int(basis.n_modes),
-        "seed": resolved["seed"],
+        "seed": root.resolved["seed"],
+        **values,
     }
 
 
-def _cmd_simulate(config, out, threads):
-    basis, kernel, grid, seed, resolved = _common_setup(config)
-    control, control_resolved = _build_control(config.get("control"), basis, grid, seed)
-    resolved["control"] = control_resolved
+def _cmd_simulate(root, out, threads):
+    basis, kernel, grid, seed = _setup(root)
+    control = _read_control(root, basis, grid, seed)
     sim = forward_simulate(basis, kernel, control, grid)
     names = [f"mode_{i + 1}" for i in range(basis.n_modes)]
     _write_series(out / "trajectory.csv", names, grid, sim.trajectory.values)
     _write_series(out / "velocities.csv", names, grid, sim.trajectory.velocities)
     _write_terminal(out / "terminal.csv", sim.terminal)
-    summary = _base_summary(resolved, basis, grid)
-    summary.update(
-        {
-            "terminal_norm": sobolev_norm(sim.terminal, 0.0),
-            "control_norm": control_l2_norm(basis, control),
-        }
+    return _summary(
+        root,
+        basis,
+        grid,
+        terminal_norm=sobolev_norm(sim.terminal, 0.0),
+        control_norm=control_l2_norm(basis, control),
     )
-    _write_json(out / "summary.json", summary)
-    return resolved
 
 
 def _gram_arrays(modes: int, cells: int) -> dict:
     return {"(2 modes)^2 Gram": 4 * modes**2}
 
 
-def _cmd_synthesize(config, out, threads):
-    basis, kernel, grid, seed, resolved = _common_setup(config, _gram_arrays)
-    target, target_resolved = _build_target(config, basis, seed)
-    regularization = _real(config.get("regularization", 0.0), "regularization")
-    resolved["target"] = target_resolved
-    resolved["regularization"] = regularization
+def _cmd_synthesize(root, out, threads):
+    basis, kernel, grid, seed = _setup(root, _gram_arrays)
+    target = _read_target(root, basis, seed)
+    regularization = root.read("regularization", _real, 0.0)
 
     operator = ModalOperator(basis.mu, kernel, grid)
     gram = assemble_gram(basis, kernel, grid, basis.n_modes, regularization, threads, operator=operator)
@@ -418,7 +408,6 @@ def _cmd_synthesize(config, out, threads):
     # Free the modal tables before the CSV writes, which would otherwise
     # allocate on top of them.
     del operator
-    err = terminal_error(verified.terminal, target)
 
     nodes = [f"node_{q}" for q in range(basis.n_quad)]
     _write_series(out / "control.csv", nodes, grid, result.control.values)
@@ -436,46 +425,39 @@ def _cmd_synthesize(config, out, threads):
         (np.arange(1, target.n_modes + 1), target.mu, target.xi, target.eta),
         ("%d", _FMT, _FMT, _FMT),
     )
-    summary = _base_summary(resolved, basis, grid)
-    summary.update(
-        {
-            "min_eig": gram.min_eigenvalue,
-            "cond": gram.condition_number if gram.min_eigenvalue > 0.0 else None,
-            "regularization": regularization,
-            "residual": result.residual,
-            "terminal_error": err,
-            "control_norm": control_l2_norm(basis, result.control),
-        }
+    return _summary(
+        root,
+        basis,
+        grid,
+        min_eig=gram.min_eigenvalue,
+        cond=gram.condition_number if gram.min_eigenvalue > 0.0 else None,
+        regularization=regularization,
+        residual=result.residual,
+        terminal_error=terminal_error(verified.terminal, target),
+        control_norm=control_l2_norm(basis, result.control),
     )
-    _write_json(out / "summary.json", summary)
-    return resolved
 
 
-def _cmd_verify(config, out, threads):
-    basis, kernel, grid, seed, resolved = _common_setup(config)
-    control, control_resolved = _build_control(config.get("control"), basis, grid, seed)
-    resolved["control"] = control_resolved
+def _cmd_verify(root, out, threads):
+    basis, kernel, grid, seed = _setup(root)
+    control = _read_control(root, basis, grid, seed)
     sim = forward_simulate(basis, kernel, control, grid)
     _write_terminal(out / "terminal.csv", sim.terminal)
-    summary = _base_summary(resolved, basis, grid)
-    summary.update(
-        {
-            "terminal_norm": sobolev_norm(sim.terminal, 0.0),
-            "control_norm": control_l2_norm(basis, control),
-        }
+    summary = _summary(
+        root,
+        basis,
+        grid,
+        terminal_norm=sobolev_norm(sim.terminal, 0.0),
+        control_norm=control_l2_norm(basis, control),
     )
-    if "target" in config:
-        target, target_resolved = _build_target(config, basis, seed)
-        resolved["target"] = target_resolved
-        summary["terminal_error"] = terminal_error(sim.terminal, target)
-    _write_json(out / "summary.json", summary)
-    return resolved
+    if "target" in root.value:
+        summary["terminal_error"] = terminal_error(sim.terminal, _read_target(root, basis, seed))
+    return summary
 
 
-def _cmd_gram_spectrum(config, out, threads):
-    basis, kernel, grid, seed, resolved = _common_setup(config, _gram_arrays)
-    counts = _counts(_require(config, "mode_counts", "config"), "mode_counts")
-    resolved["mode_counts"] = counts
+def _cmd_gram_spectrum(root, out, threads):
+    basis, kernel, grid, seed = _setup(root, _gram_arrays)
+    counts = root.read("mode_counts", _counts)
     rows = riesz_fisher_diagnostic(basis, kernel, grid, counts, threads=threads)
     # With no positive minimum eigenvalue the condition number cell is empty,
     # the CSV form of the null in summary.json.
@@ -487,29 +469,22 @@ def _cmd_gram_spectrum(config, out, threads):
         "%s",
     )
     min_eig = min(r.min_eigenvalue for r in rows)
-    summary = _base_summary(resolved, basis, grid)
-    summary.update(
-        {
-            "mode_counts": counts,
-            "min_eig": min_eig,
-            "cond": max(r.condition_number for r in rows) if min_eig > 0.0 else None,
-        }
+    return _summary(
+        root,
+        basis,
+        grid,
+        mode_counts=counts,
+        min_eig=min_eig,
+        cond=max(r.condition_number for r in rows) if min_eig > 0.0 else None,
     )
-    _write_json(out / "summary.json", summary)
-    return resolved
 
 
-def _cmd_duality_check(config, out, threads):
-    trials = _count(config.get("trials", 5), "trials")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    n_tones = _count(config.get("tones", 3), "tones")
-    if n_tones < 1:
-        raise ValueError(f"tones must be >= 1, got {n_tones}")
-    basis, kernel, grid, seed, resolved = _common_setup(
-        config, lambda modes, cells: {"2 nodes_per_face x tones x (steps + 1)": n_tones * cells}
+def _cmd_duality_check(root, out, threads):
+    trials = root.read("trials", _count, 5, least=1)
+    n_tones = root.read("tones", _count, 3, least=1)
+    basis, kernel, grid, seed = _setup(
+        root, lambda modes, cells: {"2 nodes_per_face x tones x (steps + 1)": n_tones * cells}
     )
-    resolved.update({"trials": trials, "tones": n_tones})
 
     rng = np.random.default_rng(seed)
     omegas = np.arange(1, n_tones + 1) * np.pi / grid.horizon
@@ -531,28 +506,19 @@ def _cmd_duality_check(config, out, threads):
         (table[:, 0], table[:, 1], table[:, 2], table[:, 3]),
         ("%d", _FMT, _FMT, _FMT),
     )
-    summary = _base_summary(resolved, basis, grid)
-    summary.update({"trials": trials, "max_rel_gap": float(table[:, 3].max())})
-    _write_json(out / "summary.json", summary)
-    return resolved
+    return _summary(root, basis, grid, trials=trials, max_rel_gap=float(table[:, 3].max()))
 
 
-def _cmd_maccamy(config, out, threads):
-    kernel, kernel_resolved = _build_kernel(config)
-    grid, grid_resolved = _build_grid(config)
+def _cmd_maccamy(root, out, threads):
+    kernel = _read_kernel(root)
+    grid = _read_grid(root)
     _check_budget({"steps + 1": grid.n_nodes})
-    seed = _resolve_seed(config)
-    resolved = {
-        "schema_version": SCHEMA_VERSION,
-        "kernel": kernel_resolved,
-        "grid": grid_resolved,
-        "seed": seed,
-    }
+    seed = root.read("seed", _count, DEFAULT_SEED, least=0)
     system = transformed_system(kernel.kernel, grid)
     _write_series(out / "R.csv", ["R"], grid, [system.resolvent])
     _write_series(out / "transformed_kernel.csv", ["K"], grid, [system.kernel_samples])
-    summary = {
-        "kernel": kernel_resolved,
+    return {
+        "kernel": root.resolved["kernel"],
         "T": grid.horizon,
         "seed": seed,
         "velocity_coeff": system.velocity_coeff,
@@ -560,36 +526,21 @@ def _cmd_maccamy(config, out, threads):
         "degraded_accuracy": system.degraded_accuracy,
         "forcing": system.forcing_description,
     }
-    _write_json(out / "summary.json", summary)
-    return resolved
 
 
-def _perturbation_modes(config: dict, modes: int) -> int:
-    pert_modes = _count(config.get("perturbation_modes", min(16, modes)), "perturbation_modes")
-    if not 1 <= pert_modes <= modes:
-        raise ValueError(f"perturbation_modes must lie in [1, {modes}], got {pert_modes}")
-    return pert_modes
+def _cmd_probes(root, out, threads):
+    def perturbation_modes(modes: int) -> int:
+        return root.read("perturbation_modes", _count, min(16, modes), least=1, most=modes)
 
-
-def _cmd_probes(config, out, threads):
     compactness = "2 perturbation_modes x 2 nodes_per_face x (steps + 1)"
-    basis, kernel, grid, seed, resolved = _common_setup(
-        config, lambda modes, cells: {compactness: 2 * _perturbation_modes(config, modes) * cells}
+    basis, kernel, grid, seed = _setup(
+        root, lambda modes, cells: {compactness: 2 * perturbation_modes(modes) * cells}
     )
-    trials = _count(config.get("trials", 8), "trials")
-    alpha = _real(config.get("alpha", 0.55), "alpha")
+    trials = root.read("trials", _count, 8, least=1)
+    alpha = root.read("alpha", _real, 0.55)
     m = basis.n_modes
     default_counts = sorted({max(1, m // 4), min(m, max(2, m // 2)), m})
-    counts = _counts(config.get("mode_counts", default_counts), "mode_counts")
-    pert_modes = _perturbation_modes(config, m)
-    resolved.update(
-        {
-            "trials": trials,
-            "alpha": alpha,
-            "mode_counts": counts,
-            "perturbation_modes": pert_modes,
-        }
-    )
+    counts = root.read("mode_counts", _counts, default_counts)
 
     operator = ModalOperator(basis.mu, kernel, grid)
     gronwall = gronwall_bound_check(basis, kernel, grid, trials=trials, seed=seed, operator=operator)
@@ -597,7 +548,7 @@ def _cmd_probes(config, out, threads):
     growth = norm_growth_probe(
         basis, kernel, grid, counts, trials=trials, seed=seed, alpha=alpha, operator=operator
     )
-    pert = perturbation_compactness_probe(basis, kernel, grid, pert_modes, operator=operator)
+    pert = perturbation_compactness_probe(basis, kernel, grid, perturbation_modes(m), operator=operator)
 
     modes = np.arange(1, basis.n_modes + 1)
     _write_table(
@@ -629,20 +580,18 @@ def _cmd_probes(config, out, threads):
         (np.arange(1, sigma.size + 1), sigma),
         ("%d", _FMT),
     )
-    summary = _base_summary(resolved, basis, grid)
-    summary.update(
-        {
-            "m_observed": gronwall.m_observed,
-            "max_trace_ratio": trace.max_ratio,
-            "weyl_constant": weyl_growth_constant(basis),
-            "alpha": alpha,
-            "trials": trials,
-            "sigma_first": float(sigma[0]) if sigma.size else 0.0,
-            "sigma_last": float(sigma[-1]) if sigma.size else 0.0,
-        }
+    return _summary(
+        root,
+        basis,
+        grid,
+        m_observed=gronwall.m_observed,
+        max_trace_ratio=trace.max_ratio,
+        weyl_constant=weyl_growth_constant(basis),
+        alpha=alpha,
+        trials=trials,
+        sigma_first=float(sigma[0]) if sigma.size else 0.0,
+        sigma_last=float(sigma[-1]) if sigma.size else 0.0,
     )
-    _write_json(out / "summary.json", summary)
-    return resolved
 
 
 _HANDLERS = {
@@ -693,15 +642,17 @@ def main(argv=None) -> int:
         return 2
     try:
         threads = _resolve_threads(args.threads)
-        out = Path(args.out if args.out is not None else config.get("output_dir", "."))
+        root = _Block(config, "config")
+        root.read("schema_version", _count)
+        out = Path(args.out if args.out is not None else root.read("output_dir", _path, "."))
         out.mkdir(parents=True, exist_ok=True)
-        resolved = _HANDLERS[args.command](config, out, threads)
+        _write_json(out / "summary.json", _HANDLERS[args.command](root, out, threads))
         manifest = {
             "command": args.command,
             "threads": threads,
             "viscowave_version": _package_version(),
             "versions": _versions(),
-            "config": resolved,
+            "config": root.resolved,
         }
         _write_json(out / "manifest.json", manifest)
     except (IllPosedSystemError, StepSizeError, np.linalg.LinAlgError) as exc:

@@ -297,33 +297,6 @@ def basis_operator(
     return operator
 
 
-def wave_modal_response(mu, forcing: np.ndarray, grid: TimeGrid):
-    """Memoryless modal response (u, u') to a forcing; see ModalOperator.wave.
-
-    mu of any shape broadcasts against the leading axes of the forcing, as in
-    every solver below.
-    """
-    return ModalOperator(mu, MemoryKernel(), grid).wave(forcing)
-
-
-def free_memory_modal(xi, eta, mu, kernel: MemoryKernel, grid: TimeGrid) -> np.ndarray:
-    """Homogeneous memory mode with data psi(0) = xi, psi'(0) = mu * eta;
-    see ModalOperator.free.  xi, eta and mu broadcast against each other."""
-    return ModalOperator(mu, kernel, grid).free(xi, eta)
-
-
-def controlled_memory_modal(forcing: np.ndarray, mu, kernel: MemoryKernel, grid: TimeGrid):
-    """Forced memory mode from rest: returns (w, w') sampled on the grid; see
-    ModalOperator.forced."""
-    return ModalOperator(mu, kernel, grid).forced(forcing)
-
-
-def terminal_response_map(mus: np.ndarray, kernel: MemoryKernel, grid: TimeGrid):
-    """Weighted terminal state (mu w(T), w'(T)) of a unit modal impulse at every
-    node: two arrays of shape mus.shape + (n,); see ModalOperator.terminal_maps."""
-    return ModalOperator(mus, kernel, grid).terminal_maps[0]
-
-
 @dataclass(frozen=True)
 class SimulationResult:
     trajectory: ModalTrajectory

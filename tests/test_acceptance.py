@@ -29,9 +29,9 @@ from viscowave.memory_kernel import (
     maccamy_resolvent,
 )
 from viscowave.modal_dynamics import (
+    ModalOperator,
     StatePair,
     forward_simulate,
-    free_memory_modal,
     memory_oscillator_kernels,
     tone_control,
 )
@@ -64,7 +64,7 @@ def test_02_memory_oscillator_matches_ode_oracle():
     start = time.perf_counter()
     grid = TimeGrid(4.0, 4000)
     kernel = MemoryKernel(b=0.0, kernel=ExponentialKernel(1.0, 1.0))
-    psi = free_memory_modal(0.0, 1.0, 5.0, kernel, grid)
+    psi = ModalOperator(5.0, kernel, grid).free(0.0, 1.0)
     oracle = free_memory_reference(0.0, 1.0, 5.0, 0.0, 1.0, 1.0, 4.0, 40000)[::10]
     sup = float(np.max(np.abs(psi - oracle)))
     elapsed = time.perf_counter() - start
@@ -96,7 +96,7 @@ def test_04_modal_bound_uniform_in_frequency():
     mus = (np.arange(1, 33) - 0.5) * np.pi
     peaks = []
     for mu in mus:
-        psi = free_memory_modal(1.0, 0.0, float(mu), kernel, grid)
+        psi = ModalOperator(float(mu), kernel, grid).free(1.0, 0.0)
         peaks.append(float(np.max(np.abs(psi))))
     spread = (max(peaks) - min(peaks)) / min(peaks)
     elapsed = time.perf_counter() - start

@@ -69,6 +69,23 @@ class TestSimulate:
         assert manifest["config"]["seed"] == 1870
         assert "viscowave_version" in manifest
 
+    def test_manifest_echoes_each_field_as_read(self, tmp_path):
+        # The echo holds the parsed value (a float level, 1-D phases as given),
+        # defaults filled in, and no key the run did not read.
+        tones = {"type": "tones", "omegas": [1.0, 2.0], "amplitudes": [0.5, 1], "phases": [0.25, 0]}
+        controls = {
+            "constant": ({"type": "constant", "level": 1, "junk": 3}, {"type": "constant", "level": 1.0}),
+            "tones": (tones, {**tones, "amplitudes": [0.5, 1.0], "phases": [0.25, 0.0]}),
+        }
+        for name, (control, echo) in controls.items():
+            cfg = write_config(tmp_path, base_config(control=control, junk=3), name=f"{name}.json")
+            out = tmp_path / name
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+            config = read_manifest(out)["config"]
+            assert json.dumps(config["control"], sort_keys=True) == json.dumps(echo, sort_keys=True)
+            assert "junk" not in config
+            assert config["kernel"] == {"b": 0.0, "family": "zero", "params": {}}
+
     def test_manifest_records_versions(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
         out = tmp_path / "out"
@@ -311,6 +328,27 @@ SMALL_RUNS = {
 }
 
 
+# The small runs plus configs whose echo rewrites values: integer reals,
+# 1-D tone lists and the rectangle's default sizes.
+ROUND_TRIPS = {
+    **{command: (command, payload) for command, payload in SMALL_RUNS.items()},
+    "tones": (
+        "simulate",
+        base_config(modes=3, control={"type": "tones", "omegas": [1.0, 2.0], "amplitudes": [0.5, 1]}),
+    ),
+    "rectangle": (
+        "synthesize",
+        base_config(
+            modes=5,
+            geometry={"kind": "rectangle", "lengths": [1.0, 1.5]},
+            kernel={"b": 0.2, "family": "exponential", "params": {"amplitude": 1, "rate": 1.0}},
+            grid={"horizon": 4.0, "steps": 300},
+            target={"type": "random-smooth", "decay": 3},
+        ),
+    ),
+}
+
+
 class TestOneInversePerRun:
     """Each command builds one memory operator and hands it to every solve, so
     it inverts each mode's kernel once."""
@@ -341,6 +379,18 @@ class TestDeterminism:
         for name in names:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    @pytest.mark.parametrize("name", sorted(ROUND_TRIPS))
+    def test_manifest_config_reproduces_the_run(self, tmp_path, name):
+        command, payload = ROUND_TRIPS[name]
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main([command, "--config", write_config(tmp_path, payload), "--out", str(first)]) == 0
+        echo = write_config(tmp_path, read_manifest(first)["config"], name="echo.json")
+        assert main([command, "--config", echo, "--out", str(second)]) == 0
+        files = sorted(path.name for path in first.iterdir())
+        assert files == sorted(path.name for path in second.iterdir())
+        for file in files:
+            assert (first / file).read_bytes() == (second / file).read_bytes()
+
     def test_threads_env_fallback(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, base_config())
         out = tmp_path / "out"
@@ -366,6 +416,11 @@ class TestExitCodes:
     def test_wrong_schema_version(self, tmp_path):
         cfg = write_config(tmp_path, base_config(schema_version=99))
         assert main(["simulate", "--config", cfg]) == 2
+
+    def test_boolean_schema_version(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config(schema_version=True))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "unsupported schema_version True" in capsys.readouterr().err
 
     def test_non_object_root(self, tmp_path):
         path = tmp_path / "list.json"
@@ -559,6 +614,35 @@ class TestExitCodes:
             ),
             ("duality-check", {"tones": 10**12}, 3, "2 nodes_per_face x tones x (steps + 1) array would take"),
             ("maccamy", {"grid": {"horizon": 1.0, "steps": 10**13}}, 3, "steps + 1 array would take"),
+            (
+                "simulate",
+                {
+                    "grid": {"horizon": 1.0, "steps": 10**6},
+                    "control": {"type": "tones", "omegas": [1.0] * 10**5, "amplitudes": [0.5] * 10**5},
+                },
+                3,
+                "2 nodes_per_face x omegas x (steps + 1) array would take",
+            ),
+            ("simulate", {"modes": True}, 3, "modes must be an integer"),
+            ("simulate", {"seed": True}, 3, "seed must be an integer"),
+            ("probes", {"trials": True}, 3, "trials must be an integer"),
+            ("probes", {"perturbation_modes": True}, 3, "perturbation_modes must be an integer"),
+            ("duality-check", {"tones": True}, 3, "tones must be an integer"),
+            ("gram-spectrum", {"mode_counts": [True, 2]}, 3, "mode_counts entry must be an integer"),
+            (
+                "simulate",
+                {"modes": -1, "geometry": {"kind": "rectangle", "lengths": [1.0, 1.0]}},
+                3,
+                "modes must be >= 1",
+            ),
+            (
+                "simulate",
+                {"geometry": {"kind": "rectangle", "lengths": [1.0, 1.0], "nodes_per_face": 0}},
+                3,
+                "nodes_per_face must be >= 1",
+            ),
+            ("simulate", {"kernel": {"family": "file", "params": {"path": 3}}}, 3, "path must be a string"),
+            ("verify", {"control": {"type": "file", "path": ["a.csv"]}}, 3, "path must be a string"),
         ],
         ids=[
             "alpha-nan",
@@ -613,6 +697,17 @@ class TestExitCodes:
             "budget-compactness-matrix",
             "budget-duality-tones",
             "budget-maccamy-grid",
+            "budget-tone-control",
+            "modes-boolean",
+            "seed-boolean",
+            "probes-trials-boolean",
+            "perturbation-modes-boolean",
+            "tones-boolean",
+            "spectrum-mode-counts-boolean",
+            "rectangle-modes-negative",
+            "nodes-per-face-zero",
+            "kernel-path-number",
+            "control-path-list",
         ],
     )
     def test_field_values_exit_codes(self, tmp_path, capsys, command, mutation, code, message):

@@ -16,15 +16,11 @@ from viscowave.modal_dynamics import (
     StatePair,
     adjoint_trace,
     control_l2_norm,
-    controlled_memory_modal,
     forward_simulate,
-    free_memory_modal,
     gronwall_bound_check,
     memory_oscillator_kernels,
     sobolev_norm,
-    terminal_response_map,
     tone_control,
-    wave_modal_response,
     zero_control,
 )
 from viscowave.quadrature import trapezoid_convolve
@@ -53,14 +49,14 @@ class TestWaveModalResponse:
     def test_constant_forcing_closed_form(self):
         # u(t) = (1 - cos(mu t)) / mu^2 for g = 1; at mu = pi/2, t = 2 this is 8/pi^2.
         grid = TimeGrid(2.0, 2000)
-        u, up = wave_modal_response(np.pi / 2, np.ones(grid.n_nodes), grid)
+        u, up = ModalOperator(np.pi / 2, MemoryKernel(), grid).wave(np.ones(grid.n_nodes))
         assert abs(u[-1] - 8.0 / np.pi**2) <= 1e-5
         assert abs(up[-1]) <= 1e-12
 
     def test_resonant_forcing(self):
         # g = sin(mu s) at mu = 1 resonates: u = (sin t - t cos t) / 2.
         grid = TimeGrid(np.pi, 3000)
-        u, _ = wave_modal_response(1.0, np.sin(grid.times), grid)
+        u, _ = ModalOperator(1.0, MemoryKernel(), grid).wave(np.sin(grid.times))
         exact = 0.5 * (np.sin(grid.times) - grid.times * np.cos(grid.times))
         assert abs(u[-1] - np.pi / 2) <= 1e-12
         assert np.max(np.abs(u - exact)) <= 1e-5
@@ -68,22 +64,22 @@ class TestWaveModalResponse:
     def test_rejects_bad_input(self):
         grid = TimeGrid(1.0, 10)
         with pytest.raises(ValueError):
-            wave_modal_response(0.0, np.ones(grid.n_nodes), grid)
+            ModalOperator(0.0, MemoryKernel(), grid).wave(np.ones(grid.n_nodes))
         with pytest.raises(ValueError):
-            wave_modal_response(1.0, np.ones(3), grid)
+            ModalOperator(1.0, MemoryKernel(), grid).wave(np.ones(3))
         # Array mu: every entry must be positive, and the forcing length is
         # checked whatever the batch shape.
         mus = np.array([[1.0], [-2.0]])
         with pytest.raises(ValueError, match="mu must be positive"):
-            wave_modal_response(mus, np.ones((2, grid.n_nodes)), grid)
+            ModalOperator(mus, MemoryKernel(), grid).wave(np.ones((2, grid.n_nodes)))
         with pytest.raises(ValueError, match="mu must be positive"):
-            free_memory_modal(1.0, 0.0, mus, MemoryKernel(), grid)
+            ModalOperator(mus, MemoryKernel(), grid).free(1.0, 0.0)
         with pytest.raises(ValueError, match="mu must be positive"):
-            controlled_memory_modal(np.ones(grid.n_nodes), mus, MemoryKernel(), grid)
+            ModalOperator(mus, MemoryKernel(), grid).forced(np.ones(grid.n_nodes))
         with pytest.raises(ValueError, match="forcing has 3 samples"):
-            wave_modal_response(np.array([1.0, 2.0]), np.ones((2, 3)), grid)
+            ModalOperator(np.array([1.0, 2.0]), MemoryKernel(), grid).wave(np.ones((2, 3)))
         with pytest.raises(ValueError, match="forcing has 3 samples"):
-            controlled_memory_modal(np.ones((2, 3)), np.array([1.0, 2.0]), MemoryKernel(), grid)
+            ModalOperator(np.array([1.0, 2.0]), MemoryKernel(), grid).forced(np.ones((2, 3)))
 
 
 class TestAngleAdditionSums:
@@ -122,7 +118,7 @@ class TestAngleAdditionSums:
     def test_wave_responses_of_one_forcing_per_mode(self):
         grid = self.grid
         g = np.random.default_rng(8).standard_normal((self.mus.size, grid.n_nodes))
-        u, up = wave_modal_response(self.mus, g, grid)
+        u, up = ModalOperator(self.mus, MemoryKernel(), grid).wave(g)
         phase = self.mus[:, None] * grid.times
         self.assert_close(u, trapezoid_convolve(np.sin(phase), g, grid.dt) / self.mus[:, None])
         self.assert_close(up, trapezoid_convolve(np.cos(phase), g, grid.dt))
@@ -133,7 +129,7 @@ class TestAngleAdditionSums:
         grid = self.grid
         impulses = np.zeros((1, 2, grid.n_nodes))
         impulses[0, 0, 0] = impulses[0, 1, 1] = 1.0
-        u, up = wave_modal_response(self.mus[:, None], impulses, grid)
+        u, up = ModalOperator(self.mus[:, None], MemoryKernel(), grid).wave(impulses)
         phase = self.mus[:, None, None] * grid.times
         impulses = np.broadcast_to(impulses, (self.mus.size, 2, grid.n_nodes))
         ref_u = trapezoid_convolve(np.sin(phase), impulses, grid.dt) / self.mus[:, None, None]
@@ -144,14 +140,14 @@ class TestAngleAdditionSums:
 class TestFreeMemoryModal:
     def test_zero_kernel_reduces_to_trig(self):
         grid = TimeGrid(2.0, 500)
-        psi = free_memory_modal(0.3, -1.2, 4.0, MemoryKernel(), grid)
+        psi = ModalOperator(4.0, MemoryKernel(), grid).free(0.3, -1.2)
         exact = 0.3 * np.cos(4.0 * grid.times) - 1.2 * np.sin(4.0 * grid.times)
         assert np.max(np.abs(psi - exact)) <= 1e-10
 
     def test_zero_order_term_shifts_frequency(self):
         # b = 1 with mu = 2 means psi'' = -(4 - 1) psi, so psi = cos(sqrt(3) t).
         grid = TimeGrid(1.0, 1000)
-        psi = free_memory_modal(1.0, 0.0, 2.0, MemoryKernel(b=1.0), grid)
+        psi = ModalOperator(2.0, MemoryKernel(b=1.0), grid).free(1.0, 0.0)
         assert abs(psi[-1] - np.cos(np.sqrt(3.0))) <= 1e-5
         assert np.max(np.abs(psi - np.cos(np.sqrt(3.0) * grid.times))) <= 1e-5
 
@@ -160,7 +156,7 @@ class TestFreeMemoryModal:
         # helper integrates by RK4 on a grid ten times finer.
         grid = TimeGrid(2.0, 2000)
         kernel = MemoryKernel(b=0.0, kernel=ExponentialKernel(1.0, 1.0))
-        psi = free_memory_modal(0.0, 1.0, 5.0, kernel, grid)
+        psi = ModalOperator(5.0, kernel, grid).free(0.0, 1.0)
         oracle = free_memory_reference(0.0, 1.0, 5.0, 0.0, 1.0, 1.0, 2.0, 20000)[::10]
         assert np.max(np.abs(psi - oracle)) <= 1e-6
 
@@ -170,7 +166,7 @@ class TestFreeMemoryModal:
         devs = []
         for steps in (1000, 2000):
             grid = TimeGrid(3.0, steps)
-            psi = free_memory_modal(0.7, -0.4, 2.0, MemoryKernel(), grid)
+            psi = ModalOperator(2.0, MemoryKernel(), grid).free(0.7, -0.4)
             dpsi = np.gradient(psi, grid.dt, edge_order=2)
             energy = dpsi**2 + 4.0 * psi**2
             devs.append(np.max(np.abs(energy - energy[0])) / energy[0])
@@ -182,15 +178,15 @@ class TestControlledMemoryModal:
     def test_zero_kernel_matches_duhamel(self):
         grid = TimeGrid(2.0, 400)
         g = np.cos(3.0 * grid.times)
-        w, wp = controlled_memory_modal(g, 2.5, MemoryKernel(), grid)
-        u, up = wave_modal_response(2.5, g, grid)
+        w, wp = ModalOperator(2.5, MemoryKernel(), grid).forced(g)
+        u, up = ModalOperator(2.5, MemoryKernel(), grid).wave(g)
         assert np.max(np.abs(w - u)) <= 1e-10
         assert np.max(np.abs(wp - up)) <= 1e-10
 
     def test_forced_memory_against_rk4_oracle(self):
         grid = TimeGrid(2.0, 2000)
         kernel = MemoryKernel(b=0.5, kernel=ExponentialKernel(0.2, 1.0))
-        w, wp = controlled_memory_modal(np.ones(grid.n_nodes), 3.0, kernel, grid)
+        w, wp = ModalOperator(3.0, kernel, grid).forced(np.ones(grid.n_nodes))
         ow, owp = forced_memory_reference(3.0, 0.5, 0.2, 1.0, lambda t: np.ones_like(t), 2.0, 20000)
         assert np.max(np.abs(w - ow[::10])) <= 1e-6
         assert np.max(np.abs(wp - owp[::10])) <= 1e-6
@@ -257,7 +253,7 @@ class TestTerminalResponseMap:
         basis = build_interval_basis(1.0, 6)
         grid = TimeGrid(2.5, 301)
         kernel = MemoryKernel(b=0.2, kernel=PronyKernel((0.03, 0.05, 0.04), (0.5, 2.0, 5.0)))
-        map_xi, map_eta = terminal_response_map(basis.mu, kernel, grid)
+        map_xi, map_eta = ModalOperator(basis.mu, kernel, grid).terminal_maps[0]
         assert map_xi.shape == map_eta.shape == (6, grid.n_nodes)
         n = grid.n_nodes
         for p in (0, 1, n // 2, n - 1):
@@ -373,7 +369,7 @@ class TestGronwallBound:
         expected = np.zeros(basis.n_modes)
         for _ in range(8):
             theta = rng.uniform(0.0, 2.0 * np.pi, size=basis.n_modes)
-            psi = free_memory_modal(np.cos(theta), np.sin(theta), basis.mu, kernel, grid)
+            psi = ModalOperator(basis.mu, kernel, grid).free(np.cos(theta), np.sin(theta))
             expected = np.maximum(expected, np.max(np.abs(psi), axis=1))
         assert np.max(np.abs(report.per_mode_max - expected)) <= 1e-13 * expected.max()
         assert report.m_observed == report.per_mode_max.max()
