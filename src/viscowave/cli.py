@@ -268,9 +268,10 @@ def _read_control(root: _Block, basis: SpectralBasis, grid: TimeGrid, seed: int)
         # tone_control evaluates every tone at every node and time at once.
         tones = basis.n_quad * omegas.size * grid.n_nodes
         _check_budget({"2 nodes_per_face x omegas x (steps + 1)": tones})
-        if amplitudes.ndim == 1:
+        # A scalar or a list is one row shared by every quadrature node.
+        if amplitudes.ndim < 2:
             amplitudes = np.tile(amplitudes, (basis.n_quad, 1))
-        if phases.ndim == 1:
+        if phases.ndim < 2:
             phases = np.tile(phases, (basis.n_quad, 1))
         return tone_control(basis, grid, amplitudes, omegas, phases)
     if kind == "noise":
@@ -628,7 +629,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="FFT workers for Gram assembly (default: VISCOWAVE_THREADS or 1)",
+        help="accepted and recorded in the manifest, with no effect "
+        "(default: VISCOWAVE_THREADS or 1)",
     )
     return parser
 
@@ -671,12 +673,10 @@ def _package_version() -> str:
 
 
 def _versions() -> dict:
-    """The interpreter's and the numerical libraries' versions."""
+    """The interpreter's and numpy's versions."""
     import platform
 
-    import scipy
-
-    return {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__}
+    return {"python": platform.python_version(), "numpy": np.__version__}
 
 
 if __name__ == "__main__":

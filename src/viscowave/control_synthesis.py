@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .grids import TimeGrid
 from .memory_kernel import MemoryKernel
@@ -88,7 +87,8 @@ def assemble_gram(
     Entries factor into (boundary trace Gram) x (time correlation of the
     homogeneous modal solutions); both integrals use the stored quadrature.
     The matrix is stored unregularized; regularization only enters the solve.
-    threads sets the FFT worker count and does not change the result.
+    threads is accepted and has no effect: the FFTs run on numpy.fft, which
+    uses one thread.
     operator is as in forward_simulate.  Warns when the horizon sits below
     the sharp control-time bound.
     """
@@ -107,8 +107,7 @@ def assemble_gram(
     op = basis_operator(basis, kernel, grid, m, operator)
     # Each mode marches its data (1, 0) and (0, 1) against one kernel, which
     # gives the rows in the (e_m, 0)-first order.
-    with scipy.fft.set_workers(threads):
-        psi = op.free(*UNIT_DATA)[:, :m].reshape(2 * m, grid.n_nodes)
+    psi = op.free(*UNIT_DATA)[:, :m].reshape(2 * m, grid.n_nodes)
 
     wt = trapezoid_weights(grid.n_nodes, grid.dt)
     time_gram = (psi * wt[None, :]) @ psi.T

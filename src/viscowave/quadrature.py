@@ -1,9 +1,31 @@
-"""Trapezoid and Gauss-Legendre quadrature helpers used across the package."""
+"""Trapezoid and Gauss-Legendre quadrature helpers used across the package.
+
+The package's FFTs all run on numpy.fft at the lengths next_fast_len gives;
+trapezoid_convolve is the reference FFT convolution.
+"""
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
-import scipy.fft
+
+
+@lru_cache(maxsize=64)
+def next_fast_len(n: int) -> int:
+    """Smallest 5-smooth integer 2^a 3^b 5^c >= n (n >= 1): a length at which
+    numpy.fft's real transforms run fast.  Cached, since a march asks for a
+    few dozen lengths many times over."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # The least power of two that lifts p35 to at least n.
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def trapezoid_weights(n_nodes: int, dt: float) -> np.ndarray:
@@ -20,7 +42,7 @@ def trapezoid_convolve(kernel: np.ndarray, g: np.ndarray, dt: float) -> np.ndarr
 
     Product trapezoid rule on the shared uniform grid: full discrete convolution
     with the end weights halved.  The full convolution is one real FFT product
-    on scipy.fft, zero-padded to a fast length of at least 2n - 1 so nothing
+    on numpy.fft, zero-padded to a fast length of at least 2n - 1 so nothing
     wraps.  Both arrays carry time on the last axis and broadcast against each
     other on the leading axes, so batched evaluation over mode or trial axes is
     a single call.
@@ -32,9 +54,9 @@ def trapezoid_convolve(kernel: np.ndarray, g: np.ndarray, dt: float) -> np.ndarr
             f"kernel and signal disagree on grid length: {k.shape[-1]} vs {f.shape[-1]}"
         )
     n = k.shape[-1]
-    size = scipy.fft.next_fast_len(max(2 * n - 1, 1), real=True)
-    spec = scipy.fft.rfft(k, size, axis=-1) * scipy.fft.rfft(f, size, axis=-1)
-    full = scipy.fft.irfft(spec, size, axis=-1)[..., :n]
+    size = next_fast_len(max(2 * n - 1, 1))
+    spec = np.fft.rfft(k, size, axis=-1) * np.fft.rfft(f, size, axis=-1)
+    full = np.fft.irfft(spec, size, axis=-1)[..., :n]
     # Halve the two end contributions of each partial sum (trapezoid ends).
     return dt * (full - 0.5 * (k * f[..., :1] + k[..., :1] * f))
 

@@ -11,8 +11,11 @@ full product: each forcing row then costs one forward and one inverse real
 FFT.  A FactoredKernel keeps those spectra across marches, so a caller that
 solves several problems with one kernel inverts it once.  Inside the
 reciprocal both products of a Newton step are cyclic at one length and share
-the spectrum of the known coefficients.  The two routes cross-validate each
-other; on contraction problems they agree to the fixed-point tolerance.
+the spectrum of the known coefficients.  The FFTs run on numpy.fft at
+5-smooth lengths (quadrature.next_fast_len); each call allocates its
+zero-padded operands and spectra once and hands them to every FFT as out=.
+The two routes cross-validate each other; on contraction problems they agree
+to the fixed-point tolerance.
 """
 
 from __future__ import annotations
@@ -21,10 +24,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
 
 from .grids import TimeGrid
-from .quadrature import trapezoid_convolve
+from .quadrature import next_fast_len, trapezoid_convolve
 
 # |1 - (dt/2) kappa(0)| below this is treated as a singular diagonal factor.
 _SINGULAR_TOL = 1e-12
@@ -85,7 +87,7 @@ class FactoredKernel:
         self.dt = dt
         self.memoryless = not np.any(k)
         # Cyclic products at the length of the full product h * rhs do not wrap.
-        self.size = scipy.fft.next_fast_len(max(1, 2 * k.shape[-1] - 3), real=True)
+        self.size = next_fast_len(max(1, 2 * k.shape[-1] - 3))
 
     @cached_property
     def spectra(self) -> np.ndarray:
@@ -95,10 +97,13 @@ class FactoredKernel:
         k_rows = self.kernel.reshape(-1, n)
         step = max(1, _BLOCK_SAMPLES // n)
         spectra = np.empty((len(k_rows), self.size // 2 + 1), dtype=complex)
-        for rows in (slice(s, s + step) for s in range(0, len(k_rows), step)):
-            a = -self.dt * k_rows[rows, : n - 1]
-            a[:, 0] = 1.0 - 0.5 * self.dt * k_rows[rows, 0]
-            spectra[rows] = scipy.fft.rfft(_reciprocal(a), self.size, axis=-1)
+        # Every block reuses one zero-padded h.
+        h = np.zeros((min(step, len(k_rows)), self.size))
+        for s in range(0, len(k_rows), step):
+            a = -self.dt * k_rows[s : s + step, : n - 1]
+            a[:, 0] = 1.0 - 0.5 * self.dt * k_rows[s : s + step, 0]
+            h[: len(a), : n - 1] = _reciprocal(a)
+            np.fft.rfft(h[: len(a)], axis=-1, out=spectra[s : s + step])
         return spectra
 
 
@@ -141,13 +146,21 @@ def march_difference_kernel(
     h_spec, size = factored.spectra, factored.size
     step = max(1, _BLOCK_SAMPLES // n)
     y = np.empty(f_rows.shape)
-    for rows in (slice(s, s + step) for s in range(0, len(y), step)):
-        kr, fr = k_rows[k_of[rows]], f_rows[rows]
-        rhs = fr[:, 1:] + 0.5 * dt * kr[:, 1:] * fr[:, :1]
-        spec = scipy.fft.rfft(rhs, size, axis=-1)
-        spec *= h_spec[k_of[rows]]
-        y[rows, 0] = fr[:, 0]
-        y[rows, 1:] = scipy.fft.irfft(spec, size, axis=-1)[:, : n - 1]
+    # Every block reuses one zero-padded rhs, its spectrum and the product.
+    rhs = np.zeros((min(step, len(y)), size))
+    spec = np.empty((len(rhs), size // 2 + 1), dtype=complex)
+    full = np.empty_like(rhs)
+    for s in range(0, len(y), step):
+        ks, fr = k_of[s : s + step], f_rows[s : s + step]
+        r = len(fr)
+        g = np.multiply(k_rows[ks, 1:], 0.5 * dt, out=rhs[:r, : n - 1])
+        g *= fr[:, :1]
+        g += fr[:, 1:]
+        np.fft.rfft(rhs[:r], axis=-1, out=spec[:r])
+        spec[:r] *= h_spec[ks]
+        np.fft.irfft(spec[:r], size, axis=-1, out=full[:r])
+        y[s : s + r, 0] = fr[:, 0]
+        y[s : s + r, 1:] = full[:r, : n - 1]
     return y.reshape(shape)
 
 
@@ -158,16 +171,37 @@ def _reciprocal(a: np.ndarray) -> np.ndarray:
     Both products of a step to `top` coefficients are cyclic at one length
     L >= top and share the spectrum of h: the wrap-around of a h lands below
     z^m, where e is not read, and h e has fewer than L terms."""
+    rows, n = a.shape
     h = np.empty_like(a)
     h[:, 0] = 1.0 / a[:, 0]
+    # Each step's zero-padded operand and two spectra are contiguous leading
+    # parts of buffers sized for the last step.
+    last = next_fast_len(n)
+    real = np.empty(rows * last)
+    spectra = np.empty((2, rows * (last // 2 + 1)), dtype=complex)
     m = 1
-    while m < a.shape[1]:
-        top = min(2 * m, a.shape[1])
-        size = scipy.fft.next_fast_len(top, real=True)
-        h_spec = scipy.fft.rfft(h[:, :m], size, axis=-1)
-        ah = scipy.fft.irfft(scipy.fft.rfft(a[:, :top], size, axis=-1) * h_spec, size, axis=-1)
-        e_spec = scipy.fft.rfft(ah[:, m:top], size, axis=-1)
-        h[:, m:top] = -scipy.fft.irfft(h_spec * e_spec, size, axis=-1)[:, : top - m]
+    while m < n:
+        top = min(2 * m, n)
+        size = next_fast_len(top)
+        x = real[: rows * size].reshape(rows, size)
+        h_spec, e_spec = spectra[:, : rows * (size // 2 + 1)].reshape(2, rows, -1)
+        x[:, :m] = h[:, :m]
+        x[:, m:] = 0.0
+        np.fft.rfft(x, axis=-1, out=h_spec)
+        x[:, :top] = a[:, :top]
+        x[:, top:] = 0.0
+        np.fft.rfft(x, axis=-1, out=e_spec)
+        # Operands in a fixed order, a's spectrum times h's here and h's times
+        # e's below: numpy's complex product is not bitwise commutative.
+        e_spec *= h_spec
+        np.fft.irfft(e_spec, size, axis=-1, out=x)
+        # e: coefficients m..top-1 of a h, moved to the front.
+        x[:, : top - m] = x[:, m:top]
+        x[:, top - m :] = 0.0
+        np.fft.rfft(x, axis=-1, out=e_spec)
+        np.multiply(h_spec, e_spec, out=e_spec)
+        np.fft.irfft(e_spec, size, axis=-1, out=x)
+        h[:, m:top] = -x[:, : top - m]
         m = top
     return h
 

@@ -3,7 +3,6 @@ import platform
 
 import numpy as np
 import pytest
-import scipy
 
 from viscowave.cli import main
 
@@ -93,8 +92,27 @@ class TestSimulate:
         assert read_manifest(out)["versions"] == {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         }
+
+    def test_scalar_tone_amplitude_tiles_like_a_list(self, tmp_path):
+        square = {"kind": "rectangle", "lengths": [1.0, 1.0]}
+        outs = []
+        for name, amplitudes in (("scalar", 0.5), ("list", [0.5])):
+            control = {"type": "tones", "omegas": 1.5, "amplitudes": amplitudes}
+            cfg = write_config(tmp_path, base_config(geometry=square, control=control), name=f"{name}.json")
+            outs.append(tmp_path / name)
+            assert main(["simulate", "--config", cfg, "--out", str(outs[-1])]) == 0
+        scalar, listed = outs
+        names = sorted(p.name for p in scalar.iterdir())
+        assert names == sorted(p.name for p in listed.iterdir())
+        for name in names:
+            if name != "manifest.json":
+                assert (scalar / name).read_bytes() == (listed / name).read_bytes(), name
+        # The manifests differ only in the echo of the amplitudes as given and
+        # of the default phases, which take the amplitudes' shape.
+        echo = read_manifest(scalar)
+        echo["config"]["control"].update(amplitudes=[0.5], phases=[0.0])
+        assert echo == read_manifest(listed)
 
     def test_output_dir_from_config(self, tmp_path):
         target_dir = tmp_path / "from_config"

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -7,7 +8,12 @@ import numpy as np
 import pytest
 
 from viscowave.grids import TimeGrid
-from viscowave.quadrature import gauss_legendre_panels, trapezoid_convolve, trapezoid_weights
+from viscowave.quadrature import (
+    gauss_legendre_panels,
+    next_fast_len,
+    trapezoid_convolve,
+    trapezoid_weights,
+)
 
 from helpers import direct_trapezoid_convolution
 
@@ -89,7 +95,7 @@ class TestTrapezoidConvolve:
     )
     def test_bitwise_equal_to_fftconvolve_formula(self, k_shape, g_shape):
         # Reference: the same product trapezoid through scipy.signal.fftconvolve,
-        # which the package does not import; the scipy.fft route matches it bit
+        # which the package does not import; the numpy.fft route matches it bit
         # for bit.
         from scipy.signal import fftconvolve
 
@@ -107,20 +113,75 @@ class TestTrapezoidConvolve:
             trapezoid_convolve(np.ones(5), np.ones(6), 0.1)
 
 
+class TestNextFastLen:
+    def test_matches_scipy_real_fast_length(self):
+        # scipy is a test-only oracle; the package computes the length itself.
+        from scipy.fft import next_fast_len as scipy_next_fast_len
+
+        for n in range(1, 20001):
+            assert next_fast_len(n) == scipy_next_fast_len(n, real=True), n
+
+
+# Run the CLI with every scipy import failing.
+_NO_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+from viscowave.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _package_env():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
+
+
 class TestImportFootprint:
-    def test_cli_import_loads_only_the_fft_part_of_scipy(self):
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    def test_cli_import_loads_no_scipy(self):
         code = (
             "import sys, viscowave.cli; "
-            "print(' '.join(m for m in ('scipy.signal', 'scipy.stats', 'scipy.interpolate', "
-            "'scipy.optimize') if m in sys.modules))"
+            "print(' '.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
         )
         done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-c", code], env=_package_env(), capture_output=True, text=True, check=True
         )
         assert done.stdout.strip() == ""
+
+    def test_synthesize_and_verify_run_without_scipy(self, tmp_path):
+        config = {
+            "schema_version": 1,
+            "modes": 4,
+            "geometry": {"kind": "interval", "lengths": [1.0]},
+            "kernel": {"b": 0.2, "family": "exponential", "params": {"amplitude": 0.1, "rate": 1.0}},
+            "grid": {"horizon": 2.5, "steps": 600},
+            "target": {"type": "random-smooth"},
+        }
+
+        def run(command, name):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(config))
+            out = tmp_path / name
+            done = subprocess.run(
+                [sys.executable, "-c", _NO_SCIPY, command, "--config", str(path), "--out", str(out)],
+                env=_package_env(),
+                capture_output=True,
+                text=True,
+            )
+            assert done.returncode == 0, done.stderr
+            return json.loads((out / "summary.json").read_text())
+
+        run("synthesize", "synth")
+        config["control"] = {"type": "file", "path": str(tmp_path / "synth" / "control.csv")}
+        assert run("verify", "verify")["terminal_error"] <= 1e-6
 
 
 class TestGaussLegendrePanels:
