@@ -10,7 +10,8 @@ CSV cells use 17 significant digits so identical configs reproduce
 byte-identical files.
 
 Exit codes: 0 success, 2 unreadable config, 3 invalid configuration values,
-4 numerical failure (singular marching step, ill-posed Gram system).
+4 numerical failure (singular marching step, overflowing march, ill-posed
+Gram system).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -60,7 +60,7 @@ from .spectral_basis import (
     trace_estimate_check,
     weyl_growth_constant,
 )
-from .volterra import StepSizeError
+from .volterra import MarchOverflowError, StepSizeError
 
 SCHEMA_VERSION = 1
 
@@ -376,7 +376,7 @@ def _summary(root: _Block, basis: SpectralBasis, grid: TimeGrid, **values) -> di
     }
 
 
-def _cmd_simulate(root, out, threads):
+def _cmd_simulate(root, out):
     basis, kernel, grid, seed = _setup(root)
     control = _read_control(root, basis, grid, seed)
     sim = forward_simulate(basis, kernel, control, grid)
@@ -397,13 +397,13 @@ def _gram_arrays(modes: int, cells: int) -> dict:
     return {"(2 modes)^2 Gram": 4 * modes**2}
 
 
-def _cmd_synthesize(root, out, threads):
+def _cmd_synthesize(root, out):
     basis, kernel, grid, seed = _setup(root, _gram_arrays)
     target = _read_target(root, basis, seed)
     regularization = root.read("regularization", _real, 0.0)
 
     operator = ModalOperator(basis.mu, kernel, grid)
-    gram = assemble_gram(basis, kernel, grid, basis.n_modes, regularization, threads, operator=operator)
+    gram = assemble_gram(basis, kernel, grid, basis.n_modes, regularization, operator=operator)
     result = solve_min_norm_control(gram, basis, kernel, grid, target)
     verified = forward_simulate(basis, kernel, result.control, grid, operator=operator)
     # Free the modal tables before the CSV writes, which would otherwise
@@ -439,9 +439,10 @@ def _cmd_synthesize(root, out, threads):
     )
 
 
-def _cmd_verify(root, out, threads):
+def _cmd_verify(root, out):
     basis, kernel, grid, seed = _setup(root)
     control = _read_control(root, basis, grid, seed)
+    target = _read_target(root, basis, seed) if "target" in root.value else None
     sim = forward_simulate(basis, kernel, control, grid)
     _write_terminal(out / "terminal.csv", sim.terminal)
     summary = _summary(
@@ -451,15 +452,15 @@ def _cmd_verify(root, out, threads):
         terminal_norm=sobolev_norm(sim.terminal, 0.0),
         control_norm=control_l2_norm(basis, control),
     )
-    if "target" in root.value:
-        summary["terminal_error"] = terminal_error(sim.terminal, _read_target(root, basis, seed))
+    if target is not None:
+        summary["terminal_error"] = terminal_error(sim.terminal, target)
     return summary
 
 
-def _cmd_gram_spectrum(root, out, threads):
+def _cmd_gram_spectrum(root, out):
     basis, kernel, grid, seed = _setup(root, _gram_arrays)
     counts = root.read("mode_counts", _counts)
-    rows = riesz_fisher_diagnostic(basis, kernel, grid, counts, threads=threads)
+    rows = riesz_fisher_diagnostic(basis, kernel, grid, counts)
     # With no positive minimum eigenvalue the condition number cell is empty,
     # the CSV form of the null in summary.json.
     cond = [_FMT % r.condition_number if r.min_eigenvalue > 0.0 else "" for r in rows]
@@ -480,7 +481,7 @@ def _cmd_gram_spectrum(root, out, threads):
     )
 
 
-def _cmd_duality_check(root, out, threads):
+def _cmd_duality_check(root, out):
     trials = root.read("trials", _count, 5, least=1)
     n_tones = root.read("tones", _count, 3, least=1)
     basis, kernel, grid, seed = _setup(
@@ -510,7 +511,7 @@ def _cmd_duality_check(root, out, threads):
     return _summary(root, basis, grid, trials=trials, max_rel_gap=float(table[:, 3].max()))
 
 
-def _cmd_maccamy(root, out, threads):
+def _cmd_maccamy(root, out):
     kernel = _read_kernel(root)
     grid = _read_grid(root)
     _check_budget({"steps + 1": grid.n_nodes})
@@ -529,7 +530,7 @@ def _cmd_maccamy(root, out, threads):
     }
 
 
-def _cmd_probes(root, out, threads):
+def _cmd_probes(root, out):
     def perturbation_modes(modes: int) -> int:
         return root.read("perturbation_modes", _count, min(16, modes), least=1, most=modes)
 
@@ -606,16 +607,6 @@ _HANDLERS = {
 }
 
 
-def _resolve_threads(cli_value) -> int:
-    if cli_value is not None:
-        threads = int(cli_value)
-    else:
-        threads = int(os.environ.get("VISCOWAVE_THREADS", "1"))
-    if threads < 1:
-        raise ValueError(f"thread count must be >= 1, got {threads}")
-    return threads
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="viscowave",
@@ -625,13 +616,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS, help="pipeline to run")
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--out", default=None, help="output directory (default from config)")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="accepted and recorded in the manifest, with no effect "
-        "(default: VISCOWAVE_THREADS or 1)",
-    )
+    # Parsed and ignored while the benchmark passes it (ROADMAP item 1).
+    parser.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     return parser
 
 
@@ -643,21 +629,19 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        threads = _resolve_threads(args.threads)
         root = _Block(config, "config")
         root.read("schema_version", _count)
         out = Path(args.out if args.out is not None else root.read("output_dir", _path, "."))
         out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "summary.json", _HANDLERS[args.command](root, out, threads))
+        _write_json(out / "summary.json", _HANDLERS[args.command](root, out))
         manifest = {
             "command": args.command,
-            "threads": threads,
             "viscowave_version": _package_version(),
             "versions": _versions(),
             "config": root.resolved,
         }
         _write_json(out / "manifest.json", manifest)
-    except (IllPosedSystemError, StepSizeError, np.linalg.LinAlgError) as exc:
+    except (IllPosedSystemError, StepSizeError, MarchOverflowError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except (ValueError, TypeError, KeyError, OSError) as exc:

@@ -78,17 +78,16 @@ def assemble_gram(
     grid: TimeGrid,
     n_modes: int,
     regularization: float = 0.0,
-    threads: int = 1,
     *,
     operator: ModalOperator | None = None,
+    threads: int = 1,
 ) -> GramSystem:
     """Gram matrix of the 2M canonical adjoint traces in L2(0,T; L2(Gamma_1)).
 
     Entries factor into (boundary trace Gram) x (time correlation of the
     homogeneous modal solutions); both integrals use the stored quadrature.
     The matrix is stored unregularized; regularization only enters the solve.
-    threads is accepted and has no effect: the FFTs run on numpy.fft, which
-    uses one thread.
+    threads is unread; it stays while the benchmark passes it (ROADMAP item 1).
     operator is as in forward_simulate.  Warns when the horizon sits below
     the sharp control-time bound.
     """
@@ -242,7 +241,6 @@ def riesz_fisher_diagnostic(
     kernel: MemoryKernel,
     grid: TimeGrid,
     mode_counts,
-    threads: int = 1,
 ) -> list:
     """Gram spectrum growth across truncation levels.
 
@@ -253,7 +251,7 @@ def riesz_fisher_diagnostic(
     the last row.
     """
     counts = _checked_mode_counts(basis, mode_counts)
-    top = assemble_gram(basis, kernel, grid, counts[-1], threads=threads)
+    top = assemble_gram(basis, kernel, grid, counts[-1])
     m_top = counts[-1]
     rows = []
     for m in counts[:-1]:

@@ -20,6 +20,7 @@ class TimeGrid:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if int(self.steps) != self.steps or self.steps < 2:
             raise ValueError(f"steps must be an integer >= 2, got {self.steps}")
+        object.__setattr__(self, "steps", int(self.steps))
 
     @property
     def dt(self) -> float:

@@ -203,7 +203,7 @@ class ModalOperator:
         """
         xi, eta = np.asarray(xi, dtype=float)[..., None], np.asarray(eta, dtype=float)[..., None]
         forcing = xi * self._cos + eta * self._sin
-        return march_difference_kernel(self._factored, forcing, self.grid.dt)
+        return march_difference_kernel(self._factored, forcing)
 
     def forced(self, forcing: np.ndarray) -> np.ndarray:
         """Forced memory mode from rest: the (w, w') stack sampled on the grid.
@@ -213,7 +213,7 @@ class ModalOperator:
         differentiated displacement equation), so both components are
         second-order consistent.
         """
-        return march_difference_kernel(self._factored, np.stack(self.wave(forcing)), self.grid.dt)
+        return march_difference_kernel(self._factored, np.stack(self.wave(forcing)))
 
     @cached_property
     def terminal_maps(self):
@@ -232,7 +232,7 @@ class ModalOperator:
         impulses = np.zeros((2,) + (1,) * self.mus.ndim + (self.grid.n_nodes,))
         impulses[0, ..., 0] = impulses[1, ..., 1] = 1.0
         u = np.stack(self.wave(impulses))
-        w = march_difference_kernel(self._factored, u, self.grid.dt)
+        w = march_difference_kernel(self._factored, u)
         return self._weighted_terminal(w), self._weighted_terminal(u)
 
     def _weighted_terminal(self, w: np.ndarray):

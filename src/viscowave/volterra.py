@@ -1,19 +1,20 @@
 """Second-kind Volterra integral equations on uniform grids.
 
 Equations y(t) = g(t) + int_0^t kappa(t - s) y(s) ds with a difference kernel,
-passed as its samples kappa(t_j) on the grid, are solved two independent ways:
+given as its samples kappa(t_j) on the grid, are solved two independent ways:
 product-trapezoid marching (second order), which on nodes >= 1 is one
 lower-triangular Toeplitz system solved by a power-series reciprocal and an
-FFT product, and Picard iteration on the same quadrature.  The reciprocal
-depends on the kernel alone, so it is computed once per kernel row, however
-many forcings share that row, and kept as its spectrum at the length of the
-full product: each forcing row then costs one forward and one inverse real
-FFT.  A FactoredKernel keeps those spectra across marches, so a caller that
-solves several problems with one kernel inverts it once.  Inside the
-reciprocal both products of a Newton step are cyclic at one length and share
-the spectrum of the known coefficients.  The FFTs run on numpy.fft at
-5-smooth lengths (quadrature.next_fast_len); each call allocates its
-zero-padded operands and spectra once and hands them to every FFT as out=.
+FFT product, and Picard iteration on the same quadrature.  The march takes
+a FactoredKernel: the samples, their step dt and, from the first march on,
+the reciprocal of each kernel row, which depends on the kernel alone, kept
+as its spectrum at the length of the full product.  Each forcing row then
+costs one forward and one inverse real FFT, and a caller that solves
+several problems with one kernel inverts it once.  Inside the reciprocal
+both products of a Newton step are cyclic at one length and share the
+spectrum of the known coefficients.  The FFTs run on numpy.fft at 5-smooth
+lengths (quadrature.next_fast_len); each call allocates its zero-padded
+operands and spectra once and hands them to every FFT as out=.  A solution
+that leaves the float range raises MarchOverflowError.
 The two routes cross-validate each other; on contraction problems they agree
 to the fixed-point tolerance.
 """
@@ -36,6 +37,10 @@ _BLOCK_SAMPLES = 2**16
 
 class StepSizeError(RuntimeError):
     """Marching diagonal factor 1 - (dt/2) kappa(0) is numerically singular."""
+
+
+class MarchOverflowError(RuntimeError):
+    """A marched solution left the float range (overflow or NaN)."""
 
 
 @dataclass
@@ -70,11 +75,11 @@ def _check_problem(problem: VolterraProblem, grid: TimeGrid) -> tuple[np.ndarray
 
 
 class FactoredKernel:
-    """Difference-kernel samples with the marching reciprocal of each row.
+    """Difference-kernel samples on a grid of step dt, to be marched.
 
-    march_difference_kernel takes one in place of the samples.  The
-    reciprocals are computed by the first march and kept as their spectra,
-    so every march through one FactoredKernel inverts each kernel row once.
+    march_difference_kernel takes one with its forcing.  The reciprocals
+    are computed by the first march and kept as their spectra, so every
+    march through one FactoredKernel inverts each kernel row once.
     """
 
     def __init__(self, kernel: np.ndarray, dt: float):
@@ -107,33 +112,23 @@ class FactoredKernel:
         return spectra
 
 
-def march_difference_kernel(
-    kernel: np.ndarray | FactoredKernel, forcing: np.ndarray, dt: float
-) -> np.ndarray:
+def march_difference_kernel(factored: FactoredKernel, forcing: np.ndarray) -> np.ndarray:
     """Trapezoid marching for difference kernels, batched over leading axes.
 
-    kernel (samples, or a FactoredKernel of them with the same dt) and
-    forcing broadcast against each other; time is the last axis.  Each step
-    solves the scalar implicit equation
+    The kernel samples of factored and forcing broadcast against each
+    other; time is the last axis.  Each step solves the scalar implicit
+    equation
 
         y_j (1 - dt/2 k_0) = g_j + dt (1/2 k_j y_0 + sum_{0<i<j} k_{j-i} y_i).
 
     On nodes >= 1 this is y = h * (g + dt/2 k g_0), with h the leading
     coefficients of 1/a(z), a(z) = (1 - dt/2 k_0) - dt sum_{i>=1} k_i z^i.
-    h depends on the kernel alone, so it is computed once per kernel row as
-    passed in, kept as its spectrum and shared by every forcing row that row
-    broadcasts against.
+    h depends on the kernel alone, so factored computes it once per kernel
+    row and keeps its spectrum, shared by every forcing row that row
+    broadcasts against.  A non-finite solution raises MarchOverflowError.
     """
     f = np.asarray(forcing, dtype=float)
-    if isinstance(kernel, FactoredKernel):
-        if kernel.dt != dt:
-            raise ValueError(f"kernel was factored for dt={kernel.dt}, not {dt}")
-        factored = kernel
-    else:
-        k = np.asarray(kernel, dtype=float)
-        n = np.broadcast_shapes(k.shape, f.shape)[-1]
-        factored = FactoredKernel(np.broadcast_to(k, k.shape[:-1] + (n,)), dt)
-    k = factored.kernel
+    k, dt = factored.kernel, factored.dt
     shape = np.broadcast_shapes(k.shape, f.shape)
     n = shape[-1]
     if factored.memoryless:
@@ -143,24 +138,30 @@ def march_difference_kernel(
     k_rows = k.reshape(-1, n)
     # The row of k_rows each output row reads; h is computed once per k row.
     k_of = np.broadcast_to(np.arange(len(k_rows)).reshape(k.shape[:-1]), shape[:-1]).reshape(-1)
-    h_spec, size = factored.spectra, factored.size
     step = max(1, _BLOCK_SAMPLES // n)
     y = np.empty(f_rows.shape)
-    # Every block reuses one zero-padded rhs, its spectrum and the product.
-    rhs = np.zeros((min(step, len(y)), size))
-    spec = np.empty((len(rhs), size // 2 + 1), dtype=complex)
-    full = np.empty_like(rhs)
-    for s in range(0, len(y), step):
-        ks, fr = k_of[s : s + step], f_rows[s : s + step]
-        r = len(fr)
-        g = np.multiply(k_rows[ks, 1:], 0.5 * dt, out=rhs[:r, : n - 1])
-        g *= fr[:, :1]
-        g += fr[:, 1:]
-        np.fft.rfft(rhs[:r], axis=-1, out=spec[:r])
-        spec[:r] *= h_spec[ks]
-        np.fft.irfft(spec[:r], size, axis=-1, out=full[:r])
-        y[s : s + r, 0] = fr[:, 0]
-        y[s : s + r, 1:] = full[:r, : n - 1]
+    # An overflow anywhere shows as a non-finite y, checked once below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_spec, size = factored.spectra, factored.size
+        # Every block reuses one zero-padded rhs, its spectrum and the product.
+        rhs = np.zeros((min(step, len(y)), size))
+        spec = np.empty((len(rhs), size // 2 + 1), dtype=complex)
+        full = np.empty_like(rhs)
+        for s in range(0, len(y), step):
+            ks, fr = k_of[s : s + step], f_rows[s : s + step]
+            r = len(fr)
+            g = np.multiply(k_rows[ks, 1:], 0.5 * dt, out=rhs[:r, : n - 1])
+            g *= fr[:, :1]
+            g += fr[:, 1:]
+            np.fft.rfft(rhs[:r], axis=-1, out=spec[:r])
+            spec[:r] *= h_spec[ks]
+            np.fft.irfft(spec[:r], size, axis=-1, out=full[:r])
+            y[s : s + r, 0] = fr[:, 0]
+            y[s : s + r, 1:] = full[:r, : n - 1]
+    if not np.isfinite(y).all():
+        raise MarchOverflowError(
+            "the memory term overflowed the float range; shorten the horizon or weaken the kernel"
+        )
     return y.reshape(shape)
 
 
@@ -209,7 +210,7 @@ def _reciprocal(a: np.ndarray) -> np.ndarray:
 def solve_marching(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
     """March the discretized equation forward; O(dt^2) accurate."""
     g, k = _check_problem(problem, grid)
-    return march_difference_kernel(k, g, grid.dt)
+    return march_difference_kernel(FactoredKernel(k, grid.dt), g)
 
 
 def solve_picard(problem: VolterraProblem, grid: TimeGrid, n_iter: int = 20) -> PicardResult:

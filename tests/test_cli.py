@@ -57,10 +57,9 @@ class TestSimulate:
     def test_manifest_echoes_resolved_config(self, tmp_path):
         cfg = write_config(tmp_path, base_config(control={"type": "constant", "level": 0.5}))
         out = tmp_path / "out"
-        assert main(["simulate", "--config", cfg, "--out", str(out), "--threads", "2"]) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         manifest = read_manifest(out)
         assert manifest["command"] == "simulate"
-        assert manifest["threads"] == 2
         assert manifest["config"]["schema_version"] == 1
         assert manifest["config"]["modes"] == 2
         assert manifest["config"]["grid"] == {"horizon": 1.0, "steps": 50}
@@ -390,7 +389,8 @@ class TestDeterminism:
         cfg_b = write_config(tmp_path, payload, name="b.json")
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main([command, "--config", cfg_a, "--out", str(out_a)]) == 0
-        assert main([command, "--config", cfg_b, "--out", str(out_b)]) == 0
+        # --threads is parsed and ignored, so it changes no byte.
+        assert main([command, "--config", cfg_b, "--out", str(out_b), "--threads", "2"]) == 0
         names = sorted(path.name for path in out_a.iterdir())
         assert names == sorted(path.name for path in out_b.iterdir())
         assert "manifest.json" in names and len(names) >= 3
@@ -408,16 +408,6 @@ class TestDeterminism:
         assert files == sorted(path.name for path in second.iterdir())
         for file in files:
             assert (first / file).read_bytes() == (second / file).read_bytes()
-
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, base_config())
-        out = tmp_path / "out"
-        monkeypatch.setenv("VISCOWAVE_THREADS", "2")
-        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-        assert read_manifest(out)["threads"] == 2
-        out2 = tmp_path / "out2"
-        assert main(["simulate", "--config", cfg, "--out", str(out2), "--threads", "3"]) == 0
-        assert read_manifest(out2)["threads"] == 3
 
 
 class TestExitCodes:
@@ -746,9 +736,27 @@ class TestExitCodes:
         )
         assert main(["synthesize", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
 
-    def test_bad_thread_count_exits_three(self, tmp_path):
-        cfg = write_config(tmp_path, base_config())
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "0"]) == 3
+    def test_verify_reads_its_target_before_the_forward_run(self, tmp_path):
+        cfg = write_config(tmp_path, base_config(modes=2, target={"xi": [1.0], "eta": [0.0]}))
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 3
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["simulate", "synthesize", "gram-spectrum", "probes"])
+    def test_overflowing_march_exits_four(self, tmp_path, capsys, command):
+        # b = 1e6 makes each mode's memory term grow past the float range by T = 10.
+        cfg = write_config(
+            tmp_path,
+            base_config(
+                kernel={"b": 1e6},
+                grid={"horizon": 10.0, "steps": 2000},
+                control={"type": "constant", "level": 1.0},
+                target={"xi": [0.1, 0.0], "eta": [0.0, 0.0]},
+                mode_counts=[1, 2],
+            ),
+        )
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+        assert "numerical failure: the memory term overflowed" in capsys.readouterr().err
 
     def test_control_file_on_wrong_grid_exits_three(self, tmp_path):
         synth_cfg = write_config(

@@ -30,6 +30,12 @@ class TestTimeGrid:
         assert grid.horizon == 3.0
         assert grid.steps == 20
 
+    def test_integral_float_steps_are_stored_as_int(self):
+        grid = TimeGrid(1.0, 100.0)
+        assert type(grid.steps) is int
+        assert grid.times.shape == (101,)
+        assert grid == TimeGrid(1.0, 100)
+
     @pytest.mark.parametrize("horizon,steps", [(0.0, 10), (-1.0, 10), (np.inf, 10), (1.0, 1), (1.0, 2.5)])
     def test_rejects_bad_arguments(self, horizon, steps):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from viscowave.memory_kernel import (
 )
 from viscowave.modal_dynamics import memory_oscillator_kernels
 from viscowave.volterra import (
+    FactoredKernel,
     PicardResult,
     StepSizeError,
     VolterraProblem,
@@ -66,7 +67,7 @@ class TestMarching:
         grid = TimeGrid(1.0, 120)
         k = np.exp(-grid.times)
         g = rng.standard_normal((3, grid.n_nodes))
-        batched = march_difference_kernel(k, g, grid.dt)
+        batched = march_difference_kernel(FactoredKernel(k, grid.dt), g)
         for i in range(3):
             single = solve_marching(VolterraProblem(g[i], k), grid)
             assert np.allclose(batched[i], single, atol=1e-14)
@@ -88,7 +89,7 @@ class TestStepwiseReference:
 
     @staticmethod
     def assert_matches(kernel, forcing, dt):
-        fast = march_difference_kernel(kernel, forcing, dt)
+        fast = march_difference_kernel(FactoredKernel(kernel, dt), forcing)
         ref = stepwise_march(kernel, forcing, dt)
         assert fast.shape == ref.shape
         assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -131,8 +132,8 @@ class TestStepwiseReference:
         kernel = MemoryKernel(0.2, ExponentialKernel(0.1, 1.0))
         kernels = memory_oscillator_kernels(mus, kernel, grid)[:, None, :]
         forcing = np.random.default_rng(7).standard_normal((mus.size, 3, grid.n_nodes))
-        shared = march_difference_kernel(kernels, forcing, grid.dt)
-        copied = march_difference_kernel(np.repeat(kernels, 3, axis=1), forcing, grid.dt)
+        shared = march_difference_kernel(FactoredKernel(kernels, grid.dt), forcing)
+        copied = march_difference_kernel(FactoredKernel(np.repeat(kernels, 3, axis=1), grid.dt), forcing)
         assert np.array_equal(shared, copied)
 
     def test_factored_kernel_marches_equal_fresh_marches(self, inverted_rows):
@@ -142,15 +143,13 @@ class TestStepwiseReference:
         mus = (np.arange(1, 41) - 0.5) * np.pi
         kernel = MemoryKernel(0.2, PronyKernel((0.1, 0.05), (1.0, 3.0)))
         kernels = memory_oscillator_kernels(mus, kernel, grid)
-        factored = volterra.FactoredKernel(kernels, grid.dt)
+        factored = FactoredKernel(kernels, grid.dt)
         rng = np.random.default_rng(9)
         forcings = [rng.standard_normal((k, mus.size, grid.n_nodes)) for k in (1, 2)]
-        got = [march_difference_kernel(factored, f, grid.dt) for f in forcings]
+        got = [march_difference_kernel(factored, f) for f in forcings]
         assert sum(inverted_rows) == mus.size
         for f, y in zip(forcings, got):
-            assert np.array_equal(y, march_difference_kernel(kernels, f, grid.dt))
-        with pytest.raises(ValueError, match="factored for dt"):
-            march_difference_kernel(factored, forcings[0], 2.0 * grid.dt)
+            assert np.array_equal(y, march_difference_kernel(FactoredKernel(kernels, grid.dt), f))
 
     def test_growing_scalar_solution(self):
         # R = N - N*R with N = -3 is -3 e^{3t}, about -1e7 at T = 5.
