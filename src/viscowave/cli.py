@@ -1,17 +1,21 @@
 """Configuration-driven command line front end.
 
 Every run reads a JSON config (with a schema_version field), executes one
-pipeline, and writes CSV/JSON artifacts, a summary.json and a manifest.
+pipeline, and writes CSV tables, a summary.json and a manifest.json.
 Each config field is read by one _Block.read call, which parses it by its
 type rule, fills in its default and records the value read; the manifest's
 "config" is that record, so it holds every field the run read, as read,
-and no other key, and fed back as a config it reproduces the run.  Numeric
-CSV cells use 17 significant digits so identical configs reproduce
-byte-identical files.
+and no other key, and fed back as a config it reproduces the run.
+
+A command's handler only computes: it returns its tables, {file name:
+{column name: column}}, and its own summary values.  main writes every
+file, each table through _write_csv, once the values are finite and both
+JSON documents are serialized, so a failed run leaves no file behind, and
+identical configs give byte-identical files.
 
 Exit codes: 0 success, 2 unreadable config, 3 invalid configuration values,
 4 numerical failure (singular marching step, overflowing march, ill-posed
-Gram system).
+Gram system, non-finite summary value).
 """
 
 from __future__ import annotations
@@ -74,7 +78,6 @@ COMMANDS = (
     "probes",
 )
 
-_FMT = "%.17g"
 # Bytes the largest float64 array of a run may take; a config above it exits 3.
 _ARRAY_BUDGET = 2**30
 
@@ -299,29 +302,6 @@ def _read_target(root: _Block, basis: SpectralBasis, seed: int) -> StatePair:
     raise ValueError("target block needs either explicit xi/eta lists or type 'random-smooth'")
 
 
-def _write_table(path: Path, header: str, columns, fmt) -> None:
-    table = np.column_stack(columns)
-    np.savetxt(path, table, delimiter=",", header=header, comments="", fmt=fmt)
-
-
-def _write_series(path: Path, names, grid: TimeGrid, rows) -> None:
-    _write_table(path, ",".join(["t", *names]), (grid.times, *rows), _FMT)
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
-
-
-def _write_terminal(path: Path, terminal: StatePair) -> None:
-    modes = np.arange(1, terminal.n_modes + 1)
-    _write_table(
-        path,
-        "mode,mu,weighted_position,velocity",
-        (modes, terminal.mu, terminal.xi, terminal.eta),
-        ("%d", _FMT, _FMT, _FMT),
-    )
-
-
 def _setup(root: _Block, arrays=lambda modes, cells: {}):
     """Basis, kernel, grid and seed of a config.
 
@@ -365,39 +345,36 @@ def _setup(root: _Block, arrays=lambda modes, cells: {}):
     return basis, _read_kernel(root), grid, root.read("seed", _count, DEFAULT_SEED, least=0)
 
 
-def _summary(root: _Block, basis: SpectralBasis, grid: TimeGrid, **values) -> dict:
-    return {
-        "geometry": root.resolved["geometry"],
-        "kernel": root.resolved["kernel"],
-        "T": grid.horizon,
-        "M": int(basis.n_modes),
-        "seed": root.resolved["seed"],
-        **values,
-    }
+def _series(grid: TimeGrid, names, rows) -> dict:
+    """A time-series table: the grid times, then one named column per row."""
+    return {"t": grid.times, **dict(zip(names, rows))}
 
 
-def _cmd_simulate(root, out):
+def _modal(state: StatePair, position: str) -> dict:
+    """A table of a modal state: mode number, frequency, position and velocity."""
+    modes = np.arange(1, state.n_modes + 1)
+    return {"mode": modes, "mu": state.mu, position: state.xi, "velocity": state.eta}
+
+
+def _cmd_simulate(root):
     basis, kernel, grid, seed = _setup(root)
     control = _read_control(root, basis, grid, seed)
     sim = forward_simulate(basis, kernel, control, grid)
     names = [f"mode_{i + 1}" for i in range(basis.n_modes)]
-    _write_series(out / "trajectory.csv", names, grid, sim.trajectory.values)
-    _write_series(out / "velocities.csv", names, grid, sim.trajectory.velocities)
-    _write_terminal(out / "terminal.csv", sim.terminal)
-    return _summary(
-        root,
-        basis,
-        grid,
-        terminal_norm=sobolev_norm(sim.terminal, 0.0),
-        control_norm=control_l2_norm(basis, control),
-    )
+    tables = {
+        "trajectory.csv": _series(grid, names, sim.trajectory.values),
+        "velocities.csv": _series(grid, names, sim.trajectory.velocities),
+        "terminal.csv": _modal(sim.terminal, "weighted_position"),
+    }
+    norm = sobolev_norm(sim.terminal, 0.0)
+    return tables, dict(terminal_norm=norm, control_norm=control_l2_norm(basis, control))
 
 
 def _gram_arrays(modes: int, cells: int) -> dict:
     return {"(2 modes)^2 Gram": 4 * modes**2}
 
 
-def _cmd_synthesize(root, out):
+def _cmd_synthesize(root):
     basis, kernel, grid, seed = _setup(root, _gram_arrays)
     target = _read_target(root, basis, seed)
     regularization = root.read("regularization", _real, 0.0)
@@ -406,30 +383,19 @@ def _cmd_synthesize(root, out):
     gram = assemble_gram(basis, kernel, grid, basis.n_modes, regularization, operator=operator)
     result = solve_min_norm_control(gram, basis, kernel, grid, target)
     verified = forward_simulate(basis, kernel, result.control, grid, operator=operator)
-    # Free the modal tables before the CSV writes, which would otherwise
-    # allocate on top of them.
+    # Free the modal tables before the control norm and the CSV writes, which
+    # would otherwise allocate on top of them.
     del operator
 
     nodes = [f"node_{q}" for q in range(basis.n_quad)]
-    _write_series(out / "control.csv", nodes, grid, result.control.values)
     indices = np.arange(1, result.coefficients.size + 1)
-    _write_table(
-        out / "coefficients.csv",
-        "index,coefficient",
-        (indices, result.coefficients),
-        ("%d", _FMT),
-    )
-    _write_terminal(out / "terminal.csv", verified.terminal)
-    _write_table(
-        out / "target.csv",
-        "mode,mu,position,velocity",
-        (np.arange(1, target.n_modes + 1), target.mu, target.xi, target.eta),
-        ("%d", _FMT, _FMT, _FMT),
-    )
-    return _summary(
-        root,
-        basis,
-        grid,
+    tables = {
+        "control.csv": _series(grid, nodes, result.control.values),
+        "coefficients.csv": dict(index=indices, coefficient=result.coefficients),
+        "terminal.csv": _modal(verified.terminal, "weighted_position"),
+        "target.csv": _modal(target, "position"),
+    }
+    return tables, dict(
         min_eig=gram.min_eigenvalue,
         cond=gram.condition_number if gram.min_eigenvalue > 0.0 else None,
         regularization=regularization,
@@ -439,49 +405,36 @@ def _cmd_synthesize(root, out):
     )
 
 
-def _cmd_verify(root, out):
+def _cmd_verify(root):
     basis, kernel, grid, seed = _setup(root)
     control = _read_control(root, basis, grid, seed)
     target = _read_target(root, basis, seed) if "target" in root.value else None
     sim = forward_simulate(basis, kernel, control, grid)
-    _write_terminal(out / "terminal.csv", sim.terminal)
-    summary = _summary(
-        root,
-        basis,
-        grid,
-        terminal_norm=sobolev_norm(sim.terminal, 0.0),
-        control_norm=control_l2_norm(basis, control),
-    )
+    norm = sobolev_norm(sim.terminal, 0.0)
+    values = dict(terminal_norm=norm, control_norm=control_l2_norm(basis, control))
     if target is not None:
-        summary["terminal_error"] = terminal_error(sim.terminal, target)
-    return summary
+        values["terminal_error"] = terminal_error(sim.terminal, target)
+    return {"terminal.csv": _modal(sim.terminal, "weighted_position")}, values
 
 
-def _cmd_gram_spectrum(root, out):
+def _cmd_gram_spectrum(root):
     basis, kernel, grid, seed = _setup(root, _gram_arrays)
     counts = root.read("mode_counts", _counts)
     rows = riesz_fisher_diagnostic(basis, kernel, grid, counts)
-    # With no positive minimum eigenvalue the condition number cell is empty,
-    # the CSV form of the null in summary.json.
-    cond = [_FMT % r.condition_number if r.min_eigenvalue > 0.0 else "" for r in rows]
-    _write_table(
-        out / "spectrum.csv",
-        "modes,min_eigenvalue,condition_number",
-        ([str(r.n_modes) for r in rows], [_FMT % r.min_eigenvalue for r in rows], cond),
-        "%s",
-    )
     min_eig = min(r.min_eigenvalue for r in rows)
-    return _summary(
-        root,
-        basis,
-        grid,
-        mode_counts=counts,
-        min_eig=min_eig,
-        cond=max(r.condition_number for r in rows) if min_eig > 0.0 else None,
+    # With no positive minimum eigenvalue the condition number is NaN, an empty
+    # cell: the CSV form of the null in summary.json.
+    conds = [r.condition_number if r.min_eigenvalue > 0.0 else np.nan for r in rows]
+    spectrum = dict(
+        modes=np.array([r.n_modes for r in rows]),
+        min_eigenvalue=np.array([r.min_eigenvalue for r in rows]),
+        condition_number=np.array(conds),
     )
+    cond = max(conds) if min_eig > 0.0 else None
+    return {"spectrum.csv": spectrum}, dict(mode_counts=counts, min_eig=min_eig, cond=cond)
 
 
-def _cmd_duality_check(root, out):
+def _cmd_duality_check(root):
     trials = root.read("trials", _count, 5, least=1)
     n_tones = root.read("tones", _count, 3, least=1)
     basis, kernel, grid, seed = _setup(
@@ -491,46 +444,39 @@ def _cmd_duality_check(root, out):
     rng = np.random.default_rng(seed)
     omegas = np.arange(1, n_tones + 1) * np.pi / grid.horizon
     operator = ModalOperator(basis.mu, kernel, grid)
-    rows = []
-    for trial in range(1, trials + 1):
+    reports = []
+    for _ in range(trials):
         amplitudes = rng.standard_normal((basis.n_quad, n_tones))
         phases = rng.uniform(0.0, 2.0 * np.pi, size=(basis.n_quad, n_tones))
         control = tone_control(basis, grid, amplitudes, omegas, phases)
         data = rng.standard_normal(2 * basis.n_modes)
         data /= np.linalg.norm(data)
         v = StatePair(xi=data[: basis.n_modes], eta=data[basis.n_modes :], mu=basis.mu.copy())
-        report = duality_check(basis, kernel, grid, control, v, operator=operator)
-        rows.append((trial, report.lhs, report.rhs, report.rel_gap))
-    table = np.array(rows)
-    _write_table(
-        out / "duality.csv",
-        "trial,lhs,rhs,rel_gap",
-        (table[:, 0], table[:, 1], table[:, 2], table[:, 3]),
-        ("%d", _FMT, _FMT, _FMT),
-    )
-    return _summary(root, basis, grid, trials=trials, max_rel_gap=float(table[:, 3].max()))
+        reports.append(duality_check(basis, kernel, grid, control, v, operator=operator))
+    lhs, rhs, gaps = np.array([(r.lhs, r.rhs, r.rel_gap) for r in reports]).T
+    duality = dict(trial=np.arange(1, trials + 1), lhs=lhs, rhs=rhs, rel_gap=gaps)
+    return {"duality.csv": duality}, dict(trials=trials, max_rel_gap=float(gaps.max()))
 
 
-def _cmd_maccamy(root, out):
+def _cmd_maccamy(root):
     kernel = _read_kernel(root)
     grid = _read_grid(root)
     _check_budget({"steps + 1": grid.n_nodes})
-    seed = root.read("seed", _count, DEFAULT_SEED, least=0)
+    root.read("seed", _count, DEFAULT_SEED, least=0)
     system = transformed_system(kernel.kernel, grid)
-    _write_series(out / "R.csv", ["R"], grid, [system.resolvent])
-    _write_series(out / "transformed_kernel.csv", ["K"], grid, [system.kernel_samples])
-    return {
-        "kernel": root.resolved["kernel"],
-        "T": grid.horizon,
-        "seed": seed,
-        "velocity_coeff": system.velocity_coeff,
-        "b": system.b,
-        "degraded_accuracy": system.degraded_accuracy,
-        "forcing": system.forcing_description,
+    tables = {
+        "R.csv": _series(grid, ["R"], [system.resolvent]),
+        "transformed_kernel.csv": _series(grid, ["K"], [system.kernel_samples]),
     }
+    return tables, dict(
+        velocity_coeff=system.velocity_coeff,
+        b=system.b,
+        degraded_accuracy=system.degraded_accuracy,
+        forcing=system.forcing_description,
+    )
 
 
-def _cmd_probes(root, out):
+def _cmd_probes(root):
     def perturbation_modes(modes: int) -> int:
         return root.read("perturbation_modes", _count, min(16, modes), least=1, most=modes)
 
@@ -552,40 +498,19 @@ def _cmd_probes(root, out):
     )
     pert = perturbation_compactness_probe(basis, kernel, grid, perturbation_modes(m), operator=operator)
 
-    modes = np.arange(1, basis.n_modes + 1)
-    _write_table(
-        out / "gronwall.csv",
-        "mode,mu,max_abs_psi",
-        (modes, basis.mu, gronwall.per_mode_max),
-        ("%d", _FMT, _FMT),
-    )
-    _write_table(
-        out / "trace_ratios.csv",
-        "mode,mu,ratio",
-        (modes, basis.mu, trace.ratios),
-        ("%d", _FMT, _FMT),
-    )
-    _write_table(
-        out / "norm_growth.csv",
-        "modes,max_ratio,max_weighted_ratio",
-        (
-            np.array([r.n_modes for r in growth.rows]),
-            np.array([r.max_ratio for r in growth.rows]),
-            np.array([r.max_weighted_ratio for r in growth.rows]),
+    modes, sigma = np.arange(1, m + 1), pert.singular_values
+    ratios, weighted = np.array([(r.max_ratio, r.max_weighted_ratio) for r in growth.rows]).T
+    tables = {
+        "gronwall.csv": dict(mode=modes, mu=basis.mu, max_abs_psi=gronwall.per_mode_max),
+        "trace_ratios.csv": dict(mode=modes, mu=basis.mu, ratio=trace.ratios),
+        "norm_growth.csv": dict(
+            modes=np.array([r.n_modes for r in growth.rows]),
+            max_ratio=ratios,
+            max_weighted_ratio=weighted,
         ),
-        ("%d", _FMT, _FMT),
-    )
-    sigma = pert.singular_values
-    _write_table(
-        out / "perturbation_singular_values.csv",
-        "index,sigma",
-        (np.arange(1, sigma.size + 1), sigma),
-        ("%d", _FMT),
-    )
-    return _summary(
-        root,
-        basis,
-        grid,
+        "perturbation_singular_values.csv": dict(index=np.arange(1, sigma.size + 1), sigma=sigma),
+    }
+    return tables, dict(
         m_observed=gronwall.m_observed,
         max_trace_ratio=trace.max_ratio,
         weyl_constant=weyl_growth_constant(basis),
@@ -621,6 +546,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _setup_echo(resolved: dict) -> dict:
+    """The setup fields of a summary as the run read them: geometry, kernel,
+    seed, T and M, where maccamy reads no geometry and no mode count."""
+    echo = {key: resolved[key] for key in ("geometry", "kernel", "seed") if key in resolved}
+    echo["T"] = resolved["grid"]["horizon"]
+    if "modes" in resolved:
+        echo["M"] = resolved["modes"]
+    return echo
+
+
+def _strict_json(payload: dict) -> str:
+    """payload as JSON text; a NaN or an infinity is a ValueError."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _write_csv(path: Path, columns: dict) -> None:
+    """Write {name: column} as a CSV file with the names as its header.
+
+    A column's dtype sets its cell format: %d for integers, %.17g for floats,
+    17 significant digits so every double reads back exactly.  A NaN cell is
+    left empty, the CSV form of a null.
+    """
+    arrays = [np.asarray(column) for column in columns.values()]
+    fmt = ["%d" if array.dtype.kind in "iu" else "%.17g" for array in arrays]
+    if any(np.isnan(array).any() for array in arrays):
+        arrays = [np.where(np.isnan(a), "", np.char.mod(f, a)) for f, a in zip(fmt, arrays)]
+        fmt = "%s"
+    table = np.column_stack(arrays)
+    np.savetxt(path, table, delimiter=",", header=",".join(columns), comments="", fmt=fmt)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -633,15 +589,25 @@ def main(argv=None) -> int:
         root.read("schema_version", _count)
         out = Path(args.out if args.out is not None else root.read("output_dir", _path, "."))
         out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "summary.json", _HANDLERS[args.command](root, out))
-        manifest = {
-            "command": args.command,
-            "viscowave_version": _package_version(),
-            "versions": _versions(),
-            "config": root.resolved,
-        }
-        _write_json(out / "manifest.json", manifest)
-    except (IllPosedSystemError, StepSizeError, MarchOverflowError, np.linalg.LinAlgError) as exc:
+        tables, values = _HANDLERS[args.command](root)
+        overflowed = [k for k, v in values.items() if isinstance(v, float) and not math.isfinite(v)]
+        if overflowed:
+            raise FloatingPointError(f"summary value not finite: {', '.join(overflowed)}")
+        # Every file is serialized before the first is written, so a failed
+        # run leaves no artifact behind.
+        summary = _strict_json({**_setup_echo(root.resolved), **values})
+        manifest = _strict_json({"command": args.command, **_versions(), "config": root.resolved})
+        for name, columns in tables.items():
+            _write_csv(out / name, columns)
+        (out / "summary.json").write_text(summary)
+        (out / "manifest.json").write_text(manifest)
+    except (
+        IllPosedSystemError,
+        StepSizeError,
+        MarchOverflowError,
+        np.linalg.LinAlgError,
+        FloatingPointError,
+    ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except (ValueError, TypeError, KeyError, OSError) as exc:
@@ -650,17 +616,16 @@ def main(argv=None) -> int:
     return 0
 
 
-def _package_version() -> str:
-    from . import __version__
-
-    return __version__
-
-
 def _versions() -> dict:
-    """The interpreter's and numpy's versions."""
+    """The package's version, and the interpreter's and numpy's."""
     import platform
 
-    return {"python": platform.python_version(), "numpy": np.__version__}
+    from . import __version__
+
+    return {
+        "viscowave_version": __version__,
+        "versions": {"python": platform.python_version(), "numpy": np.__version__},
+    }
 
 
 if __name__ == "__main__":

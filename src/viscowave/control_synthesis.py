@@ -175,16 +175,18 @@ def terminal_error(terminal: StatePair, target: StatePair) -> float:
     """Relative gap between an achieved weighted terminal state and a plain target.
 
     terminal stores (mu w(T), w'(T)); target stores the desired (w(T), w'(T)).
-    Compared over the target's modes in the L2 x L2 metric.
+    Compared over the target's modes in the L2 x L2 metric; inf or nan, with
+    no warning, if the states' norms overflow.
     """
     m = target.n_modes
     if terminal.n_modes < m:
         raise ValueError("terminal state has fewer modes than the target")
-    want = np.concatenate([target.mu * target.xi, target.eta])
     got = np.concatenate([terminal.xi[:m], terminal.eta[:m]])
-    denom = np.linalg.norm(want)
-    gap = np.linalg.norm(got - want)
-    return float(gap / denom) if denom > 0.0 else float(gap)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.concatenate([target.mu * target.xi, target.eta])
+        denom = np.linalg.norm(want)
+        gap = np.linalg.norm(got - want)
+        return float(gap / denom) if denom > 0.0 else float(gap)
 
 
 @dataclass(frozen=True)

@@ -76,9 +76,11 @@ class StatePair:
 
 
 def sobolev_norm(v: StatePair, s: float = 0.0) -> float:
-    """Spectral Sobolev norm sqrt(sum mu_n^(2s) (xi_n^2 + eta_n^2))."""
+    """Spectral Sobolev norm sqrt(sum mu_n^(2s) (xi_n^2 + eta_n^2)); inf if the
+    squares overflow."""
     w = v.mu ** (2.0 * s)
-    return float(np.sqrt(np.sum(w * (v.xi**2 + v.eta**2))))
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.sum(w * (v.xi**2 + v.eta**2))))
 
 
 @dataclass(frozen=True)
@@ -138,9 +140,11 @@ def tone_control(
 
 
 def control_l2_norm(basis: SpectralBasis, control: BoundaryControl) -> float:
-    """Discrete L2(0,T; L2(Gamma_1)) norm of a boundary control."""
+    """Discrete L2(0,T; L2(Gamma_1)) norm of a boundary control; inf if the
+    squares overflow."""
     wt = trapezoid_weights(control.grid.n_nodes, control.grid.dt)
-    sq = np.sum(basis.quad_weights[:, None] * control.values**2 * wt[None, :])
+    with np.errstate(over="ignore"):
+        sq = np.sum(basis.quad_weights[:, None] * control.values**2 * wt[None, :])
     return float(np.sqrt(sq))
 
 

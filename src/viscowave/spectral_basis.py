@@ -138,15 +138,14 @@ def build_rectangle_basis(
     if nodes_per_face is None:
         nodes_per_face = default_nodes_per_face(n_modes_per_axis)
 
-    m = np.arange(1, n_modes_per_axis + 1)
+    axis = np.arange(1, n_modes_per_axis + 1)
+    m, n = (index.ravel() for index in np.meshgrid(axis, axis, indexing="ij"))
     alpha = (m - 0.5) * np.pi / a
-    beta = (m - 0.5) * np.pi / b
-
-    pairs = [(int(i), int(j)) for i in m for j in m]
-    mus = np.array([np.hypot(alpha[i - 1], beta[j - 1]) for i, j in pairs])
-    order = sorted(range(len(pairs)), key=lambda k: (mus[k], pairs[k]))
-    mu = mus[order]
-    labels = tuple(pairs[k] for k in order)
+    beta = (n - 0.5) * np.pi / b
+    mu = np.hypot(alpha, beta)
+    order = np.lexsort((n, m, mu))  # by mu, ties by m, then n
+    m, n, alpha, beta, mu = m[order], n[order], alpha[order], beta[order], mu[order]
+    labels = tuple(zip(m.tolist(), n.tolist()))
 
     ya, wa = gauss_legendre_panels(b, nodes_per_face)  # face x = a, parametrised by y
     xb, wb = gauss_legendre_panels(a, nodes_per_face)  # face y = b, parametrised by x
@@ -155,12 +154,16 @@ def build_rectangle_basis(
     )
     weights = np.concatenate([wa, wb])
 
+    # Each face's trace is (norm * sin(alpha x)) * sin(beta y), computed in
+    # place so the candidates take one traces-sized array.
     norm = 2.0 / np.sqrt(a * b)
-    traces = np.empty((len(labels), weights.size))
-    for row, (i, j) in enumerate(labels):
-        on_xa = norm * np.sin(alpha[i - 1] * a) * np.sin(beta[j - 1] * ya)
-        on_yb = norm * np.sin(alpha[i - 1] * xb) * np.sin(beta[j - 1] * b)
-        traces[row] = np.concatenate([on_xa, on_yb])
+    traces = np.empty((mu.size, weights.size))
+    on_xa, on_yb = traces[:, : ya.size], traces[:, ya.size :]
+    np.sin(np.multiply.outer(beta, ya, out=on_xa), out=on_xa)
+    on_xa *= (norm * np.sin(alpha * a))[:, None]
+    np.sin(np.multiply.outer(alpha, xb, out=on_yb), out=on_yb)
+    on_yb *= norm
+    on_yb *= np.sin(beta * b)[:, None]
 
     return SpectralBasis(
         geometry=geometry,

@@ -94,3 +94,27 @@ def stepwise_march(kernel, forcing, dt):
             acc = acc + np.einsum("...i,...i->...", kb[..., j - 1 : 0 : -1], y[..., 1:j])
         y[..., j] = (fb[..., j] + dt * acc) / denom
     return y
+
+
+def rectangle_basis_reference(a, b, modes_per_axis, ya, xb):
+    """Mode by mode (mu, traces, labels) of the rectangle eigenbasis.
+
+    Frequencies hypot(alpha_m, beta_n) of the half-integer sines, sorted by
+    (mu, m, n), and each sorted mode's trace (2/sqrt(ab)) sin(alpha_m x)
+    sin(beta_n y) on the face x = a at heights ya, then on the face y = b at
+    abscissae xb, in Python loops over the modes.
+    """
+    m = np.arange(1, modes_per_axis + 1)
+    alpha = (m - 0.5) * np.pi / a
+    beta = (m - 0.5) * np.pi / b
+    pairs = [(int(i), int(j)) for i in m for j in m]
+    mus = np.array([np.hypot(alpha[i - 1], beta[j - 1]) for i, j in pairs])
+    order = sorted(range(len(pairs)), key=lambda k: (mus[k], pairs[k]))
+    labels = tuple(pairs[k] for k in order)
+    norm = 2.0 / np.sqrt(a * b)
+    traces = np.empty((len(labels), ya.size + xb.size))
+    for row, (i, j) in enumerate(labels):
+        on_xa = norm * np.sin(alpha[i - 1] * a) * np.sin(beta[j - 1] * ya)
+        on_yb = norm * np.sin(alpha[i - 1] * xb) * np.sin(beta[j - 1] * b)
+        traces[row] = np.concatenate([on_xa, on_yb])
+    return mus[order], traces, labels

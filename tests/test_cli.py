@@ -410,6 +410,58 @@ class TestDeterminism:
             assert (first / file).read_bytes() == (second / file).read_bytes()
 
 
+# The CSV files of each small run, by header line.
+HEADERS = {
+    "simulate": {
+        "trajectory.csv": "t,mode_1,mode_2,mode_3",
+        "velocities.csv": "t,mode_1,mode_2,mode_3",
+        "terminal.csv": "mode,mu,weighted_position,velocity",
+    },
+    "synthesize": {
+        "control.csv": "t,node_0",
+        "coefficients.csv": "index,coefficient",
+        "terminal.csv": "mode,mu,weighted_position,velocity",
+        "target.csv": "mode,mu,position,velocity",
+    },
+    "verify": {"terminal.csv": "mode,mu,weighted_position,velocity"},
+    "gram-spectrum": {"spectrum.csv": "modes,min_eigenvalue,condition_number"},
+    "duality-check": {"duality.csv": "trial,lhs,rhs,rel_gap"},
+    "maccamy": {"R.csv": "t,R", "transformed_kernel.csv": "t,K"},
+    "probes": {
+        "gronwall.csv": "mode,mu,max_abs_psi",
+        "trace_ratios.csv": "mode,mu,ratio",
+        "norm_growth.csv": "modes,max_ratio,max_weighted_ratio",
+        "perturbation_singular_values.csv": "index,sigma",
+    },
+}
+INTEGER_COLUMNS = {"mode", "index", "trial", "modes"}
+
+
+class TestArtifactFormat:
+    @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+    def test_csv_headers_and_cells(self, tmp_path, command):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, dict(SMALL_RUNS[command], seed=42))
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        written = {path.name for path in out.iterdir()}
+        assert written == {*HEADERS[command], "summary.json", "manifest.json"}
+        for name, header in HEADERS[command].items():
+            lines = (out / name).read_text().splitlines()
+            assert lines[0] == header, name
+            columns = header.split(",")
+            for line in lines[1:]:
+                cells = dict(zip(columns, line.split(","), strict=True))
+                for column, cell in cells.items():
+                    if column in INTEGER_COLUMNS:
+                        assert cell.isdigit(), (name, column, cell)
+                    elif column == "condition_number" and cell == "":
+                        # Empty only where the Gram has no positive minimum eigenvalue.
+                        assert float(cells["min_eigenvalue"]) <= 0.0
+                    else:
+                        # 17 significant digits, so the cell reads back to the same double.
+                        assert cell == "%.17g" % float(cell), (name, column, cell)
+
+
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
@@ -757,6 +809,26 @@ class TestExitCodes:
         )
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 4
         assert "numerical failure: the memory term overflowed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize(
+        "mutation, level",
+        [
+            # The march stays finite, but the terminal state's squares overflow.
+            ({"modes": 4, "kernel": {"b": 1000.0}, "grid": {"horizon": 12.0, "steps": 3000}}, 1.0),
+            # The squares of the control samples overflow, and so do the terminal state's.
+            ({"kernel": {"b": 0.0}, "grid": {"horizon": 1.0, "steps": 200}}, 1e200),
+        ],
+        ids=["terminal-state", "control-level"],
+    )
+    def test_non_finite_summary_value_exits_four(self, tmp_path, capsys, command, mutation, level):
+        control = {"type": "constant", "level": level}
+        cfg = write_config(tmp_path, base_config(control=control, **mutation))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "terminal_norm" in err
+        assert list(out.iterdir()) == []
 
     def test_control_file_on_wrong_grid_exits_three(self, tmp_path):
         synth_cfg = write_config(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import rectangle_basis_reference
 from viscowave.spectral_basis import (
     Geometry,
     build_interval_basis,
@@ -98,6 +99,19 @@ class TestRectangleBasis:
             for n in (1, 2)
         )
         assert np.allclose(basis.mu, expected, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "a, b, modes_per_axis, nodes_per_face",
+        [(1.0, 1.0, 5, None), (1.0, 1.5, 8, 80), (2.0, 0.7, 13, 24), (1.0, 1.0, 40, 16)],
+    )
+    def test_matches_mode_by_mode_construction_bitwise(self, a, b, modes_per_axis, nodes_per_face):
+        basis = build_rectangle_basis(a, b, modes_per_axis, nodes_per_face)
+        face = basis.n_quad // 2
+        ya, xb = basis.quad_nodes[:face, 1], basis.quad_nodes[face:, 0]
+        mu, traces, labels = rectangle_basis_reference(a, b, modes_per_axis, ya, xb)
+        assert basis.labels == labels
+        assert np.array_equal(basis.mu, mu)
+        assert np.array_equal(basis.traces, traces)
 
 
 class TestControlTime:
