@@ -10,12 +10,14 @@ and no other key, and fed back as a config it reproduces the run.
 A command's handler only computes: it returns its tables, {file name:
 {column name: column}}, and its own summary values.  main writes every
 file, each table through _write_csv, once the values are finite and both
-JSON documents are serialized, so a failed run leaves no file behind, and
-identical configs give byte-identical files.
+JSON documents are serialized, so a failed run leaves no file behind (a
+failed write removes the files written before it), and identical configs
+give byte-identical files.
 
-Exit codes: 0 success, 2 unreadable config, 3 invalid configuration values,
-4 numerical failure (singular marching step, overflowing march, ill-posed
-Gram system, non-finite summary value).
+Exit codes: 0 success, 2 unreadable config, 3 invalid configuration values
+or an artifact that cannot be written, 4 numerical failure (singular
+marching step, overflowing march, ill-posed Gram system, non-finite summary
+value).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +44,8 @@ from .control_synthesis import (
     terminal_error,
 )
 from .grids import TimeGrid
-from .memory_kernel import FAMILY_PARAMS, MemoryKernel, kernel_from_spec, transformed_system
+from .memory_kernel import ConstantKernel, ExponentialKernel, MemoryKernel, PronyKernel
+from .memory_kernel import SampledKernel, ZeroKernel, transformed_system
 from .modal_dynamics import (
     DEFAULT_SEED,
     BoundaryControl,
@@ -228,20 +232,28 @@ def _read_grid(root: _Block) -> TimeGrid:
     return TimeGrid(horizon=block.read("horizon", _real), steps=block.read("steps", _count))
 
 
+_real_list = partial(_reals, ranks=(1,))
+
+# Each kernel family: its constructor, and the params it takes in argument
+# order with the rule that parses each.  Every param is required.
+_KERNEL_FAMILIES = {
+    "zero": (ZeroKernel, ()),
+    "constant": (ConstantKernel, (("level", _real),)),
+    "exponential": (ExponentialKernel, (("amplitude", _real), ("rate", _real))),
+    "prony": (PronyKernel, (("amplitudes", _real_list), ("rates", _real_list))),
+    "file": (SampledKernel.from_csv, (("path", _path),)),
+}
+
+
 def _read_kernel(root: _Block) -> MemoryKernel:
     block = root.block("kernel", {})
     b = block.read("b", _real, 0.0)
     family = block.read("family", default="zero")
     params = block.block("params", {}, "kernel params")
-    # Every param the family reads is required, and all but a file path are real:
-    # a list for the Prony series, one number otherwise.  kernel_from_spec
-    # rejects an unknown family.
-    ranks = (1,) if family == "prony" else (0,)
-    spec = {
-        key: params.read(key, _path) if key == "path" else params.read(key, _reals, ranks=ranks)
-        for key in (FAMILY_PARAMS.get(family, ()) if isinstance(family, str) else ())
-    }
-    return MemoryKernel(b=b, kernel=kernel_from_spec(family, spec))
+    if not isinstance(family, str) or family not in _KERNEL_FAMILIES:
+        raise ValueError(f"unknown kernel family {family!r}; expected one of {tuple(_KERNEL_FAMILIES)}")
+    build, fields = _KERNEL_FAMILIES[family]
+    return MemoryKernel(b=b, kernel=build(*(params.read(key, parse) for key, parse in fields)))
 
 
 def _load_control_csv(path: str, basis: SpectralBasis, grid: TimeGrid) -> BoundaryControl:
@@ -577,6 +589,28 @@ def _write_csv(path: Path, columns: dict) -> None:
     np.savetxt(path, table, delimiter=",", header=",".join(columns), comments="", fmt=fmt)
 
 
+def _write_artifacts(out: Path, files: dict) -> None:
+    """Write {file name: table or JSON text} into out.
+
+    A write that fails removes the files this run wrote, the failed one too
+    if the run created it, and raises an OSError naming the artifact.
+    """
+    written = []
+    for name, content in files.items():
+        path = out / name
+        created = not path.exists()
+        try:
+            if isinstance(content, str):
+                path.write_text(content)
+            else:
+                _write_csv(path, content)
+        except OSError as exc:
+            for done in written + ([path] if created and path.is_file() else []):
+                done.unlink()
+            raise OSError(f"cannot write artifact {name}: {exc}") from exc
+        written.append(path)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -597,10 +631,7 @@ def main(argv=None) -> int:
         # run leaves no artifact behind.
         summary = _strict_json({**_setup_echo(root.resolved), **values})
         manifest = _strict_json({"command": args.command, **_versions(), "config": root.resolved})
-        for name, columns in tables.items():
-            _write_csv(out / name, columns)
-        (out / "summary.json").write_text(summary)
-        (out / "manifest.json").write_text(manifest)
+        files = {**tables, "summary.json": summary, "manifest.json": manifest}
     except (
         IllPosedSystemError,
         StepSizeError,
@@ -612,6 +643,11 @@ def main(argv=None) -> int:
         return 4
     except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
+        return 3
+    try:
+        _write_artifacts(out, files)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0
 

@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
 from .grids import TimeGrid
-from .quadrature import trapezoid_convolve
 from .volterra import VolterraProblem, solve_marching
 
 
@@ -34,43 +32,12 @@ class Kernel:
 
 
 @dataclass(frozen=True)
-class ZeroKernel(Kernel):
-    def values(self, t: np.ndarray) -> np.ndarray:
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-
-@dataclass(frozen=True)
-class ConstantKernel(Kernel):
-    level: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.level):
-            raise ValueError("constant kernel level must be finite")
-
-    def values(self, t: np.ndarray) -> np.ndarray:
-        return np.full_like(np.asarray(t, dtype=float), self.level)
-
-
-@dataclass(frozen=True)
-class ExponentialKernel(Kernel):
-    """kappa * exp(-rate * t) with rate >= 0."""
-
-    amplitude: float
-    rate: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.amplitude) and np.isfinite(self.rate)):
-            raise ValueError("exponential kernel parameters must be finite")
-        if self.rate < 0.0:
-            raise ValueError(f"exponential decay rate must be >= 0, got {self.rate}")
-
-    def values(self, t: np.ndarray) -> np.ndarray:
-        return self.amplitude * np.exp(-self.rate * np.asarray(t, dtype=float))
-
-
-@dataclass(frozen=True)
 class PronyKernel(Kernel):
-    """Prony series sum_i kappa_i exp(-rate_i t), all rates >= 0."""
+    """Prony series sum_i kappa_i exp(-rate_i t), all rates >= 0.
+
+    The Maxwell-Boltzmann kernel of the generalized Maxwell model; zero,
+    constant and single-exponential memory are its one-term cases below.
+    """
 
     amplitudes: tuple
     rates: tuple
@@ -83,16 +50,34 @@ class PronyKernel(Kernel):
         if any(not np.isfinite(a) for a in amps) or any(not np.isfinite(r) for r in rates):
             raise ValueError("Prony parameters must be finite")
         if any(r < 0.0 for r in rates):
-            raise ValueError("Prony decay rates must all be >= 0")
+            raise ValueError(f"kernel decay rates must all be >= 0, got {list(rates)}")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "rates", rates)
 
     def values(self, t: np.ndarray) -> np.ndarray:
         tt = np.asarray(t, dtype=float)
-        out = np.zeros_like(tt)
-        for a, r in zip(self.amplitudes, self.rates):
+        # The sum starts from the first term, not from zeros, so a one-term
+        # series samples bitwise as a * exp(-r t): a level of -0.0 stays -0.0.
+        (a, r), *rest = zip(self.amplitudes, self.rates)
+        out = a * np.exp(-r * tt)
+        for a, r in rest:
             out += a * np.exp(-r * tt)
         return out
+
+
+def ExponentialKernel(amplitude: float, rate: float) -> PronyKernel:
+    """amplitude * exp(-rate * t) with rate >= 0: a one-term Prony series."""
+    return PronyKernel((amplitude,), (rate,))
+
+
+def ConstantKernel(level: float) -> PronyKernel:
+    """The constant level: a one-term Prony series with rate 0."""
+    return PronyKernel((level,), (0.0,))
+
+
+def ZeroKernel() -> PronyKernel:
+    """No memory: the constant level 0."""
+    return ConstantKernel(0.0)
 
 
 @dataclass(frozen=True)
@@ -145,60 +130,14 @@ class MemoryKernel:
             raise ValueError("kernel must be a Kernel descriptor")
 
 
-# The params each kernel family reads from a (family, params) spec.
-FAMILY_PARAMS = {
-    "zero": (),
-    "constant": ("level",),
-    "exponential": ("amplitude", "rate"),
-    "prony": ("amplitudes", "rates"),
-    "file": ("path",),
-}
-
-
-def kernel_from_spec(family: str, params: dict) -> Kernel:
-    """Build a kernel descriptor from a configuration-style (family, params) pair."""
-    if family == "zero":
-        return ZeroKernel()
-    if family == "constant":
-        return ConstantKernel(level=float(params["level"]))
-    if family == "exponential":
-        return ExponentialKernel(amplitude=float(params["amplitude"]), rate=float(params["rate"]))
-    if family == "prony":
-        return PronyKernel(amplitudes=tuple(params["amplitudes"]), rates=tuple(params["rates"]))
-    if family == "file":
-        return SampledKernel.from_csv(params["path"])
-    raise ValueError(f"unknown kernel family {family!r}; expected one of {tuple(FAMILY_PARAMS)}")
-
-
-def _kernel_samples(kernel: Union[Kernel, np.ndarray], grid: TimeGrid) -> np.ndarray:
-    if isinstance(kernel, Kernel):
-        return np.asarray(kernel.values(grid.times), dtype=float)
-    k = np.asarray(kernel, dtype=float)
-    if k.shape[-1] != grid.n_nodes:
-        raise ValueError(f"kernel samples have length {k.shape[-1]}, grid has {grid.n_nodes}")
-    return k
-
-
-def convolve(kernel: Union[Kernel, np.ndarray], g: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """(K * g)(t_j) on the grid by the product trapezoid rule; O(dt^2).
-
-    g may carry leading batch axes, which the kernel samples broadcast against.
-    """
-    gg = np.asarray(g, dtype=float)
-    if gg.shape[-1] != grid.n_nodes:
-        raise ValueError(f"signal has {gg.shape[-1]} samples but the grid has {grid.n_nodes}")
-    k = _kernel_samples(kernel, grid)
-    return trapezoid_convolve(k, gg, grid.dt)
-
-
-def maccamy_resolvent(kernel: Union[Kernel, np.ndarray], grid: TimeGrid) -> np.ndarray:
+def maccamy_resolvent(kernel: Kernel, grid: TimeGrid) -> np.ndarray:
     """Resolvent kernel R of N: the solution of R + N*R = N, sampled on the grid.
 
     Equivalently R = N - N*R, a second-kind Volterra equation with difference
     kernel -N, solved by trapezoid marching.  For N = 1 the resolvent is
     exp(-t); for N = 0 it vanishes.
     """
-    n_samples = _kernel_samples(kernel, grid)
+    n_samples = np.asarray(kernel.values(grid.times), dtype=float)
     problem = VolterraProblem(forcing=n_samples, kernel=-n_samples)
     return solve_marching(problem, grid)
 
@@ -226,7 +165,7 @@ class TransformedSystem:
     degraded_accuracy: bool
 
 
-def transformed_system(kernel: Union[Kernel, np.ndarray], grid: TimeGrid) -> TransformedSystem:
+def transformed_system(kernel: Kernel, grid: TimeGrid) -> TransformedSystem:
     """Reduce Laplacian-history memory N to displacement-memory coefficients.
 
     Writing R for the resolvent of N, the reduced equation reads
@@ -245,7 +184,6 @@ def transformed_system(kernel: Union[Kernel, np.ndarray], grid: TimeGrid) -> Tra
     r2 = _second_derivative(resolvent, dt)
     velocity_coeff = float(resolvent[0])
     b = float(r1[0])
-    degraded = isinstance(kernel, SampledKernel) or not isinstance(kernel, Kernel)
     if abs(velocity_coeff) > 1e-12:
         warnings.warn(
             f"MacCamy reduction leaves a velocity term {velocity_coeff:+.6g} * w' "
@@ -258,5 +196,5 @@ def transformed_system(kernel: Union[Kernel, np.ndarray], grid: TimeGrid) -> Tra
         kernel_samples=r2,
         resolvent=resolvent,
         forcing_description="-R(t) w1 - R'(t) w0 (initial-data forcing)",
-        degraded_accuracy=degraded,
+        degraded_accuracy=isinstance(kernel, SampledKernel),
     )

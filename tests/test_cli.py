@@ -1,10 +1,19 @@
 import json
 import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from viscowave.cli import main
+from viscowave.cli import _Block, _read_kernel, main
+from viscowave.grids import TimeGrid
+from viscowave.memory_kernel import (
+    ConstantKernel,
+    ExponentialKernel,
+    PronyKernel,
+    SampledKernel,
+    ZeroKernel,
+)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -326,6 +335,34 @@ class TestDiagnostics:
         assert resolved["mode_counts"] == [1]
         assert resolved["perturbation_modes"] == 1
         assert len((out / "norm_growth.csv").read_text().splitlines()) == 2
+
+
+class TestKernelFamilies:
+    @pytest.mark.parametrize(
+        "family, params, build",
+        [
+            ("zero", {}, ZeroKernel),
+            ("constant", {"level": 0.3}, lambda: ConstantKernel(0.3)),
+            ("constant", {"level": -0.0}, lambda: ConstantKernel(-0.0)),
+            ("exponential", {"amplitude": 0.1, "rate": 1.0}, lambda: ExponentialKernel(0.1, 1.0)),
+            ("exponential", {"amplitude": -0.7, "rate": 400}, lambda: ExponentialKernel(-0.7, 400.0)),
+            (
+                "prony",
+                {"amplitudes": [0.1, 0.05, 0.2], "rates": [1.0, 3.0, 0]},
+                lambda: PronyKernel((0.1, 0.05, 0.2), (1.0, 3.0, 0.0)),
+            ),
+            ("file", {"path": "kernel.csv"}, lambda: SampledKernel.from_csv("kernel.csv")),
+        ],
+        ids=["zero", "constant", "constant-negative-zero", "exponential", "exponential-steep", "prony", "file"],
+    )
+    def test_config_samples_match_library_constructor(self, tmp_path, monkeypatch, family, params, build):
+        monkeypatch.chdir(tmp_path)
+        Path("kernel.csv").write_text("0.0,1.0\n0.5,-0.25\n1.0,0.5\n")
+        block = _Block({"kernel": {"family": family, "params": params}}, "config")
+        t = TimeGrid(1.0, 64).times
+        values, expected = _read_kernel(block).kernel.values(t), build().values(t)
+        assert np.array_equal(values, expected)
+        assert np.array_equal(np.signbit(values), np.signbit(expected))
 
 
 SMALL_RUNS = {
@@ -702,6 +739,18 @@ class TestExitCodes:
                 "nodes_per_face must be >= 1",
             ),
             ("simulate", {"kernel": {"family": "file", "params": {"path": 3}}}, 3, "path must be a string"),
+            (
+                "simulate",
+                {"kernel": {"family": "exponential", "params": {"amplitude": 0.1, "rate": -1}}},
+                3,
+                "rate",
+            ),
+            (
+                "simulate",
+                {"kernel": {"family": "prony", "params": {"amplitudes": [0.1], "rates": [-1.0]}}},
+                3,
+                "rate",
+            ),
             ("verify", {"control": {"type": "file", "path": ["a.csv"]}}, 3, "path must be a string"),
         ],
         ids=[
@@ -767,6 +816,8 @@ class TestExitCodes:
             "rectangle-modes-negative",
             "nodes-per-face-zero",
             "kernel-path-number",
+            "exponential-rate-negative",
+            "prony-rate-negative",
             "control-path-list",
         ],
     )
@@ -829,6 +880,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "numerical failure" in err and "terminal_norm" in err
         assert list(out.iterdir()) == []
+
+    def test_failed_artifact_write_exits_three_and_leaves_no_file(self, tmp_path, capsys):
+        # A directory in the place of velocities.csv fails the second CSV write.
+        out = tmp_path / "out"
+        (out / "velocities.csv").mkdir(parents=True)
+        cfg = write_config(tmp_path, base_config(control={"type": "constant", "level": 1.0}))
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+        assert "cannot write artifact velocities.csv" in capsys.readouterr().err
+        assert [path.name for path in out.iterdir()] == ["velocities.csv"]
+        assert (out / "velocities.csv").is_dir()
 
     def test_control_file_on_wrong_grid_exits_three(self, tmp_path):
         synth_cfg = write_config(

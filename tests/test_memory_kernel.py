@@ -5,19 +5,18 @@ import pytest
 from scipy.integrate import cumulative_simpson
 
 from viscowave.grids import TimeGrid
+from viscowave.cli import _Block, _read_kernel
 from viscowave.memory_kernel import (
     ConstantKernel,
     ExponentialKernel,
-    Kernel,
     MemoryKernel,
     PronyKernel,
     SampledKernel,
     ZeroKernel,
-    convolve,
-    kernel_from_spec,
     maccamy_resolvent,
     transformed_system,
 )
+from viscowave.quadrature import trapezoid_convolve
 
 from helpers import rk4
 
@@ -32,6 +31,24 @@ class TestKernelFamilies:
         t = np.linspace(0.0, 1.0, 5)
         k = ExponentialKernel(amplitude=2.0, rate=3.0)
         assert np.allclose(k.values(t), 2.0 * np.exp(-3.0 * t), atol=1e-15)
+
+    @pytest.mark.parametrize("amplitude, rate", [(2.0, 3.0), (-0.7, 400.0), (0.5, 0.0)])
+    def test_exponential_is_its_one_term_series(self, amplitude, rate):
+        t = np.linspace(0.0, 1.0, 33)
+        values = ExponentialKernel(amplitude, rate).values(t)
+        assert np.array_equal(values, amplitude * np.exp(-rate * t))
+
+    @pytest.mark.parametrize("level", [1.5, -2.25, 0.0, -0.0])
+    def test_constant_is_its_level(self, level):
+        t = np.linspace(0.0, 1.0, 33)
+        values = ConstantKernel(level).values(t)
+        assert np.array_equal(values, np.full_like(t, level))
+        # array_equal treats -0.0 as 0.0; the sign of a zero level is kept too.
+        assert np.array_equal(np.signbit(values), np.signbit(np.full_like(t, level)))
+
+    def test_zero_is_zeros(self):
+        values = ZeroKernel().values(np.linspace(0.0, 1.0, 33))
+        assert np.array_equal(values, np.zeros(33)) and not np.signbit(values).any()
 
     def test_prony_values(self):
         t = np.linspace(0.0, 1.0, 7)
@@ -74,23 +91,29 @@ class TestKernelFamilies:
     def test_memory_kernel_defaults(self):
         mk = MemoryKernel()
         assert mk.b == 0.0
-        assert isinstance(mk.kernel, ZeroKernel)
+        assert mk.kernel == ZeroKernel()
+
+
+def kernel_from_spec(family: str, params: dict):
+    """The kernel a config's kernel block of this family and params builds."""
+    return _read_kernel(_Block({"kernel": {"family": family, "params": params}}, "config")).kernel
 
 
 class TestKernelFromSpec:
     def test_family_dispatch(self):
-        assert isinstance(kernel_from_spec("zero", {}), ZeroKernel)
-        assert kernel_from_spec("constant", {"level": 2.0}).level == 2.0
+        assert kernel_from_spec("zero", {}) == ZeroKernel()
+        assert kernel_from_spec("constant", {"level": 2.0}) == ConstantKernel(2.0)
         exp = kernel_from_spec("exponential", {"amplitude": 0.1, "rate": 1.0})
-        assert (exp.amplitude, exp.rate) == (0.1, 1.0)
+        assert exp == ExponentialKernel(0.1, 1.0) == PronyKernel((0.1,), (1.0,))
         prony = kernel_from_spec("prony", {"amplitudes": [1.0], "rates": [0.5]})
-        assert isinstance(prony, Kernel)
+        assert prony == PronyKernel((1.0,), (0.5,))
 
     def test_file_family(self, tmp_path):
         path = tmp_path / "k.csv"
         path.write_text("0.0,1.0\n1.0,0.0\n")
         k = kernel_from_spec("file", {"path": str(path)})
         assert isinstance(k, SampledKernel)
+        assert np.array_equal(k.values(np.array([0.0, 0.25, 1.0])), [1.0, 0.75, 0.0])
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
@@ -100,18 +123,20 @@ class TestKernelFromSpec:
 class TestConvolve:
     def test_zero_kernel_gives_zero(self):
         grid = TimeGrid(1.0, 60)
-        out = convolve(ZeroKernel(), np.sin(grid.times), grid)
+        out = trapezoid_convolve(ZeroKernel().values(grid.times), np.sin(grid.times), grid.dt)
         assert np.array_equal(out, np.zeros(grid.n_nodes))
 
     def test_unit_kernel_unit_signal_gives_time(self):
         grid = TimeGrid(2.0, 100)
-        out = convolve(ConstantKernel(1.0), np.ones(grid.n_nodes), grid)
+        k = ConstantKernel(1.0).values(grid.times)
+        out = trapezoid_convolve(k, np.ones(grid.n_nodes), grid.dt)
         assert np.allclose(out, grid.times, atol=1e-13)
 
     def test_exponential_kernel_against_closed_form(self):
         # (e^{-t} * 1)(t) = 1 - e^{-t}.
         grid = TimeGrid(2.0, 1000)
-        out = convolve(ExponentialKernel(1.0, 1.0), np.ones(grid.n_nodes), grid)
+        k = ExponentialKernel(1.0, 1.0).values(grid.times)
+        out = trapezoid_convolve(k, np.ones(grid.n_nodes), grid.dt)
         idx = grid.steps // 2
         assert grid.times[idx] == 1.0
         assert abs(out[idx] - (1.0 - np.exp(-1.0))) <= 1e-6
@@ -120,18 +145,19 @@ class TestConvolve:
     def test_kernel_broadcasts_over_signal_rows(self):
         rng = np.random.default_rng(9)
         grid = TimeGrid(1.0, 120)
-        kernel = ExponentialKernel(0.5, 2.0)
+        k = ExponentialKernel(0.5, 2.0).values(grid.times)
         g = rng.standard_normal((3, grid.n_nodes))
-        out = convolve(kernel, g, grid)
+        out = trapezoid_convolve(k, g, grid.dt)
         assert out.shape == g.shape
         for row, gi in zip(out, g):
-            assert np.allclose(row, convolve(kernel, gi, grid), atol=1e-13, rtol=0)
+            assert np.allclose(row, trapezoid_convolve(k, gi, grid.dt), atol=1e-13, rtol=0)
 
     def test_commutes(self):
         grid = TimeGrid(1.5, 300)
         n = np.exp(-grid.times) * (1.0 + grid.times)
         r = np.cos(2.0 * grid.times)
-        assert np.max(np.abs(convolve(n, r, grid) - convolve(r, n, grid))) <= 1e-12
+        gap = trapezoid_convolve(n, r, grid.dt) - trapezoid_convolve(r, n, grid.dt)
+        assert np.max(np.abs(gap)) <= 1e-12
 
     def test_bilinear(self):
         rng = np.random.default_rng(8)
@@ -140,17 +166,17 @@ class TestConvolve:
         k2 = rng.standard_normal(grid.n_nodes)
         g1 = rng.standard_normal(grid.n_nodes)
         g2 = rng.standard_normal(grid.n_nodes)
-        left = convolve(k1, 2.0 * g1 - 3.0 * g2, grid)
-        right = 2.0 * convolve(k1, g1, grid) - 3.0 * convolve(k1, g2, grid)
+        left = trapezoid_convolve(k1, 2.0 * g1 - 3.0 * g2, grid.dt)
+        right = 2.0 * trapezoid_convolve(k1, g1, grid.dt) - 3.0 * trapezoid_convolve(k1, g2, grid.dt)
         assert np.max(np.abs(left - right)) <= 1e-12
-        left = convolve(k1 + 0.5 * k2, g1, grid)
-        right = convolve(k1, g1, grid) + 0.5 * convolve(k2, g1, grid)
+        left = trapezoid_convolve(k1 + 0.5 * k2, g1, grid.dt)
+        right = trapezoid_convolve(k1, g1, grid.dt) + 0.5 * trapezoid_convolve(k2, g1, grid.dt)
         assert np.max(np.abs(left - right)) <= 1e-12
 
     def test_signal_length_checked(self):
         grid = TimeGrid(1.0, 10)
         with pytest.raises(ValueError):
-            convolve(ZeroKernel(), np.ones(4), grid)
+            trapezoid_convolve(ZeroKernel().values(grid.times), np.ones(4), grid.dt)
 
 
 class TestMacCamyResolvent:
@@ -227,9 +253,4 @@ class TestTransformedSystem:
         assert abs(system.b - 1.0) <= 1e-5
         exact_k = -2.0 * np.exp(-grid.times) * np.cos(grid.times)
         assert np.max(np.abs(system.kernel_samples - exact_k)) <= 1e-4
-        assert system.degraded_accuracy is True
-
-    def test_raw_samples_marked_degraded(self):
-        grid = TimeGrid(1.0, 100)
-        system = transformed_system(np.zeros(grid.n_nodes), grid)
         assert system.degraded_accuracy is True
