@@ -15,9 +15,9 @@ failed write removes the files written before it), and identical configs
 give byte-identical files.
 
 Exit codes: 0 success, 2 unreadable config, 3 invalid configuration values
-or an artifact that cannot be written, 4 numerical failure (singular
-marching step, overflowing march, ill-posed Gram system, non-finite summary
-value).
+or an output directory or artifact that cannot be written, 4 numerical
+failure (singular marching step, overflowing march, ill-posed Gram system,
+non-finite summary value).
 """
 
 from __future__ import annotations
@@ -49,11 +49,11 @@ from .memory_kernel import SampledKernel, ZeroKernel, transformed_system
 from .modal_dynamics import (
     DEFAULT_SEED,
     BoundaryControl,
-    ModalOperator,
     StatePair,
     control_l2_norm,
     forward_simulate,
     gronwall_bound_check,
+    release_operator,
     sobolev_norm,
     tone_control,
     zero_control,
@@ -371,6 +371,7 @@ def _modal(state: StatePair, position: str) -> dict:
 def _cmd_simulate(root):
     basis, kernel, grid, seed = _setup(root)
     control = _read_control(root, basis, grid, seed)
+    control_norm = control_l2_norm(basis, control)  # its temporaries go before the operator
     sim = forward_simulate(basis, kernel, control, grid)
     names = [f"mode_{i + 1}" for i in range(basis.n_modes)]
     tables = {
@@ -378,8 +379,7 @@ def _cmd_simulate(root):
         "velocities.csv": _series(grid, names, sim.trajectory.velocities),
         "terminal.csv": _modal(sim.terminal, "weighted_position"),
     }
-    norm = sobolev_norm(sim.terminal, 0.0)
-    return tables, dict(terminal_norm=norm, control_norm=control_l2_norm(basis, control))
+    return tables, dict(terminal_norm=sobolev_norm(sim.terminal, 0.0), control_norm=control_norm)
 
 
 def _gram_arrays(modes: int, cells: int) -> dict:
@@ -391,13 +391,10 @@ def _cmd_synthesize(root):
     target = _read_target(root, basis, seed)
     regularization = root.read("regularization", _real, 0.0)
 
-    operator = ModalOperator(basis.mu, kernel, grid)
-    gram = assemble_gram(basis, kernel, grid, basis.n_modes, regularization, operator=operator)
+    gram = assemble_gram(basis, kernel, grid, basis.n_modes, regularization)
     result = solve_min_norm_control(gram, basis, kernel, grid, target)
-    verified = forward_simulate(basis, kernel, result.control, grid, operator=operator)
-    # Free the modal tables before the control norm and the CSV writes, which
-    # would otherwise allocate on top of them.
-    del operator
+    verified = forward_simulate(basis, kernel, result.control, grid)
+    release_operator()  # the modal tables go before the control norm's temporaries
 
     nodes = [f"node_{q}" for q in range(basis.n_quad)]
     indices = np.arange(1, result.coefficients.size + 1)
@@ -421,9 +418,9 @@ def _cmd_verify(root):
     basis, kernel, grid, seed = _setup(root)
     control = _read_control(root, basis, grid, seed)
     target = _read_target(root, basis, seed) if "target" in root.value else None
+    control_norm = control_l2_norm(basis, control)  # its temporaries go before the operator
     sim = forward_simulate(basis, kernel, control, grid)
-    norm = sobolev_norm(sim.terminal, 0.0)
-    values = dict(terminal_norm=norm, control_norm=control_l2_norm(basis, control))
+    values = dict(terminal_norm=sobolev_norm(sim.terminal, 0.0), control_norm=control_norm)
     if target is not None:
         values["terminal_error"] = terminal_error(sim.terminal, target)
     return {"terminal.csv": _modal(sim.terminal, "weighted_position")}, values
@@ -455,7 +452,6 @@ def _cmd_duality_check(root):
 
     rng = np.random.default_rng(seed)
     omegas = np.arange(1, n_tones + 1) * np.pi / grid.horizon
-    operator = ModalOperator(basis.mu, kernel, grid)
     reports = []
     for _ in range(trials):
         amplitudes = rng.standard_normal((basis.n_quad, n_tones))
@@ -464,7 +460,7 @@ def _cmd_duality_check(root):
         data = rng.standard_normal(2 * basis.n_modes)
         data /= np.linalg.norm(data)
         v = StatePair(xi=data[: basis.n_modes], eta=data[basis.n_modes :], mu=basis.mu.copy())
-        reports.append(duality_check(basis, kernel, grid, control, v, operator=operator))
+        reports.append(duality_check(basis, kernel, grid, control, v))
     lhs, rhs, gaps = np.array([(r.lhs, r.rhs, r.rel_gap) for r in reports]).T
     duality = dict(trial=np.arange(1, trials + 1), lhs=lhs, rhs=rhs, rel_gap=gaps)
     return {"duality.csv": duality}, dict(trials=trials, max_rel_gap=float(gaps.max()))
@@ -502,13 +498,10 @@ def _cmd_probes(root):
     default_counts = sorted({max(1, m // 4), min(m, max(2, m // 2)), m})
     counts = root.read("mode_counts", _counts, default_counts)
 
-    operator = ModalOperator(basis.mu, kernel, grid)
-    gronwall = gronwall_bound_check(basis, kernel, grid, trials=trials, seed=seed, operator=operator)
+    gronwall = gronwall_bound_check(basis, kernel, grid, trials=trials, seed=seed)
     trace = trace_estimate_check(basis)
-    growth = norm_growth_probe(
-        basis, kernel, grid, counts, trials=trials, seed=seed, alpha=alpha, operator=operator
-    )
-    pert = perturbation_compactness_probe(basis, kernel, grid, perturbation_modes(m), operator=operator)
+    growth = norm_growth_probe(basis, kernel, grid, counts, trials=trials, seed=seed, alpha=alpha)
+    pert = perturbation_compactness_probe(basis, kernel, grid, perturbation_modes(m))
 
     modes, sigma = np.arange(1, m + 1), pert.singular_values
     ratios, weighted = np.array([(r.max_ratio, r.max_weighted_ratio) for r in growth.rows]).T
@@ -618,11 +611,18 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    root = _Block(config, "config")
+    root.read("schema_version", _count)
     try:
-        root = _Block(config, "config")
-        root.read("schema_version", _count)
         out = Path(args.out if args.out is not None else root.read("output_dir", _path, "."))
         out.mkdir(parents=True, exist_ok=True)
+    except ValueError as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        print(f"error: cannot create output directory {str(out)!r}: {exc}", file=sys.stderr)
+        return 3
+    try:
         tables, values = _HANDLERS[args.command](root)
         overflowed = [k for k, v in values.items() if isinstance(v, float) and not math.isfinite(v)]
         if overflowed:
@@ -644,6 +644,8 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 3
+    finally:
+        release_operator()  # the run's shared operator goes before the writes
     try:
         _write_artifacts(out, files)
     except OSError as exc:

@@ -28,7 +28,6 @@ from .modal_dynamics import (
     DEFAULT_SEED,
     UNIT_DATA,
     BoundaryControl,
-    ModalOperator,
     StatePair,
     adjoint_trace,
     basis_operator,
@@ -79,7 +78,6 @@ def assemble_gram(
     n_modes: int,
     regularization: float = 0.0,
     *,
-    operator: ModalOperator | None = None,
     threads: int = 1,
 ) -> GramSystem:
     """Gram matrix of the 2M canonical adjoint traces in L2(0,T; L2(Gamma_1)).
@@ -88,8 +86,7 @@ def assemble_gram(
     homogeneous modal solutions); both integrals use the stored quadrature.
     The matrix is stored unregularized; regularization only enters the solve.
     threads is unread; it stays while the benchmark passes it (ROADMAP item 1).
-    operator is as in forward_simulate.  Warns when the horizon sits below
-    the sharp control-time bound.
+    Warns when the horizon sits below the sharp control-time bound.
     """
     if not 1 <= n_modes <= basis.n_modes:
         raise ValueError(f"n_modes must lie in [1, {basis.n_modes}], got {n_modes}")
@@ -103,7 +100,7 @@ def assemble_gram(
             stacklevel=2,
         )
     m = n_modes
-    op = basis_operator(basis, kernel, grid, m, operator)
+    op = basis_operator(basis, kernel, grid, m)
     # Each mode marches its data (1, 0) and (0, 1) against one kernel, which
     # gives the rows in the (e_m, 0)-first order.
     psi = op.free(*UNIT_DATA)[:, :m].reshape(2 * m, grid.n_nodes)
@@ -202,20 +199,17 @@ def duality_check(
     grid: TimeGrid,
     control: BoundaryControl,
     v: StatePair,
-    *,
-    operator: ModalOperator | None = None,
 ) -> DualityReport:
     """Evaluate both sides of the pairing identity on independent code paths.
 
     lhs integrates the time-reversed adjoint trace against the control; rhs
     pairs the forward-simulated weighted terminal state with the swapped slots
-    of v.  Agreement is O(dt^2) for smooth data.  operator is as in
-    forward_simulate.
+    of v.  Agreement is O(dt^2) for smooth data.
     """
-    tr = adjoint_trace(basis, kernel, v, grid, operator=operator)
+    tr = adjoint_trace(basis, kernel, v, grid)
     wt = trapezoid_weights(grid.n_nodes, grid.dt)
     lhs = float(np.sum(basis.quad_weights[:, None] * tr.values * control.values * wt[None, :]))
-    sim = forward_simulate(basis, kernel, control, grid, operator=operator)
+    sim = forward_simulate(basis, kernel, control, grid)
     m = v.n_modes
     rhs = float(sim.terminal.xi[:m] @ v.eta + sim.terminal.eta[:m] @ v.xi)
     gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
@@ -291,8 +285,6 @@ def norm_growth_probe(
     trials: int = 5,
     seed: int = DEFAULT_SEED,
     alpha: float = 0.55,
-    *,
-    operator: ModalOperator | None = None,
 ) -> NormGrowthReport:
     """Terminal-norm growth of rough controls across truncation levels.
 
@@ -302,12 +294,12 @@ def norm_growth_probe(
     (H^alpha, H^(alpha-1)) regularity scale of the flow) keeps it bounded.
     The terminal state is linear in the modal forcing, so each trial applies
     one terminal impulse map, marched once per mode, to its modal forcing.
-    operator is as in forward_simulate.
     """
     counts = _checked_mode_counts(basis, mode_counts)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    (map_xi, map_eta), _ = basis_operator(basis, kernel, grid, basis.n_modes, operator).terminal_maps
+    n = basis.n_modes
+    (map_xi, map_eta), _ = basis_operator(basis, kernel, grid, n).terminal_maps
     tw = basis.traces * basis.quad_weights[None, :]
     rng = np.random.default_rng(seed)
     best = {m: 0.0 for m in counts}
@@ -316,7 +308,7 @@ def norm_growth_probe(
         values = rng.standard_normal((basis.n_quad, grid.n_nodes))
         denom = control_l2_norm(basis, BoundaryControl(values, grid))
         g = tw @ values
-        sq = np.sum(map_xi * g, axis=1) ** 2 + np.sum(map_eta * g, axis=1) ** 2
+        sq = np.sum(map_xi[:n] * g, axis=1) ** 2 + np.sum(map_eta[:n] * g, axis=1) ** 2
         wsq = basis.mu ** (2.0 * (alpha - 1.0)) * sq
         for m in counts:
             best[m] = max(best[m], float(np.sqrt(sq[:m].sum())) / denom)
@@ -339,8 +331,6 @@ def perturbation_compactness_probe(
     kernel: MemoryKernel,
     grid: TimeGrid,
     n_modes: int,
-    *,
-    operator: ModalOperator | None = None,
 ) -> PerturbationReport:
     """Singular values of the discrete memory perturbation of the control map.
 
@@ -348,13 +338,12 @@ def perturbation_compactness_probe(
     (controlled-with-memory minus memoryless) of unit-norm nodal impulse
     controls; fast singular-value decay is the compactness signature that
     lets the memoryless controllability survive the perturbation.  Both maps
-    come from one operator, whose leading n_modes rows are read; operator is
-    as in forward_simulate.
+    come from one operator, whose leading n_modes rows are read.
     """
     if not 1 <= n_modes <= basis.n_modes:
         raise ValueError(f"n_modes must lie in [1, {basis.n_modes}], got {n_modes}")
     m = n_modes
-    memory, memoryless = basis_operator(basis, kernel, grid, m, operator).terminal_maps
+    memory, memoryless = basis_operator(basis, kernel, grid, m).terminal_maps
 
     # Tensor with the trace/boundary-weight factor and rescale columns so each
     # corresponds to a unit-L2 control; singular values then track the

@@ -14,11 +14,13 @@ driven by the memoryless wave response.  The homogeneous (adjoint) modes use
 the same kernel driven by xi_n cos(mu_n t) + eta_n sin(mu_n t), which encodes
 initial data psi(0) = xi, psi'(0) with modal coefficients mu_n eta_n.
 
-ModalOperator holds everything that depends on the modes alone: the
+ModalOperator holds everything that depends on the problem alone: the
 sin(mu_n t) and cos(mu_n t) tables, the kernels and their marching
-reciprocals.  A caller that solves several modal problems builds one and
-hands it to every solve, so each mode's kernel is built and inverted once;
-the public solvers build one per call.
+reciprocals.  The public solvers get theirs from basis_operator, which keeps
+the last operator it built in one module slot and hands it out again while
+the kernel object, the grid and the leading modes match, so solves of one
+problem build and invert each mode's kernel once.  release_operator empties
+the slot.
 
 Every convolution with sin(mu_n .) or cos(mu_n .) here (the Duhamel responses
 and K * sin(mu_n .) in the kernels) is a product-trapezoid sum evaluated by
@@ -284,21 +286,30 @@ def _trig_convolutions(s: np.ndarray, c: np.ndarray, g: np.ndarray, dt: float, c
     return sine, cum_c
 
 
+# The operator basis_operator built last; racing threads at worst build one twice.
+_operator: ModalOperator | None = None
+
+
 def basis_operator(
-    basis: SpectralBasis,
-    kernel: MemoryKernel,
-    grid: TimeGrid,
-    modes: int,
-    operator: ModalOperator | None,
+    basis: SpectralBasis, kernel: MemoryKernel, grid: TimeGrid, modes: int
 ) -> ModalOperator:
-    """A new operator of the basis's first `modes` modes, or `operator` after
-    checking that it is ModalOperator(basis.mu, kernel, grid)."""
-    if operator is None:
-        return ModalOperator(basis.mu[:modes], kernel, grid)
-    same_basis = np.array_equal(operator.mus, basis.mu)
-    if operator.kernel is not kernel or operator.grid != grid or not same_basis:
-        raise ValueError("operator must be ModalOperator(basis.mu, kernel, grid) for this basis")
-    return operator
+    """The slot's operator if it was built for this kernel object and grid and
+    its mus begin with basis.mu[:modes]; else a new ModalOperator(basis.mu[:modes],
+    kernel, grid), which takes the slot.  Callers read its leading `modes` rows."""
+    global _operator
+    mus = basis.mu[:modes]
+    op = _operator
+    hit = op is not None and op.kernel is kernel and op.grid == grid
+    if not (hit and np.array_equal(op.mus[:modes], mus)):
+        _operator = None  # the old tables go before the new ones are built
+        op = _operator = ModalOperator(mus, kernel, grid)
+    return op
+
+
+def release_operator() -> None:
+    """Empty basis_operator's slot, freeing the operator it holds."""
+    global _operator
+    _operator = None
 
 
 @dataclass(frozen=True)
@@ -312,15 +323,11 @@ def forward_simulate(
     kernel: MemoryKernel,
     control: BoundaryControl,
     grid: TimeGrid,
-    *,
-    operator: ModalOperator | None = None,
 ) -> SimulationResult:
     """Drive the system from rest with a boundary traction.
 
     The terminal StatePair stores (mu_n w_n(T), w_n'(T)), the weighted state
-    the synthesis layer targets.  A caller that solves several problems passes
-    its ModalOperator(basis.mu, kernel, grid) as operator; without one, the
-    call builds its own.
+    the synthesis layer targets.
     """
     if control.grid != grid:
         raise ValueError("control was sampled on a different grid")
@@ -328,8 +335,12 @@ def forward_simulate(
         raise ValueError(
             f"control has {control.values.shape[0]} boundary nodes, basis has {basis.n_quad}"
         )
+    m = basis.n_modes
     g_modal = (basis.traces * basis.quad_weights[None, :]) @ control.values
-    w, wp = basis_operator(basis, kernel, grid, basis.n_modes, operator).forced(g_modal)
+    op = basis_operator(basis, kernel, grid, m)
+    if op.mus.size > m:  # modes of the operator beyond the basis carry no forcing
+        g_modal = np.pad(g_modal, ((0, op.mus.size - m), (0, 0)))
+    w, wp = op.forced(g_modal)[:, :m]
     trajectory = ModalTrajectory(values=w, velocities=wp, mu=basis.mu, grid=grid)
     terminal = StatePair(xi=basis.mu * w[:, -1], eta=wp[:, -1], mu=basis.mu)
     return SimulationResult(trajectory=trajectory, terminal=terminal)
@@ -340,20 +351,17 @@ def adjoint_trace(
     kernel: MemoryKernel,
     v: StatePair,
     grid: TimeGrid,
-    *,
-    operator: ModalOperator | None = None,
 ) -> BoundaryControl:
     """Control-face trace of the time-reversed homogeneous solution.
 
     For data (xi, eta) on the leading len(v) modes the returned samples are
     sum_n (phi_n|_{Gamma_1})(x_q) psi_n(T - t_j); the time reversal is exact on
-    the uniform grid.  These traces span the synthesis ansatz space.  operator
-    is as in forward_simulate.
+    the uniform grid.  These traces span the synthesis ansatz space.
     """
     m = v.n_modes
     if m > basis.n_modes:
         raise ValueError(f"state pair has {m} modes but the basis stores {basis.n_modes}")
-    op = basis_operator(basis, kernel, grid, m, operator)
+    op = basis_operator(basis, kernel, grid, m)
     # Modes of the operator beyond the data's carry zero data.
     xi, eta = (np.pad(d, (0, op.mus.size - m)) for d in (v.xi, v.eta))
     psi = op.free(xi, eta)[:m]
@@ -375,21 +383,19 @@ def gronwall_bound_check(
     grid: TimeGrid,
     trials: int = 8,
     seed: int = DEFAULT_SEED,
-    *,
-    operator: ModalOperator | None = None,
 ) -> GronwallReport:
     """Sample max_t |psi_n(t)| over random per-mode unit data (xi_n, eta_n).
 
     The observed bound should be uniform in the mode index: high modes feel the
     memory only through G_n/mu_n, so adding modes must not inflate it.  psi is
     linear in its data, so each mode marches (1, 0) and (0, 1) once and a
-    trial's data (cos theta, sin theta) combines the two responses.  operator
-    is as in forward_simulate.
+    trial's data (cos theta, sin theta) combines the two responses.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    psi_c, psi_s = basis_operator(basis, kernel, grid, basis.n_modes, operator).free(*UNIT_DATA)
+    op = basis_operator(basis, kernel, grid, basis.n_modes)
+    psi_c, psi_s = op.free(*UNIT_DATA)[:, : basis.n_modes]
     per_mode = np.zeros(basis.n_modes)
     for _ in range(trials):
         theta = rng.uniform(0.0, 2.0 * np.pi, size=basis.n_modes)[:, None]

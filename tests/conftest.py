@@ -1,6 +1,15 @@
 import pytest
 
-from viscowave import volterra
+from viscowave import modal_dynamics, volterra
+
+
+@pytest.fixture(autouse=True)
+def empty_operator_slot():
+    """Every test starts and ends with basis_operator's slot empty, so what it
+    inverts does not depend on the tests run before it."""
+    modal_dynamics.release_operator()
+    yield
+    modal_dynamics.release_operator()
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from viscowave import modal_dynamics
 from viscowave.cli import _Block, _read_kernel, main
 from viscowave.grids import TimeGrid
 from viscowave.memory_kernel import (
@@ -416,6 +417,17 @@ class TestOneInversePerRun:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         # maccamy marches the one resolvent row.
         assert sum(inverted_rows) == (1 if command == "maccamy" else payload["modes"])
+
+    def test_no_operator_outlives_the_run(self, tmp_path):
+        cfg = write_config(tmp_path, SMALL_RUNS["synthesize"], name="ok.json")
+        assert main(["synthesize", "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
+        assert modal_dynamics._operator is None
+        # The Gram is built before its ill-posed solve exits 4.
+        ill_posed = dict(grid={"horizon": 0.05, "steps": 60}, target={"type": "random-smooth"})
+        cfg = write_config(tmp_path, base_config(modes=8, **ill_posed), name="ill.json")
+        with pytest.warns(UserWarning, match="control-time bound"):
+            assert main(["synthesize", "--config", cfg, "--out", str(tmp_path / "ill")]) == 4
+        assert modal_dynamics._operator is None
 
 
 class TestDeterminism:
@@ -890,6 +902,14 @@ class TestExitCodes:
         assert "cannot write artifact velocities.csv" in capsys.readouterr().err
         assert [path.name for path in out.iterdir()] == ["velocities.csv"]
         assert (out / "velocities.csv").is_dir()
+
+    def test_unusable_output_directory_exits_three(self, tmp_path, capsys):
+        out = tmp_path / "outfile"
+        out.write_text("")
+        cfg = write_config(tmp_path, base_config(control={"type": "constant", "level": 1.0}))
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+        assert f"error: cannot create output directory '{out}'" in capsys.readouterr().err
+        assert out.read_text() == ""
 
     def test_control_file_on_wrong_grid_exits_three(self, tmp_path):
         synth_cfg = write_config(

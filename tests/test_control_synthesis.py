@@ -16,12 +16,13 @@ from viscowave.grids import TimeGrid
 from viscowave.memory_kernel import ExponentialKernel, MemoryKernel, PronyKernel
 from viscowave.modal_dynamics import (
     BoundaryControl,
-    ModalOperator,
     StatePair,
     adjoint_trace,
+    basis_operator,
     control_l2_norm,
     forward_simulate,
     gronwall_bound_check,
+    release_operator,
     tone_control,
 )
 from viscowave.quadrature import trapezoid_weights
@@ -342,99 +343,128 @@ class TestPerturbationCompactness:
 
 
 class TestOneInversePerMode:
-    """The memory operator depends on the mode alone: each mode's kernel is
-    inverted once, however many forcings it meets."""
+    """The memory operator depends on the problem alone: each mode's kernel is
+    inverted once, however many forcings and calls it meets."""
+
+    m, probe_modes = 40, 16
+    basis = build_interval_basis(1.0, m)
+    kernel = MemoryKernel(b=0.2, kernel=ExponentialKernel(0.1, 1.0))
+    grid = TimeGrid(2.5, 400)
+
+    def layers(self):
+        """(call, modes it reads) for each layer on this problem."""
+        basis, kernel, grid, m, probe = self.basis, self.kernel, self.grid, self.m, self.probe_modes
+        control = BoundaryControl(values=np.cos(grid.times)[None, :], grid=grid)
+        return [
+            (lambda: assemble_gram(basis, kernel, grid, n_modes=m), m),
+            (lambda: forward_simulate(basis, kernel, control, grid), m),
+            (lambda: perturbation_compactness_probe(basis, kernel, grid, probe), probe),
+            (lambda: gronwall_bound_check(basis, kernel, grid, trials=3), m),
+            (lambda: norm_growth_probe(basis, kernel, grid, [probe, m], trials=3), m),
+        ]
 
     def test_each_layer_inverts_one_row_per_mode(self, inverted_rows):
-        m, probe_modes = 40, 16
-        basis = build_interval_basis(1.0, m)
-        kernel = MemoryKernel(b=0.2, kernel=ExponentialKernel(0.1, 1.0))
-        grid = TimeGrid(2.5, 400)
-        gram = assemble_gram(basis, kernel, grid, n_modes=m)
-        assert sum(inverted_rows) == m
-        inverted_rows.clear()
-        control = BoundaryControl(values=np.cos(grid.times)[None, :], grid=grid)
-        forward_simulate(basis, kernel, control, grid)
-        assert sum(inverted_rows) == m
-        inverted_rows.clear()
-        perturbation_compactness_probe(basis, kernel, grid, probe_modes)
-        assert sum(inverted_rows) == probe_modes
-        inverted_rows.clear()
-        gronwall_bound_check(basis, kernel, grid, trials=3)
-        assert sum(inverted_rows) == m
-        inverted_rows.clear()
-        norm_growth_probe(basis, kernel, grid, [probe_modes, m], trials=3)
-        assert sum(inverted_rows) == m
-        assert gram.psi_table.shape == (2 * m, grid.n_nodes)
+        for call, modes in self.layers():
+            release_operator()
+            inverted_rows.clear()
+            call()
+            assert sum(inverted_rows) == modes
 
-    def test_consecutive_calls_invert_afresh(self, inverted_rows):
-        # Nothing is kept between calls: each call without an operator builds
-        # and inverts its own.
-        m = 12
-        basis = build_interval_basis(1.0, m)
-        kernel = MemoryKernel(b=0.2, kernel=ExponentialKernel(0.1, 1.0))
-        grid = TimeGrid(2.5, 300)
-        first = assemble_gram(basis, kernel, grid, n_modes=m)
+    def test_consecutive_calls_share_one_inversion(self, inverted_rows):
+        m = self.m
+        first = assemble_gram(self.basis, self.kernel, self.grid, n_modes=m)
+        for call, _ in self.layers():
+            call()
         assert inverted_rows == [m]
-        second = assemble_gram(basis, kernel, grid, n_modes=m)
-        assert inverted_rows == [m, m]
-        assert np.array_equal(first.matrix, second.matrix)
+        assert first.psi_table.shape == (2 * m, self.grid.n_nodes)
+        again = assemble_gram(self.basis, self.kernel, self.grid, n_modes=m)
+        assert np.array_equal(first.matrix, again.matrix)
+        assert inverted_rows == [m]
 
 
-class TestSharedOperator:
-    """One ModalOperator(basis.mu, kernel, grid) handed to every solver gives
-    the bits of the operators each call builds for itself, and inverts each
-    mode's kernel once in all."""
+class TestOperatorSlot:
+    """basis_operator keeps the last operator it built and reuses it for the
+    same kernel object and grid and leading modes; reuse changes no bit."""
 
     basis = build_interval_basis(1.0, 12)
     grid = TimeGrid(2.5, 400)
     kernel = MemoryKernel(b=0.2, kernel=PronyKernel((0.03, 0.05, 0.04), (0.5, 2.0, 5.0)))
 
-    def calls(self, operator):
+    def calls(self, before_each):
         basis, kernel, grid = self.basis, self.kernel, self.grid
-        kw = {} if operator is None else {"operator": operator}
+        # Its modes are the leading 7 of basis, so it reads the 12-mode operator.
+        small = build_interval_basis(1.0, 7)
         rng = np.random.default_rng(4)
         control = BoundaryControl(values=rng.standard_normal((1, grid.n_nodes)), grid=grid)
         v = StatePair(xi=rng.standard_normal(7), eta=rng.standard_normal(7), mu=basis.mu[:7])
-        gram = assemble_gram(basis, kernel, grid, 12, **kw)
-        sub = assemble_gram(basis, kernel, grid, 5, **kw)
-        sim = forward_simulate(basis, kernel, control, grid, **kw)
-        trace = adjoint_trace(basis, kernel, v, grid, **kw)
-        dual = duality_check(basis, kernel, grid, control, v, **kw)
-        gron = gronwall_bound_check(basis, kernel, grid, trials=3, **kw)
-        growth = norm_growth_probe(basis, kernel, grid, [4, 12], trials=3, **kw)
-        pert = perturbation_compactness_probe(basis, kernel, grid, 5, **kw)
+        results = []
+        for call in (
+            lambda: assemble_gram(basis, kernel, grid, 12),
+            lambda: assemble_gram(basis, kernel, grid, 5),
+            lambda: forward_simulate(basis, kernel, control, grid),
+            lambda: forward_simulate(small, kernel, control, grid),
+            lambda: adjoint_trace(basis, kernel, v, grid),
+            lambda: duality_check(basis, kernel, grid, control, v),
+            lambda: gronwall_bound_check(basis, kernel, grid, trials=3),
+            lambda: gronwall_bound_check(small, kernel, grid, trials=3),
+            lambda: norm_growth_probe(basis, kernel, grid, [4, 12], trials=3),
+            lambda: norm_growth_probe(small, kernel, grid, [4, 7], trials=3),
+            lambda: perturbation_compactness_probe(basis, kernel, grid, 5),
+        ):
+            before_each()
+            results.append(call())
+        gram, sub, sim, small_sim, trace, dual, gron, small_gron, growth, small_growth, pert = results
         return [
             gram.matrix,
             gram.psi_table,
             sub.matrix,
             sim.trajectory.values,
             sim.trajectory.velocities,
+            small_sim.trajectory.values,
+            small_sim.trajectory.velocities,
             trace.values,
             np.array([dual.lhs, dual.rhs]),
             gron.per_mode_max,
+            small_gron.per_mode_max,
             np.array([(r.max_ratio, r.max_weighted_ratio) for r in growth.rows]),
+            np.array([(r.max_ratio, r.max_weighted_ratio) for r in small_growth.rows]),
             pert.singular_values,
         ]
 
-    def test_results_equal_per_call_operators(self, inverted_rows):
-        operator = ModalOperator(self.basis.mu, self.kernel, self.grid)
-        shared = self.calls(operator)
-        assert sum(inverted_rows) == self.basis.n_modes
-        # The compactness probe reads the leading 5 rows of the 12-mode maps,
-        # and a 5-mode operator gives the same singular values to the bit.
-        for got, want in zip(shared, self.calls(None)):
+    def test_results_equal_with_the_slot_emptied(self, inverted_rows):
+        shared = self.calls(lambda: None)
+        assert inverted_rows == [self.basis.n_modes]
+        # Emptied before each call, every call builds its own operator of the
+        # modes it reads; the leading rows of the 12-mode one are the same bits.
+        for got, want in zip(shared, self.calls(release_operator), strict=True):
             assert np.array_equal(got, want)
 
-    def test_rejects_an_operator_of_another_problem(self):
+    def test_another_problem_misses(self, inverted_rows):
         basis, kernel, grid = self.basis, self.kernel, self.grid
-        for operator in (
-            ModalOperator(basis.mu, MemoryKernel(b=0.2), grid),
-            ModalOperator(basis.mu, kernel, TimeGrid(2.5, 200)),
-            ModalOperator(basis.mu[:5], kernel, grid),
+        same_values = MemoryKernel(b=kernel.b, kernel=kernel.kernel)
+        for other in (
+            (basis, same_values, grid),
+            (basis, kernel, TimeGrid(2.5, 200)),
+            (build_interval_basis(0.9, 12), kernel, grid),
         ):
-            with pytest.raises(ValueError, match="operator must be"):
-                assemble_gram(basis, kernel, grid, 5, operator=operator)
+            assemble_gram(basis, kernel, grid, 12)
+            inverted_rows.clear()
+            assemble_gram(*other, 12)
+            assert inverted_rows == [12]
+        # So does a request for more modes than the slot's operator has.
+        assemble_gram(basis, kernel, grid, 5)
+        inverted_rows.clear()
+        assemble_gram(basis, kernel, grid, 12)
+        assert inverted_rows == [12]
+
+    def test_fewer_leading_modes_hit(self, inverted_rows):
+        basis, kernel, grid = self.basis, self.kernel, self.grid
+        full = basis_operator(basis, kernel, grid, 12)
+        assemble_gram(basis, kernel, grid, 12)
+        assert basis_operator(basis, kernel, grid, 5) is full
+        assemble_gram(basis, kernel, grid, 5)
+        perturbation_compactness_probe(basis, kernel, grid, 5)
+        assert inverted_rows == [12]
 
 
 class TestRandomSmoothTarget:
