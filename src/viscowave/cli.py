@@ -26,7 +26,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -317,43 +316,29 @@ def _read_target(root: _Block, basis: SpectralBasis, seed: int) -> StatePair:
 def _setup(root: _Block, arrays=lambda modes, cells: {}):
     """Basis, kernel, grid and seed of a config.
 
-    The size fields are read first, and one budget check covers the modal
-    tables, the control samples, a rectangle's candidate traces and the
-    command's own large arrays, arrays(modes, cells) with cells the count of
-    control samples, before the basis is built.
+    The size fields are read first, and the budget covers the modal tables, a
+    rectangle's traces, the control samples and the command's own large
+    arrays, arrays(modes, cells) with cells the count of control samples,
+    before the basis is built.
     """
     modes = root.read("modes", _count, least=1)
     grid = _read_grid(root)
     block = root.block("geometry")
     lengths = block.read("lengths", _reals, ranks=(1,))
     geometry = Geometry(block.read("kind"), lengths)
-    n_quad, candidates = 1, {}
+    n_quad, sizes = 1, {"modes x (steps + 1)": modes * grid.n_nodes}
     if geometry.kind == "rectangle":
-        per_axis = block.read("modes_per_axis", _count, math.ceil(math.sqrt(modes)), least=1)
-        if per_axis * per_axis < modes:
-            raise ValueError(
-                f"modes_per_axis={per_axis} yields only {per_axis**2} modes, need {modes}"
-            )
-        nodes = block.read("nodes_per_face", _face_nodes, default_nodes_per_face(per_axis))
-        n_quad = 2 * nodes
-        # The basis traces every one of the per_axis^2 candidate modes.
-        candidates = {"modes_per_axis^2 x 2 nodes_per_face": per_axis**2 * n_quad}
+        # The default node count selects the lowest modes, in arrays smaller than
+        # their traces on the fewest nodes a face takes: check those first.
+        _check_budget({**sizes, "modes x 2 nodes_per_face": modes * 2 * panel_node_count(1)})
+        n_quad = 2 * block.read("nodes_per_face", _face_nodes, default_nodes_per_face(*lengths, modes))
     cells = n_quad * grid.n_nodes
-    _check_budget(
-        {
-            **candidates,
-            "modes x (steps + 1)": modes * grid.n_nodes,
-            "2 nodes_per_face x (steps + 1)": cells,
-            **arrays(modes, cells),
-        }
-    )
+    sizes["modes x 2 nodes_per_face"] = modes * n_quad
+    _check_budget({**sizes, "2 nodes_per_face x (steps + 1)": cells, **arrays(modes, cells)})
     if geometry.kind == "interval":
         basis = build_interval_basis(geometry.lengths[0], modes)
     else:
-        full = build_rectangle_basis(*geometry.lengths, per_axis, nodes)
-        basis = replace(
-            full, mu=full.mu[:modes], traces=full.traces[:modes], labels=full.labels[:modes]
-        )
+        basis = build_rectangle_basis(*geometry.lengths, modes, n_quad // 2)
     return basis, _read_kernel(root), grid, root.read("seed", _count, DEFAULT_SEED, least=0)
 
 

@@ -113,38 +113,52 @@ def build_interval_basis(length: float, n_modes: int) -> SpectralBasis:
     )
 
 
-def default_nodes_per_face(n_modes_per_axis: int) -> int:
-    """Gauss-Legendre nodes per control face that integrate products of the
-    stored traces to near machine accuracy."""
-    return max(8, 4 * n_modes_per_axis + 8)
+def _lowest_modes(a: float, b: float, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis indices (m, n) of the n_modes lowest modes, sorted by (mu, m, n)."""
+    index = np.arange(1, n_modes + 1)
+    alpha, beta = (index - 0.5) * np.pi / a, (index - 0.5) * np.pi / b
+    # A ceil(n_modes / q) x q box holds n_modes modes at or below its corner
+    # frequency; below the lowest corner lie O(n_modes) candidates.  Column m
+    # takes the n with beta_n within that bound's reach, one more for rounding.
+    bound = np.min(np.hypot(alpha[-(-n_modes // index) - 1], beta))
+    reach = np.sqrt(bound**2 - alpha[alpha <= bound] ** 2)
+    rows = np.minimum(np.searchsorted(beta, reach, side="right") + 1, n_modes)
+    m = np.repeat(index[: rows.size], rows)
+    n = np.arange(m.size) - np.repeat(np.cumsum(rows) - rows, rows) + 1
+    keep = np.lexsort((n, m, np.hypot(alpha[m - 1], beta[n - 1])))[:n_modes]
+    return m[keep], n[keep]
+
+
+def default_nodes_per_face(a: float, b: float, n_modes: int) -> int:
+    """Nodes per control face for the n_modes lowest modes, one 8-point panel per per-axis
+    index up to their largest: their trace products integrate to near machine accuracy."""
+    m, n = _lowest_modes(a, b, n_modes)
+    return 8 * int(max(m.max(), n.max()))
 
 
 def build_rectangle_basis(
-    a: float, b: float, n_modes_per_axis: int, nodes_per_face: int | None = None
+    a: float, b: float, n_modes: int, nodes_per_face: int | None = None
 ) -> SpectralBasis:
-    """Tensor eigenbasis of (0,a) x (0,b), clamped on {x=0} and {y=0}.
+    """The n_modes lowest modes of (0,a) x (0,b), clamped on {x=0} and {y=0}.
 
     Modes are products of per-axis half-integer sines,
 
         phi_{mn}(x, y) = 2/sqrt(ab) sin((m-1/2) pi x / a) sin((n-1/2) pi y / b),
 
-    sorted by eigenfrequency, ties broken lexicographically in (m, n).  The
-    control faces {x=a} and {y=b} carry composite Gauss-Legendre quadrature;
-    nodes_per_face defaults to default_nodes_per_face(n_modes_per_axis).
+    sorted by eigenfrequency, ties broken lexicographically in (m, n), so the
+    n_modes-mode basis is the leading rows of every larger one.  The control
+    faces {x=a} and {y=b} carry composite Gauss-Legendre quadrature;
+    nodes_per_face defaults to default_nodes_per_face(a, b, n_modes).
     """
     geometry = Geometry.rectangle(a, b)
-    if n_modes_per_axis < 1:
-        raise ValueError(f"n_modes_per_axis must be >= 1, got {n_modes_per_axis}")
+    if n_modes < 1:
+        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     if nodes_per_face is None:
-        nodes_per_face = default_nodes_per_face(n_modes_per_axis)
+        nodes_per_face = default_nodes_per_face(a, b, n_modes)
 
-    axis = np.arange(1, n_modes_per_axis + 1)
-    m, n = (index.ravel() for index in np.meshgrid(axis, axis, indexing="ij"))
-    alpha = (m - 0.5) * np.pi / a
-    beta = (n - 0.5) * np.pi / b
+    m, n = _lowest_modes(a, b, n_modes)
+    alpha, beta = (m - 0.5) * np.pi / a, (n - 0.5) * np.pi / b
     mu = np.hypot(alpha, beta)
-    order = np.lexsort((n, m, mu))  # by mu, ties by m, then n
-    m, n, alpha, beta, mu = m[order], n[order], alpha[order], beta[order], mu[order]
     labels = tuple(zip(m.tolist(), n.tolist()))
 
     ya, wa = gauss_legendre_panels(b, nodes_per_face)  # face x = a, parametrised by y
@@ -155,7 +169,7 @@ def build_rectangle_basis(
     weights = np.concatenate([wa, wb])
 
     # Each face's trace is (norm * sin(alpha x)) * sin(beta y), computed in
-    # place so the candidates take one traces-sized array.
+    # place in one traces-sized array.
     norm = 2.0 / np.sqrt(a * b)
     traces = np.empty((mu.size, weights.size))
     on_xa, on_yb = traces[:, : ya.size], traces[:, ya.size :]

@@ -96,20 +96,23 @@ def stepwise_march(kernel, forcing, dt):
     return y
 
 
-def rectangle_basis_reference(a, b, modes_per_axis, ya, xb):
-    """Mode by mode (mu, traces, labels) of the rectangle eigenbasis.
+def rectangle_basis_reference(a, b, n_modes, ya, xb):
+    """Mode by mode (mu, traces, labels) of the n_modes lowest rectangle modes.
 
-    Frequencies hypot(alpha_m, beta_n) of the half-integer sines, sorted by
-    (mu, m, n), and each sorted mode's trace (2/sqrt(ab)) sin(alpha_m x)
-    sin(beta_n y) on the face x = a at heights ya, then on the face y = b at
-    abscissae xb, in Python loops over the modes.
+    Frequencies hypot(alpha_m, beta_n) of the half-integer sines over the box
+    m, n <= n_modes, which holds the lowest n_modes (the first row alone holds
+    n_modes modes below any m > n_modes, the first column below any
+    n > n_modes), sorted by (mu, m, n) and cut to n_modes.  Each kept mode's
+    trace is (2/sqrt(ab)) sin(alpha_m x) sin(beta_n y) on the face x = a at
+    heights ya, then on the face y = b at abscissae xb, in Python loops over
+    the modes.
     """
-    m = np.arange(1, modes_per_axis + 1)
+    m = np.arange(1, n_modes + 1)
     alpha = (m - 0.5) * np.pi / a
     beta = (m - 0.5) * np.pi / b
     pairs = [(int(i), int(j)) for i in m for j in m]
     mus = np.array([np.hypot(alpha[i - 1], beta[j - 1]) for i, j in pairs])
-    order = sorted(range(len(pairs)), key=lambda k: (mus[k], pairs[k]))
+    order = sorted(range(len(pairs)), key=lambda k: (mus[k], pairs[k]))[:n_modes]
     labels = tuple(pairs[k] for k in order)
     norm = 2.0 / np.sqrt(a * b)
     traces = np.empty((len(labels), ya.size + xb.size))

@@ -15,6 +15,7 @@ from viscowave.memory_kernel import (
     SampledKernel,
     ZeroKernel,
 )
+from viscowave.spectral_basis import default_nodes_per_face
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -140,10 +141,22 @@ class TestSimulate:
         )
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-        manifest = read_manifest(out)
-        assert manifest["config"]["geometry"]["modes_per_axis"] == 2
+        geometry = read_manifest(out)["config"]["geometry"]
+        assert "modes_per_axis" not in geometry
+        # The two lowest modes, (1, 1) and (1, 2), reach index 2: two panels.
+        assert geometry["nodes_per_face"] == default_nodes_per_face(1.0, 1.0, 2) == 16
         terminal = np.loadtxt(out / "terminal.csv", delimiter=",", skiprows=1)
         assert terminal.shape == (2, 4)
+
+    def test_stale_modes_per_axis_is_ignored(self, tmp_path):
+        outs = []
+        for name, extra in (("plain", {}), ("stale", {"modes_per_axis": 2.5})):
+            geometry = {"kind": "rectangle", "lengths": [1.0, 3.0], **extra}
+            cfg = write_config(tmp_path, base_config(modes=6, geometry=geometry), name=f"{name}.json")
+            outs.append(tmp_path / name)
+            assert main(["simulate", "--config", cfg, "--out", str(outs[-1])]) == 0
+        for name in ("trajectory.csv", "terminal.csv", "summary.json", "manifest.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 class TestSynthesize:
@@ -327,6 +340,16 @@ class TestDiagnostics:
         assert 0.9 <= summary["m_observed"] <= 1.0 + 1e-9
         assert summary["max_trace_ratio"] > 0.0
         assert np.isclose(summary["weyl_constant"], np.pi / 2, atol=1e-12)
+
+    def test_probes_rectangle_runs_the_lowest_modes(self, tmp_path):
+        square = {"kind": "rectangle", "lengths": [1.0, 1.0]}
+        cfg = write_config(tmp_path, base_config(modes=64, geometry=square, trials=1))
+        out = tmp_path / "out"
+        assert main(["probes", "--config", cfg, "--out", str(out)]) == 0
+        index = np.arange(1, 65) - 0.5
+        lowest = np.sort(np.hypot.outer(index * np.pi, index * np.pi).ravel())[:64]
+        mu = np.loadtxt(out / "gronwall.csv", delimiter=",", skiprows=1)[:, 1]
+        assert np.array_equal(mu, lowest)
 
     def test_probes_single_mode_defaults(self, tmp_path):
         cfg = write_config(tmp_path, base_config(modes=1, grid={"horizon": 2.0, "steps": 100}, trials=2))
@@ -584,12 +607,6 @@ class TestExitCodes:
             ("duality-check", {"trials": 2.5}, 3, "trials must be an integer"),
             (
                 "simulate",
-                {"geometry": {"kind": "rectangle", "lengths": [1.0, 1.0], "modes_per_axis": 2.5}},
-                3,
-                "modes_per_axis must be an integer",
-            ),
-            (
-                "simulate",
                 {"geometry": {"kind": "rectangle", "lengths": [1.0, 1.0], "nodes_per_face": 8.5}},
                 3,
                 "nodes_per_face must be an integer",
@@ -721,6 +738,32 @@ class TestExitCodes:
                 3,
                 "2 perturbation_modes x 2 nodes_per_face x (steps + 1) array would take",
             ),
+            (
+                "simulate",
+                {"modes": 10**12, "geometry": {"kind": "rectangle", "lengths": [1000.0, 1.0]}},
+                3,
+                "modes x (steps + 1) array would take",
+            ),
+            (
+                "simulate",
+                {
+                    "modes": 10**12,
+                    "geometry": {"kind": "rectangle", "lengths": [1.0, 1.0]},
+                    "grid": {"horizon": 1.0, "steps": 2},
+                },
+                3,
+                "modes x 2 nodes_per_face array would take",
+            ),
+            (
+                "simulate",
+                {
+                    "modes": 10**5,
+                    "geometry": {"kind": "rectangle", "lengths": [1.0, 1.0], "nodes_per_face": 10**6},
+                    "grid": {"horizon": 1.0, "steps": 2},
+                },
+                3,
+                "modes x 2 nodes_per_face array would take",
+            ),
             ("duality-check", {"tones": 10**12}, 3, "2 nodes_per_face x tones x (steps + 1) array would take"),
             ("maccamy", {"grid": {"horizon": 1.0, "steps": 10**13}}, 3, "steps + 1 array would take"),
             (
@@ -779,7 +822,6 @@ class TestExitCodes:
             "spectrum-mode-counts-fraction",
             "tones-fraction",
             "duality-trials-fraction",
-            "modes-per-axis-fraction",
             "nodes-per-face-fraction",
             "b-boolean",
             "horizon-string",
@@ -816,6 +858,9 @@ class TestExitCodes:
             "budget-control-samples",
             "budget-gram",
             "budget-compactness-matrix",
+            "budget-thin-rectangle-modes",
+            "budget-rectangle-traces-before-selection",
+            "budget-rectangle-traces",
             "budget-duality-tones",
             "budget-maccamy-grid",
             "budget-tone-control",

@@ -277,7 +277,7 @@ class TestNormGrowthProbe:
 
     @pytest.mark.parametrize(
         "basis",
-        [build_interval_basis(1.0, 12), build_rectangle_basis(1.0, 1.5, 3, 6)],
+        [build_interval_basis(1.0, 12), build_rectangle_basis(1.0, 1.5, 9, 6)],
         ids=["interval", "rectangle"],
     )
     def test_ratios_match_per_trial_forward_runs(self, basis):
@@ -328,16 +328,22 @@ class TestPerturbationCompactness:
         memory = MemoryKernel(b=0.2, kernel=PronyKernel((0.03, 0.05, 0.04), (0.5, 2.0, 5.0)))
         report = perturbation_compactness_probe(basis, memory, grid, 4)
         wt = trapezoid_weights(grid.n_nodes, grid.dt)
-        expected = 0.0
-        for q in range(basis.n_quad):
-            for p in range(grid.n_nodes):
+        impulses = [(q, p) for q in range(basis.n_quad) for p in range(grid.n_nodes)]
+
+        def terminals(kernel):
+            # One kernel's runs in a row share its operator: two are built in all.
+            runs = []
+            for q, p in impulses:
                 values = np.zeros((basis.n_quad, grid.n_nodes))
                 values[q, p] = 1.0
                 control = BoundaryControl(values=values, grid=grid)
-                a = forward_simulate(basis, memory, control, grid).terminal
-                b = forward_simulate(basis, MemoryKernel(), control, grid).terminal
-                sq = np.sum((a.xi - b.xi) ** 2) + np.sum((a.eta - b.eta) ** 2)
-                expected += sq / (basis.quad_weights[q] * wt[p])
+                runs.append(forward_simulate(basis, kernel, control, grid).terminal)
+            return runs
+
+        expected = 0.0
+        for (q, p), a, b in zip(impulses, terminals(memory), terminals(MemoryKernel())):
+            sq = np.sum((a.xi - b.xi) ** 2) + np.sum((a.eta - b.eta) ** 2)
+            expected += sq / (basis.quad_weights[q] * wt[p])
         got = float(np.sum(report.singular_values**2))
         assert abs(got - expected) <= 1e-10 * expected
 
