@@ -57,7 +57,7 @@ from .modal_dynamics import (
     tone_control,
     zero_control,
 )
-from .quadrature import panel_node_count
+from .quadrature import PANEL_ORDER, panel_node_count
 from .spectral_basis import (
     Geometry,
     SpectralBasis,
@@ -330,8 +330,9 @@ def _setup(root: _Block, arrays=lambda modes, cells: {}):
     if geometry.kind == "rectangle":
         # The default node count selects the lowest modes, in arrays smaller than
         # their traces on the fewest nodes a face takes: check those first.
-        _check_budget({**sizes, "modes x 2 nodes_per_face": modes * 2 * panel_node_count(1)})
-        n_quad = 2 * block.read("nodes_per_face", _face_nodes, default_nodes_per_face(*lengths, modes))
+        _check_budget({**sizes, "modes x 2 nodes_per_face": modes * 2 * PANEL_ORDER})
+        default = None if "nodes_per_face" in block.value else default_nodes_per_face(*lengths, modes)
+        n_quad = 2 * block.read("nodes_per_face", _face_nodes, default)
     cells = n_quad * grid.n_nodes
     sizes["modes x 2 nodes_per_face"] = modes * n_quad
     _check_budget({**sizes, "2 nodes_per_face x (steps + 1)": cells, **arrays(modes, cells)})
@@ -470,23 +471,18 @@ def _cmd_maccamy(root):
 
 
 def _cmd_probes(root):
-    def perturbation_modes(modes: int) -> int:
-        return root.read("perturbation_modes", _count, min(16, modes), least=1, most=modes)
-
-    compactness = "2 perturbation_modes x 2 nodes_per_face x (steps + 1)"
-    basis, kernel, grid, seed = _setup(
-        root, lambda modes, cells: {compactness: 2 * perturbation_modes(modes) * cells}
-    )
+    basis, kernel, grid, seed = _setup(root)
+    m = basis.n_modes
+    perturbation_modes = root.read("perturbation_modes", _count, min(16, m), least=1, most=m)
     trials = root.read("trials", _count, 8, least=1)
     alpha = root.read("alpha", _real, 0.55)
-    m = basis.n_modes
     default_counts = sorted({max(1, m // 4), min(m, max(2, m // 2)), m})
     counts = root.read("mode_counts", _counts, default_counts)
 
     gronwall = gronwall_bound_check(basis, kernel, grid, trials=trials, seed=seed)
     trace = trace_estimate_check(basis)
     growth = norm_growth_probe(basis, kernel, grid, counts, trials=trials, seed=seed, alpha=alpha)
-    pert = perturbation_compactness_probe(basis, kernel, grid, perturbation_modes(m))
+    pert = perturbation_compactness_probe(basis, kernel, grid, perturbation_modes)
 
     modes, sigma = np.arange(1, m + 1), pert.singular_values
     ratios, weighted = np.array([(r.max_ratio, r.max_weighted_ratio) for r in growth.rows]).T
@@ -506,8 +502,8 @@ def _cmd_probes(root):
         weyl_constant=weyl_growth_constant(basis),
         alpha=alpha,
         trials=trials,
-        sigma_first=float(sigma[0]) if sigma.size else 0.0,
-        sigma_last=float(sigma[-1]) if sigma.size else 0.0,
+        sigma_first=float(sigma[0]),
+        sigma_last=float(sigma[-1]),
     )
 
 

@@ -61,13 +61,13 @@ def trapezoid_convolve(kernel: np.ndarray, g: np.ndarray, dt: float) -> np.ndarr
     return dt * (full - 0.5 * (k * f[..., :1] + k[..., :1] * f))
 
 
-_PANEL_ORDER = 8
+PANEL_ORDER = 8  # nodes of one Gauss-Legendre panel
 
 
 def panel_node_count(n_nodes: int) -> int:
     """Node count of the rule gauss_legendre_panels builds for n_nodes: the
     fewest whole panels that hold at least n_nodes."""
-    return -(-n_nodes // _PANEL_ORDER) * _PANEL_ORDER
+    return -(-n_nodes // PANEL_ORDER) * PANEL_ORDER
 
 
 def gauss_legendre_panels(length: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -80,8 +80,8 @@ def gauss_legendre_panels(length: float, n_nodes: int) -> tuple[np.ndarray, np.n
         raise ValueError(f"face length must be positive, got {length}")
     if n_nodes < 1:
         raise ValueError(f"node count must be positive, got {n_nodes}")
-    panels = panel_node_count(n_nodes) // _PANEL_ORDER
-    x, w = np.polynomial.legendre.leggauss(_PANEL_ORDER)
+    panels = panel_node_count(n_nodes) // PANEL_ORDER
+    x, w = np.polynomial.legendre.leggauss(PANEL_ORDER)
     edges = np.linspace(0.0, length, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import gauss_legendre_panels
+from .quadrature import PANEL_ORDER, gauss_legendre_panels
 
 
 @dataclass(frozen=True)
@@ -129,11 +129,14 @@ def _lowest_modes(a: float, b: float, n_modes: int) -> tuple[np.ndarray, np.ndar
     return m[keep], n[keep]
 
 
+def _panel_nodes(m: np.ndarray, n: np.ndarray) -> int:
+    return PANEL_ORDER * int(max(m.max(), n.max()))
+
+
 def default_nodes_per_face(a: float, b: float, n_modes: int) -> int:
-    """Nodes per control face for the n_modes lowest modes, one 8-point panel per per-axis
-    index up to their largest: their trace products integrate to near machine accuracy."""
-    m, n = _lowest_modes(a, b, n_modes)
-    return 8 * int(max(m.max(), n.max()))
+    """Nodes per control face for the n_modes lowest modes, one panel per per-axis index
+    up to their largest: their trace products integrate to near machine accuracy."""
+    return _panel_nodes(*_lowest_modes(a, b, n_modes))
 
 
 def build_rectangle_basis(
@@ -153,10 +156,9 @@ def build_rectangle_basis(
     geometry = Geometry.rectangle(a, b)
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    if nodes_per_face is None:
-        nodes_per_face = default_nodes_per_face(a, b, n_modes)
-
     m, n = _lowest_modes(a, b, n_modes)
+    if nodes_per_face is None:
+        nodes_per_face = _panel_nodes(m, n)
     alpha, beta = (m - 0.5) * np.pi / a, (n - 0.5) * np.pi / b
     mu = np.hypot(alpha, beta)
     labels = tuple(zip(m.tolist(), n.tolist()))

@@ -1,6 +1,6 @@
 import pytest
 
-from viscowave import modal_dynamics, volterra
+from viscowave import modal_dynamics, spectral_basis, volterra
 
 
 @pytest.fixture(autouse=True)
@@ -24,3 +24,17 @@ def inverted_rows(monkeypatch):
 
     monkeypatch.setattr(volterra, "_reciprocal", counting)
     return counts
+
+
+@pytest.fixture
+def lowest_mode_selections(monkeypatch):
+    """Arguments of each spectral_basis._lowest_modes call, one entry per call."""
+    calls = []
+    lowest_modes = spectral_basis._lowest_modes
+
+    def counting(*args):
+        calls.append(args)
+        return lowest_modes(*args)
+
+    monkeypatch.setattr(spectral_basis, "_lowest_modes", counting)
+    return calls

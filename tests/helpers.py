@@ -2,8 +2,9 @@
 
 The integrators here are deliberately independent of the package's quadrature
 and marching code: RK4 time stepping for ODE-equivalent reference solutions,
-a plain O(n^2) product-trapezoid sum for convolution cross-checks, and the
-step-by-step trapezoid march.
+a plain O(n^2) product-trapezoid sum for convolution cross-checks, the
+step-by-step trapezoid march, and the dense SVD of the perturbation probe's
+matrix.
 """
 
 import numpy as np
@@ -121,3 +122,25 @@ def rectangle_basis_reference(a, b, n_modes, ya, xb):
         on_yb = norm * np.sin(alpha[i - 1] * xb) * np.sin(beta[j - 1] * b)
         traces[row] = np.concatenate([on_xa, on_yb])
     return mus[order], traces, labels
+
+
+def perturbation_svd_reference(basis, terminal_maps, n_modes, dt):
+    """Singular values of the memory perturbation from its dense matrix.
+
+    terminal_maps is (memory, memoryless), each a pair of terminal impulse
+    maps with one row per mode.  Row (slot, mode) of the (2m, n_quad n)
+    matrix holds, at column (q, p), the trace-weighted terminal difference
+    of a unit nodal impulse at quadrature node q and time node p, divided by
+    sqrt(quad_weights[q] * wt[p]) so each column is a unit-L2 control.
+    """
+    m = n_modes
+    memory, memoryless = terminal_maps
+    n = memory[0].shape[-1]
+    wt = np.full(n, dt)
+    wt[0] = wt[-1] = 0.5 * dt
+    tw = basis.traces[:m] * basis.quad_weights[None, :]
+    blocks = [
+        np.einsum("mq,mp->mqp", tw, a[:m] - b[:m]).reshape(m, -1) for a, b in zip(memory, memoryless)
+    ]
+    matrix = np.vstack(blocks) / np.sqrt(np.outer(basis.quad_weights, wt)).reshape(-1)[None, :]
+    return np.linalg.svd(matrix, compute_uv=False)

@@ -148,6 +148,12 @@ class TestSimulate:
         terminal = np.loadtxt(out / "terminal.csv", delimiter=",", skiprows=1)
         assert terminal.shape == (2, 4)
 
+    def test_given_node_count_selects_the_modes_once(self, tmp_path, lowest_mode_selections):
+        geometry = {"kind": "rectangle", "lengths": [1.0, 3.0], "nodes_per_face": 24}
+        cfg = write_config(tmp_path, base_config(modes=6, geometry=geometry))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert lowest_mode_selections == [(1.0, 3.0, 6)]
+
     def test_stale_modes_per_axis_is_ignored(self, tmp_path):
         outs = []
         for name, extra in (("plain", {}), ("stale", {"modes_per_axis": 2.5})):
@@ -736,7 +742,7 @@ class TestExitCodes:
                 "probes",
                 {"modes": 16, "grid": {"horizon": 1.0, "steps": 10**12}},
                 3,
-                "2 perturbation_modes x 2 nodes_per_face x (steps + 1) array would take",
+                "modes x (steps + 1) array would take",
             ),
             (
                 "simulate",
@@ -857,7 +863,7 @@ class TestExitCodes:
             "budget-modal-tables",
             "budget-control-samples",
             "budget-gram",
-            "budget-compactness-matrix",
+            "budget-probes-modal-tables",
             "budget-thin-rectangle-modes",
             "budget-rectangle-traces-before-selection",
             "budget-rectangle-traces",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import perturbation_svd_reference
 from viscowave.control_synthesis import (
     IllPosedSystemError,
     assemble_gram,
@@ -346,6 +347,50 @@ class TestPerturbationCompactness:
             expected += sq / (basis.quad_weights[q] * wt[p])
         got = float(np.sum(report.singular_values**2))
         assert abs(got - expected) <= 1e-10 * expected
+
+    @pytest.mark.parametrize(
+        "basis, kernel, grid, m",
+        [
+            (
+                build_interval_basis(1.0, 16),
+                MemoryKernel(b=0.2, kernel=PronyKernel((0.03, 0.05, 0.04), (0.5, 2.0, 5.0))),
+                TimeGrid(2.5, 512),
+                16,
+            ),
+            (
+                build_interval_basis(1.0, 64),
+                MemoryKernel(b=1.0, kernel=ExponentialKernel(2.0, 1.0)),
+                TimeGrid(2.5, 1000),
+                64,
+            ),
+            (
+                build_rectangle_basis(1.0, 1.0, 16, 24),
+                MemoryKernel(b=0.2, kernel=ExponentialKernel(0.1, 1.0)),
+                TimeGrid(3.0, 400),
+                16,
+            ),
+            # 2m = 4 rows but n_quad n = 3 columns: three singular values.
+            (
+                build_interval_basis(1.0, 2),
+                MemoryKernel(b=0.2, kernel=ExponentialKernel(0.1, 1.0)),
+                TimeGrid(2.5, 2),
+                2,
+            ),
+        ],
+        ids=["interval-prony", "interval-64-strong", "square-16", "interval-two-steps"],
+    )
+    def test_matches_the_svd_of_the_probed_matrix(self, basis, kernel, grid, m):
+        got = perturbation_compactness_probe(basis, kernel, grid, m).singular_values
+        maps = basis_operator(basis, kernel, grid, m).terminal_maps
+        want = perturbation_svd_reference(basis, maps, m, grid.dt)
+        assert got.size == want.size == min(2 * m, basis.n_quad * grid.n_nodes)
+        # The Gram's eigenvalues sigma^2 carry an absolute error of about
+        # eps sigma_1^2, so a singular value far below sqrt(eps) sigma_1 (the
+        # two-step grid has one, as the last time node's column vanishes)
+        # agrees only in its square; those above 1e-2 sigma_1 agree themselves.
+        assert np.max(np.abs(got**2 - want**2)) <= 1e-12 * want[0] ** 2
+        big = want >= 1e-2 * want[0]
+        assert np.max(np.abs(got[big] - want[big]) / want[big]) <= 1e-12
 
 
 class TestOneInversePerMode:

@@ -94,6 +94,10 @@ class TestRectangleBasis:
         assert build_rectangle_basis(1.0, 1.0, 64).n_quad == 2 * 8 * 9
         assert default_nodes_per_face(1000.0, 1.0, 16) == 8 * 16
 
+    def test_default_node_count_selects_the_modes_once(self, lowest_mode_selections):
+        assert build_rectangle_basis(1.0, 1.0, 64).n_quad == 2 * 8 * 9
+        assert lowest_mode_selections == [(1.0, 1.0, 64)]
+
     def test_anisotropic_frequencies(self):
         basis = build_rectangle_basis(2.0, 1.0, 4)
         expected = sorted(
