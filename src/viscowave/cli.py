@@ -473,7 +473,13 @@ def _cmd_maccamy(root):
 def _cmd_probes(root):
     basis, kernel, grid, seed = _setup(root)
     m = basis.n_modes
-    perturbation_modes = root.read("perturbation_modes", _count, min(16, m), least=1, most=m)
+    p = root.read("perturbation_modes", _count, min(16, m), least=1, most=m)
+    # The compactness probe's product of its trace and time QR factors.
+    factor = (
+        "2 perturbation_modes x min(perturbation_modes, 2 nodes_per_face)"
+        " x min(2 perturbation_modes, steps + 1)"
+    )
+    _check_budget({factor: 2 * p * min(p, basis.n_quad) * min(2 * p, grid.n_nodes)})
     trials = root.read("trials", _count, 8, least=1)
     alpha = root.read("alpha", _real, 0.55)
     default_counts = sorted({max(1, m // 4), min(m, max(2, m // 2)), m})
@@ -482,7 +488,7 @@ def _cmd_probes(root):
     gronwall = gronwall_bound_check(basis, kernel, grid, trials=trials, seed=seed)
     trace = trace_estimate_check(basis)
     growth = norm_growth_probe(basis, kernel, grid, counts, trials=trials, seed=seed, alpha=alpha)
-    pert = perturbation_compactness_probe(basis, kernel, grid, perturbation_modes)
+    pert = perturbation_compactness_probe(basis, kernel, grid, p)
 
     modes, sigma = np.arange(1, m + 1), pert.singular_values
     ratios, weighted = np.array([(r.max_ratio, r.max_weighted_ratio) for r in growth.rows]).T

@@ -344,20 +344,25 @@ def perturbation_compactness_probe(
     at quadrature node q and time node p; fast singular-value decay is the
     compactness signature that lets the memoryless controllability survive
     the perturbation.  Both maps come from one operator's leading m rows.
-    Each row of A is (trace_q sqrt(w_q)) x (D_p / sqrt(wt_p)), so A A^T is the
-    tiled boundary Gram times the time Gram D W^-1 D^T: the min(2m, n_quad n)
-    singular values, descending, are the roots of that 2m x 2m Gram's
-    eigenvalues, whose absolute error eps sigma_1^2 leaves sigma_i relatively
-    accurate to about eps (sigma_1 / sigma_i)^2.
+    Row (slot, i) of A is the Kronecker product of the weighted trace row
+    traces_i sqrt(w) and the time row D_i / sqrt(wt).  With the QR factors
+    traces sqrt(w) = L Q^T and D W^-1/2 = L' Q'^T, A is the row-wise Kronecker
+    product of L (tiled over both slots) and L', times the orthonormal rows of
+    (Q (x) Q')^T.  So the min(2m, n_quad n) singular values of A, descending,
+    are those of that 2m x min(m, n_quad) min(2m, n) product, to about
+    eps sigma_1 absolute, and no n_quad n-wide array is formed.
     """
     if not 1 <= n_modes <= basis.n_modes:
         raise ValueError(f"n_modes must lie in [1, {basis.n_modes}], got {n_modes}")
     m = n_modes
     memory, memoryless = basis_operator(basis, kernel, grid, m).terminal_maps
     rows = np.vstack([a[:m] - b[:m] for a, b in zip(memory, memoryless)])
-    gram = _modal_gram(basis, rows, 1.0 / trapezoid_weights(grid.n_nodes, grid.dt))
-    count = min(2 * m, basis.n_quad * grid.n_nodes)
-    sigma = np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))[::-1][:count]
+    rows /= np.sqrt(trapezoid_weights(grid.n_nodes, grid.dt))
+    time_factor = np.linalg.qr(rows.T, mode="r").T
+    traces = basis.traces[:m] * np.sqrt(basis.quad_weights)
+    trace_factor = np.tile(np.linalg.qr(traces.T, mode="r").T, (2, 1))
+    factor = (trace_factor[:, :, None] * time_factor[:, None, :]).reshape(2 * m, -1)
+    sigma = np.linalg.svd(factor, compute_uv=False)
     return PerturbationReport(singular_values=sigma, n_modes=m)
 
 

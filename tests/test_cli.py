@@ -740,9 +740,15 @@ class TestExitCodes:
             ),
             (
                 "probes",
-                {"modes": 16, "grid": {"horizon": 1.0, "steps": 10**12}},
+                {
+                    "modes": 8000,
+                    "perturbation_modes": 8000,
+                    "geometry": {"kind": "rectangle", "lengths": [1.0, 1.0], "nodes_per_face": 64},
+                    "grid": {"horizon": 1.0, "steps": 16000},
+                },
                 3,
-                "modes x (steps + 1) array would take",
+                "2 perturbation_modes x min(perturbation_modes, 2 nodes_per_face)"
+                " x min(2 perturbation_modes, steps + 1) array would take",
             ),
             (
                 "simulate",
@@ -863,7 +869,7 @@ class TestExitCodes:
             "budget-modal-tables",
             "budget-control-samples",
             "budget-gram",
-            "budget-probes-modal-tables",
+            "budget-compactness-matrix",
             "budget-thin-rectangle-modes",
             "budget-rectangle-traces-before-selection",
             "budget-rectangle-traces",
