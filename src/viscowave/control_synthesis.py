@@ -71,17 +71,6 @@ def _spectrum(matrix: np.ndarray) -> tuple[float, float, float]:
     return min_eig, max_eig, max_eig / min_eig if min_eig > 0.0 else float("inf")
 
 
-def _modal_gram(basis: SpectralBasis, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The tiled boundary trace Gram of the m leading modes times the time Gram
-    (rows * weights) @ rows.T of the 2m rows, symmetrized from its upper triangle."""
-    m = rows.shape[0] // 2
-    time_gram = (rows * weights[None, :]) @ rows.T
-    tr = basis.traces[:m]
-    boundary_gram = (tr * basis.quad_weights[None, :]) @ tr.T
-    gram = np.tile(boundary_gram, (2, 2)) * time_gram
-    return np.triu(gram) + np.triu(gram, 1).T
-
-
 def assemble_gram(
     basis: SpectralBasis,
     kernel: MemoryKernel,
@@ -116,7 +105,13 @@ def assemble_gram(
     # gives the rows in the (e_m, 0)-first order.
     psi = op.free(*UNIT_DATA)[:, :m].reshape(2 * m, grid.n_nodes)
 
-    gram = _modal_gram(basis, psi, trapezoid_weights(grid.n_nodes, grid.dt))
+    wt = trapezoid_weights(grid.n_nodes, grid.dt)
+    time_gram = (psi * wt[None, :]) @ psi.T
+    tr = basis.traces[:m]
+    boundary_gram = (tr * basis.quad_weights[None, :]) @ tr.T
+    gram = np.tile(boundary_gram, (2, 2)) * time_gram
+    gram = np.triu(gram) + np.triu(gram, 1).T
+
     min_eig, max_eig, cond = _spectrum(gram)
     return GramSystem(
         matrix=gram,
@@ -339,18 +334,15 @@ def perturbation_compactness_probe(
 ) -> PerturbationReport:
     """Singular values of the discrete memory perturbation of the control map.
 
-    Column (q, p) of the probed matrix A is the weighted terminal difference
-    D (controlled-with-memory minus memoryless) of the unit-L2 impulse control
-    at quadrature node q and time node p; fast singular-value decay is the
-    compactness signature that lets the memoryless controllability survive
-    the perturbation.  Both maps come from one operator's leading m rows.
-    Row (slot, i) of A is the Kronecker product of the weighted trace row
-    traces_i sqrt(w) and the time row D_i / sqrt(wt).  With the QR factors
-    traces sqrt(w) = L Q^T and D W^-1/2 = L' Q'^T, A is the row-wise Kronecker
-    product of L (tiled over both slots) and L', times the orthonormal rows of
-    (Q (x) Q')^T.  So the min(2m, n_quad n) singular values of A, descending,
-    are those of that 2m x min(m, n_quad) min(2m, n) product, to about
-    eps sigma_1 absolute, and no n_quad n-wide array is formed.
+    Column (q, p) of the probed matrix A is the weighted terminal difference D
+    (with memory minus memoryless) of the unit-L2 impulse control at quadrature
+    node q and time node p; fast singular-value decay is the compactness
+    signature that lets the memoryless controllability survive the perturbation.
+    Row i of A is the Kronecker product of traces_i sqrt(w) and D_i / sqrt(wt),
+    so with the QR factors L and L' of those two sets of rows, A has the
+    singular values of the row-wise Kronecker product of L (tiled over both
+    slots) and L', to about eps sigma_1 absolute, and its n_quad n columns are
+    never formed.
     """
     if not 1 <= n_modes <= basis.n_modes:
         raise ValueError(f"n_modes must lie in [1, {basis.n_modes}], got {n_modes}")
