@@ -738,6 +738,8 @@ class TestExitCodes:
                 3,
                 "(2 modes)^2 Gram array would take",
             ),
+            # 262 GB for the probe's factor, near the most a config can ask
+            # for with small traces while the modal tables fit the budget.
             (
                 "probes",
                 {
