@@ -256,15 +256,31 @@ def _read_kernel(root: _Block) -> MemoryKernel:
 
 
 def _load_control_csv(path: str, basis: SpectralBasis, grid: TimeGrid) -> BoundaryControl:
-    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    import warnings
+
+    with warnings.catch_warnings():
+        # numpy warns of a file without data rows, which the shape check reports.
+        warnings.simplefilter("ignore", UserWarning)
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if table.shape != (grid.n_nodes, basis.n_quad + 1):
         raise ValueError(
             f"control file {path!r} has shape {table.shape}, expected "
             f"({grid.n_nodes}, {basis.n_quad + 1}) for this grid and basis"
         )
-    if np.max(np.abs(table[:, 0] - grid.times)) > 1e-9 * max(1.0, grid.horizon):
+    # BoundaryControl's finiteness check is the one pass over the samples, and a
+    # non-finite time fails the grid comparison; only a failure seeks the row.
+    try:
+        control = BoundaryControl(values=table[:, 1:].T, grid=grid)
+    except ValueError:  # the shape fits, so a sample is not finite
+        control = None
+    gap = np.max(np.abs(table[:, 0] - grid.times))
+    if control is None or not gap <= 1e-9 * max(1.0, grid.horizon):
+        bad = ~np.all(np.isfinite(table), axis=1)
+        if bad.any():
+            row = int(np.argmax(bad)) + 1
+            raise ValueError(f"control file {path!r}: data row {row} holds a non-finite value")
         raise ValueError(f"control file {path!r} was sampled on a different time grid")
-    return BoundaryControl(values=table[:, 1:].T, grid=grid)
+    return control
 
 
 def _read_control(root: _Block, basis: SpectralBasis, grid: TimeGrid, seed: int) -> BoundaryControl:

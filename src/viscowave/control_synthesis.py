@@ -26,7 +26,6 @@ from .grids import TimeGrid
 from .memory_kernel import MemoryKernel
 from .modal_dynamics import (
     DEFAULT_SEED,
-    UNIT_DATA,
     BoundaryControl,
     StatePair,
     adjoint_trace,
@@ -47,8 +46,10 @@ class GramSystem:
     """Assembled 2M x 2M Gram matrix of adjoint traces plus its spectrum data.
 
     Row/column order: the M traces from data (e_m, 0) first, then the M traces
-    from (0, e_m).  psi_table keeps the homogeneous modal solutions backing the
-    matrix so the synthesized control can be assembled without re-solving.
+    from (0, e_m).  psi_table holds the homogeneous modal solutions backing the
+    matrix, in that row order, so the synthesized control is assembled without
+    re-solving: the leading M modes of the operator's read-only
+    `free_responses`, a read-only view of them when the operator holds M modes.
     """
 
     matrix: np.ndarray
@@ -100,10 +101,8 @@ def assemble_gram(
             stacklevel=2,
         )
     m = n_modes
-    op = basis_operator(basis, kernel, grid, m)
-    # Each mode marches its data (1, 0) and (0, 1) against one kernel, which
-    # gives the rows in the (e_m, 0)-first order.
-    psi = op.free(*UNIT_DATA)[:, :m].reshape(2 * m, grid.n_nodes)
+    # The unit responses to (1, 0) and (0, 1) are the rows in the (e_m, 0)-first order.
+    psi = basis_operator(basis, kernel, grid, m).free_responses[:, :m].reshape(2 * m, grid.n_nodes)
 
     wt = trapezoid_weights(grid.n_nodes, grid.dt)
     time_gram = (psi * wt[None, :]) @ psi.T

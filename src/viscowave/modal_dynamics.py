@@ -16,7 +16,9 @@ initial data psi(0) = xi, psi'(0) with modal coefficients mu_n eta_n.
 
 ModalOperator holds everything that depends on the problem alone: the
 sin(mu_n t) and cos(mu_n t) tables, the kernels and their marching
-reciprocals.  The public solvers get theirs from basis_operator, which keeps
+reciprocals, and, each marched at most once on first use, the unit free
+responses that every homogeneous solve combines and the terminal impulse
+maps.  The public solvers get theirs from basis_operator, which keeps
 the last operator it built in one module slot and hands it out again while
 the kernel object, the grid and the leading modes match, so solves of one
 problem build and invert each mode's kernel once.  release_operator empties
@@ -42,9 +44,6 @@ from .spectral_basis import SpectralBasis
 from .volterra import FactoredKernel, march_difference_kernel
 
 DEFAULT_SEED = 1870
-# The data (xi, eta) = (1, 0) and (0, 1) for every mode, on a leading axis.
-UNIT_DATA = np.eye(2)[..., None]
-UNIT_DATA.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -163,7 +162,8 @@ class ModalOperator:
     Holds the sin(mu t) and cos(mu t) tables, the kernels G_n/mu_n (as
     `kernels`) and, from the first march on, the spectrum of each kernel's
     marching reciprocal, so every problem solved through one operator inverts
-    each mode's kernel once.  mus may have any shape; like every solver in
+    each mode's kernel once.  The unit free responses and the terminal maps
+    are computed on first use and kept read-only.  mus may have any shape; like every solver in
     this module, it broadcasts against the leading axes of the data, so
     forcings of shape (r, M, n) give r forcings per mode of mus (M,).
     """
@@ -201,15 +201,28 @@ class ModalOperator:
         u /= self.mus[..., None]
         return u, up
 
+    @cached_property
+    def free_responses(self) -> np.ndarray:
+        """Read-only homogeneous modes (psi_c, psi_s) of the unit data (1, 0)
+        and (0, 1), shape (2,) + mus.shape + (n,).
+
+        Each solves psi = cos(mu t) + (G/mu) * psi, resp. with sin(mu t), by
+        trapezoid marching, the convolution form of the modal memory equation;
+        every homogeneous solve reads this one march.
+        """
+        psi = march_difference_kernel(self._factored, np.stack([self._cos, self._sin]))
+        psi.flags.writeable = False
+        return psi
+
     def free(self, xi, eta) -> np.ndarray:
         """Homogeneous memory mode with data psi(0) = xi, psi'(0) = mu * eta.
 
-        Solves psi = xi cos(mu t) + eta sin(mu t) + (G/mu) * psi by trapezoid
-        marching, the convolution form of the modal memory equation.
+        psi is linear in its data, so this is xi psi_c + eta psi_s of the unit
+        responses `free_responses`, a new array; nothing is marched here.
         """
         xi, eta = np.asarray(xi, dtype=float)[..., None], np.asarray(eta, dtype=float)[..., None]
-        forcing = xi * self._cos + eta * self._sin
-        return march_difference_kernel(self._factored, forcing)
+        psi_c, psi_s = self.free_responses
+        return xi * psi_c + eta * psi_s
 
     def forced(self, forcing: np.ndarray) -> np.ndarray:
         """Forced memory mode from rest: the (w, w') stack sampled on the grid.
@@ -361,10 +374,8 @@ def adjoint_trace(
     m = v.n_modes
     if m > basis.n_modes:
         raise ValueError(f"state pair has {m} modes but the basis stores {basis.n_modes}")
-    op = basis_operator(basis, kernel, grid, m)
-    # Modes of the operator beyond the data's carry zero data.
-    xi, eta = (np.pad(d, (0, op.mus.size - m)) for d in (v.xi, v.eta))
-    psi = op.free(xi, eta)[:m]
+    psi_c, psi_s = basis_operator(basis, kernel, grid, m).free_responses[:, :m]
+    psi = v.xi[:, None] * psi_c + v.eta[:, None] * psi_s
     values = basis.traces[:m].T @ psi[:, ::-1]
     return BoundaryControl(values=values, grid=grid)
 
@@ -388,14 +399,14 @@ def gronwall_bound_check(
 
     The observed bound should be uniform in the mode index: high modes feel the
     memory only through G_n/mu_n, so adding modes must not inflate it.  psi is
-    linear in its data, so each mode marches (1, 0) and (0, 1) once and a
-    trial's data (cos theta, sin theta) combines the two responses.
+    linear in its data, so a trial's data (cos theta, sin theta) combines the
+    operator's unit responses to (1, 0) and (0, 1).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     op = basis_operator(basis, kernel, grid, basis.n_modes)
-    psi_c, psi_s = op.free(*UNIT_DATA)[:, : basis.n_modes]
+    psi_c, psi_s = op.free_responses[:, : basis.n_modes]
     per_mode = np.zeros(basis.n_modes)
     for _ in range(trials):
         theta = rng.uniform(0.0, 2.0 * np.pi, size=basis.n_modes)[:, None]

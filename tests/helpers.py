@@ -4,10 +4,13 @@ The integrators here are deliberately independent of the package's quadrature
 and marching code: RK4 time stepping for ODE-equivalent reference solutions,
 a plain O(n^2) product-trapezoid sum for convolution cross-checks, the
 step-by-step trapezoid march, and the dense SVD of the perturbation probe's
-matrix.
+matrix.  direct_free_march is the exception: it runs the package's march on
+each datum's own forcing, the reference for combining unit responses.
 """
 
 import numpy as np
+
+from viscowave.volterra import FactoredKernel, march_difference_kernel
 
 
 def rk4(f, y0, t1, n):
@@ -144,3 +147,13 @@ def perturbation_svd_reference(basis, terminal_maps, n_modes, dt):
     ]
     matrix = np.vstack(blocks) / np.sqrt(np.outer(basis.quad_weights, wt)).reshape(-1)[None, :]
     return np.linalg.svd(matrix, compute_uv=False)
+
+
+def direct_free_march(op, xi, eta):
+    """Homogeneous modes of the data (xi, eta) on op's leading len(xi) modes,
+    marched directly: the forcing xi cos(mu t) + eta sin(mu t) against those
+    modes' kernels, with no unit responses in between."""
+    m = len(xi)
+    phase = op.mus[:m, None] * op.grid.times
+    forcing = np.asarray(xi)[:, None] * np.cos(phase) + np.asarray(eta)[:, None] * np.sin(phase)
+    return march_difference_kernel(FactoredKernel(op.kernels[:m], op.grid.dt), forcing)

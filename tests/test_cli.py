@@ -36,6 +36,21 @@ def base_config(**overrides):
     return config
 
 
+def _control_file(rows):
+    return "t,node_0\n" + "".join(f"{t},{value}\n" for t, value in rows)
+
+
+# Control files on base_config's 51-node grid, one interval node, that the
+# exit-code rows name: a NaN sample in data row 7, a NaN time in data row 3,
+# and the header alone.
+_ROWS = [(repr(j / 50), "1.0") for j in range(51)]
+CONTROL_FILES = {
+    "nan-cell.csv": _control_file(_ROWS[:6] + [(_ROWS[6][0], "nan")] + _ROWS[7:]),
+    "nan-time.csv": _control_file(_ROWS[:2] + [("nan", "1.0")] + _ROWS[3:]),
+    "header-only.csv": _control_file([]),
+}
+
+
 def read_summary(out):
     return json.loads((out / "summary.json").read_text())
 
@@ -821,6 +836,25 @@ class TestExitCodes:
                 "rate",
             ),
             ("verify", {"control": {"type": "file", "path": ["a.csv"]}}, 3, "path must be a string"),
+            (
+                "verify",
+                {"control": {"type": "file", "path": "nan-cell.csv"}, "target": {"type": "random-smooth"}},
+                3,
+                "control file 'nan-cell.csv': data row 7 holds a non-finite value",
+            ),
+            (
+                "verify",
+                {"control": {"type": "file", "path": "nan-time.csv"}, "target": {"type": "random-smooth"}},
+                3,
+                "control file 'nan-time.csv': data row 3 holds a non-finite value",
+            ),
+            # numpy's "input contained no data" warning fails the test.
+            (
+                "verify",
+                {"control": {"type": "file", "path": "header-only.csv"}, "target": {"type": "random-smooth"}},
+                3,
+                "control file 'header-only.csv' has shape (0, 1), expected (51, 2)",
+            ),
         ],
         ids=[
             "alpha-nan",
@@ -890,9 +924,17 @@ class TestExitCodes:
             "exponential-rate-negative",
             "prony-rate-negative",
             "control-path-list",
+            "control-file-nan-cell",
+            "control-file-nan-time",
+            "control-file-header-only",
         ],
     )
-    def test_field_values_exit_codes(self, tmp_path, capsys, command, mutation, code, message):
+    def test_field_values_exit_codes(
+        self, tmp_path, monkeypatch, capsys, command, mutation, code, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        for name, text in CONTROL_FILES.items():
+            Path(name).write_text(text)
         cfg = write_config(tmp_path, base_config(**mutation))
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == code
         assert message in capsys.readouterr().err

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from viscowave import modal_dynamics
+from viscowave.control_synthesis import assemble_gram, duality_check
 from viscowave.grids import TimeGrid
 from viscowave.memory_kernel import (
     ConstantKernel,
@@ -15,6 +17,7 @@ from viscowave.modal_dynamics import (
     ModalOperator,
     StatePair,
     adjoint_trace,
+    basis_operator,
     control_l2_norm,
     forward_simulate,
     gronwall_bound_check,
@@ -24,9 +27,11 @@ from viscowave.modal_dynamics import (
     zero_control,
 )
 from viscowave.quadrature import trapezoid_convolve
-from viscowave.spectral_basis import build_interval_basis
+from viscowave.spectral_basis import build_interval_basis, build_rectangle_basis
 
-from helpers import forced_memory_reference, free_memory_reference
+from helpers import direct_free_march, forced_memory_reference, free_memory_reference
+
+PRONY = PronyKernel((0.03, 0.05, 0.04), (0.5, 2.0, 5.0))
 
 
 class TestStatePair:
@@ -285,6 +290,70 @@ class TestModalOperator:
         for got, want in zip(square, memory):
             assert np.array_equal(got.reshape(want.shape), want)
 
+    def test_free_responses_are_computed_once(self, monkeypatch):
+        basis = build_interval_basis(1.0, 8)
+        grid = TimeGrid(2.5, 301)
+        kernel = MemoryKernel(b=0.2, kernel=PRONY)
+        forcings = []
+        march = modal_dynamics.march_difference_kernel
+
+        def counting(factored, forcing):
+            forcings.append(forcing)
+            return march(factored, forcing)
+
+        monkeypatch.setattr(modal_dynamics, "march_difference_kernel", counting)
+        operator = basis_operator(basis, kernel, grid, basis.n_modes)
+        rng = np.random.default_rng(3)
+        v = StatePair(xi=rng.standard_normal(5), eta=rng.standard_normal(5), mu=basis.mu[:5])
+        control = BoundaryControl(values=np.cos(grid.times)[None, :], grid=grid)
+        gram = assemble_gram(basis, kernel, grid, basis.n_modes)
+        assemble_gram(basis, kernel, grid, 4)
+        adjoint_trace(basis, kernel, v, grid)
+        gronwall_bound_check(basis, kernel, grid, trials=3)
+        phase = basis.mu[:, None] * grid.times
+        assert len(forcings) == 1
+        assert np.array_equal(forcings[0], np.stack([np.cos(phase), np.sin(phase)]))
+        # duality_check adds its verifying forward run and nothing else.
+        duality_check(basis, kernel, grid, control, v)
+        assert len(forcings) == 2
+        assert modal_dynamics._operator is operator
+        table = operator.free_responses
+        assert not table.flags.writeable
+        assert not gram.psi_table.flags.writeable
+        assert np.shares_memory(gram.psi_table, table)
+        psi = operator.free(np.ones(basis.n_modes), np.zeros(basis.n_modes))
+        assert psi.flags.writeable
+        assert np.array_equal(psi, table[0])
+        assert len(forcings) == 2
+
+    @pytest.mark.parametrize("geometry", ["interval", "rectangle"])
+    @pytest.mark.parametrize("family", ["prony", "sampled"])
+    def test_unit_responses_combine_as_direct_marches(self, geometry, family):
+        # free and adjoint_trace combine the unit responses; marching each
+        # datum's forcing directly is the reference route.
+        grid = TimeGrid(2.5, 400)
+        if geometry == "interval":
+            basis = build_interval_basis(1.0, 12)
+        else:
+            basis = build_rectangle_basis(1.0, 1.5, 16, 6)
+        memory = PRONY
+        if family == "sampled":
+            t = np.linspace(0.0, 3.0, 61)
+            memory = SampledKernel(times=t, samples=0.1 * t * np.exp(-t))
+        kernel = MemoryKernel(b=0.2, kernel=memory)
+        operator = basis_operator(basis, kernel, grid, basis.n_modes)
+        xi, eta = np.random.default_rng(11).standard_normal((2, basis.n_modes))
+        want = direct_free_march(operator, xi, eta)
+        got = operator.free(xi, eta)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        # Data on fewer modes than the operator holds read its leading rows.
+        m = basis.n_modes - 5
+        v = StatePair(xi=xi[:m], eta=eta[:m], mu=basis.mu[:m])
+        got = adjoint_trace(basis, kernel, v, grid).values
+        want = basis.traces[:m].T @ direct_free_march(operator, xi[:m], eta[:m])[:, ::-1]
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert modal_dynamics._operator is operator
+
 
 class TestAdjointTrace:
     def test_single_mode_without_memory(self):
@@ -363,13 +432,14 @@ class TestGronwallBound:
         # the maxima of marching every trial's data (cos theta, sin theta).
         basis = build_interval_basis(1.0, 16)
         grid = TimeGrid(2.5, 512)
-        kernel = MemoryKernel(b=0.2, kernel=PronyKernel((0.03, 0.05, 0.04), (0.5, 2.0, 5.0)))
+        kernel = MemoryKernel(b=0.2, kernel=PRONY)
         report = gronwall_bound_check(basis, kernel, grid, trials=8, seed=5)
+        operator = ModalOperator(basis.mu, kernel, grid)
         rng = np.random.default_rng(5)
         expected = np.zeros(basis.n_modes)
         for _ in range(8):
             theta = rng.uniform(0.0, 2.0 * np.pi, size=basis.n_modes)
-            psi = ModalOperator(basis.mu, kernel, grid).free(np.cos(theta), np.sin(theta))
+            psi = direct_free_march(operator, np.cos(theta), np.sin(theta))
             expected = np.maximum(expected, np.max(np.abs(psi), axis=1))
         assert np.max(np.abs(report.per_mode_max - expected)) <= 1e-13 * expected.max()
         assert report.m_observed == report.per_mode_max.max()
