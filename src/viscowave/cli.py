@@ -46,7 +46,6 @@ from .grids import TimeGrid
 from .memory_kernel import ConstantKernel, ExponentialKernel, MemoryKernel, PronyKernel
 from .memory_kernel import SampledKernel, ZeroKernel, transformed_system
 from .modal_dynamics import (
-    DEFAULT_SEED,
     BoundaryControl,
     StatePair,
     control_l2_norm,
@@ -70,6 +69,7 @@ from .spectral_basis import (
 from .volterra import MarchOverflowError, StepSizeError
 
 SCHEMA_VERSION = 1
+DEFAULT_SEED = 1870
 
 COMMANDS = (
     "simulate",
@@ -335,7 +335,8 @@ def _setup(root: _Block, arrays=lambda modes, cells: {}):
     The size fields are read first, and the budget covers the modal tables, a
     rectangle's traces, the control samples and the command's own large
     arrays, arrays(modes, cells) with cells the count of control samples,
-    before the basis is built.
+    before the basis is built.  A grid whose step aliases the top mode is
+    refused before any modal table is built.
     """
     modes = root.read("modes", _count, least=1)
     grid = _read_grid(root)
@@ -356,6 +357,13 @@ def _setup(root: _Block, arrays=lambda modes, cells: {}):
         basis = build_interval_basis(geometry.lengths[0], modes)
     else:
         basis = build_rectangle_basis(*geometry.lengths, modes, n_quad // 2)
+    # At mu_M dt >= pi the sampled cos(mu_M t) aliases onto a lower mode.
+    top = float(basis.mu[-1])
+    if not top * grid.dt < math.pi:
+        raise ValueError(
+            f"steps {grid.steps} alias the top mode (mu_M dt = {top * grid.dt:.4g} >= pi); "
+            f"steps must be at least {math.floor(top * grid.horizon / math.pi) + 1}"
+        )
     return basis, _read_kernel(root), grid, root.read("seed", _count, DEFAULT_SEED, least=0)
 
 
@@ -487,7 +495,7 @@ def _cmd_maccamy(root):
 
 
 def _cmd_probes(root):
-    basis, kernel, grid, seed = _setup(root)
+    basis, kernel, grid, _ = _setup(root, _gram_arrays)
     m = basis.n_modes
     p = root.read("perturbation_modes", _count, min(16, m), least=1, most=m)
     # The compactness probe's product of its trace and time QR factors.
@@ -496,14 +504,13 @@ def _cmd_probes(root):
         " x min(2 perturbation_modes, steps + 1)"
     )
     _check_budget({factor: 2 * p * min(p, basis.n_quad) * min(2 * p, grid.n_nodes)})
-    trials = root.read("trials", _count, 8, least=1)
     alpha = root.read("alpha", _real, 0.55)
     default_counts = sorted({max(1, m // 4), min(m, max(2, m // 2)), m})
     counts = root.read("mode_counts", _counts, default_counts)
 
-    gronwall = gronwall_bound_check(basis, kernel, grid, trials=trials, seed=seed)
+    gronwall = gronwall_bound_check(basis, kernel, grid)
     trace = trace_estimate_check(basis)
-    growth = norm_growth_probe(basis, kernel, grid, counts, trials=trials, seed=seed, alpha=alpha)
+    growth = norm_growth_probe(basis, kernel, grid, counts, alpha=alpha)
     pert = perturbation_compactness_probe(basis, kernel, grid, p)
 
     modes, sigma = np.arange(1, m + 1), pert.singular_values
@@ -523,7 +530,6 @@ def _cmd_probes(root):
         max_trace_ratio=trace.max_ratio,
         weyl_constant=weyl_growth_constant(basis),
         alpha=alpha,
-        trials=trials,
         sigma_first=float(sigma[0]),
         sigma_last=float(sigma[-1]),
     )

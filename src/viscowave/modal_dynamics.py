@@ -43,8 +43,6 @@ from .quadrature import trapezoid_weights
 from .spectral_basis import SpectralBasis
 from .volterra import FactoredKernel, march_difference_kernel
 
-DEFAULT_SEED = 1870
-
 
 @dataclass(frozen=True)
 class StatePair:
@@ -384,34 +382,19 @@ def adjoint_trace(
 class GronwallReport:
     m_observed: float
     per_mode_max: np.ndarray
-    trials: int
-    seed: int
 
 
 def gronwall_bound_check(
-    basis: SpectralBasis,
-    kernel: MemoryKernel,
-    grid: TimeGrid,
-    trials: int = 8,
-    seed: int = DEFAULT_SEED,
+    basis: SpectralBasis, kernel: MemoryKernel, grid: TimeGrid
 ) -> GronwallReport:
-    """Sample max_t |psi_n(t)| over random per-mode unit data (xi_n, eta_n).
+    """max_t |psi_n(t)| over all unit data (cos theta, sin theta) of each mode.
 
     The observed bound should be uniform in the mode index: high modes feel the
     memory only through G_n/mu_n, so adding modes must not inflate it.  psi is
-    linear in its data, so a trial's data (cos theta, sin theta) combines the
-    operator's unit responses to (1, 0) and (0, 1).
+    cos theta psi_c + sin theta psi_s in the operator's unit responses, whose
+    largest value over theta is hypot(psi_c, psi_s) at each time.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    rng = np.random.default_rng(seed)
-    op = basis_operator(basis, kernel, grid, basis.n_modes)
-    psi_c, psi_s = op.free_responses[:, : basis.n_modes]
-    per_mode = np.zeros(basis.n_modes)
-    for _ in range(trials):
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=basis.n_modes)[:, None]
-        psi = np.cos(theta) * psi_c + np.sin(theta) * psi_s
-        per_mode = np.maximum(per_mode, np.max(np.abs(psi), axis=1))
-    return GronwallReport(
-        m_observed=float(per_mode.max()), per_mode_max=per_mode, trials=trials, seed=seed
-    )
+    m = basis.n_modes
+    psi_c, psi_s = basis_operator(basis, kernel, grid, m).free_responses[:, :m]
+    per_mode = np.max(np.hypot(psi_c, psi_s), axis=1)
+    return GronwallReport(m_observed=float(per_mode.max()), per_mode_max=per_mode)

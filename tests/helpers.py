@@ -3,8 +3,8 @@
 The integrators here are deliberately independent of the package's quadrature
 and marching code: RK4 time stepping for ODE-equivalent reference solutions,
 a plain O(n^2) product-trapezoid sum for convolution cross-checks, the
-step-by-step trapezoid march, and the dense SVD of the perturbation probe's
-matrix.  direct_free_march is the exception: it runs the package's march on
+step-by-step trapezoid march, and the dense SVDs of the perturbation probe's
+matrix and of the adjoint map.  direct_free_march is the exception: it runs the package's march on
 each datum's own forcing, the reference for combining unit responses.
 """
 
@@ -157,3 +157,23 @@ def direct_free_march(op, xi, eta):
     phase = op.mus[:m, None] * op.grid.times
     forcing = np.asarray(xi)[:, None] * np.cos(phase) + np.asarray(eta)[:, None] * np.sin(phase)
     return march_difference_kernel(FactoredKernel(op.kernels[:m], op.grid.dt), forcing)
+
+
+def adjoint_norm_reference(basis, op, n_modes, weight=1.0):
+    """Largest singular value of the m-mode adjoint map from its dense matrix.
+
+    Row (slot, mode i) of the (2m, n_quad n) matrix holds, at column (q, p),
+    weight_i traces_i[q] sqrt(quad_weights[q]) psi_i(T - t_p) sqrt(wt[p]),
+    with psi_i mode i's response to the slot's unit datum, (1, 0) or (0, 1),
+    marched directly by direct_free_march.
+    """
+    m = n_modes
+    n, dt = op.grid.n_nodes, op.grid.dt
+    wt = np.full(n, dt)
+    wt[0] = wt[-1] = 0.5 * dt
+    ones, zeros = np.ones(m), np.zeros(m)
+    psi = np.vstack([direct_free_march(op, ones, zeros), direct_free_march(op, zeros, ones)])
+    traces = np.tile(np.broadcast_to(weight, m)[:, None] * basis.traces[:m], (2, 1))
+    traces = traces * np.sqrt(basis.quad_weights)
+    matrix = np.einsum("rq,rp->rqp", traces, psi[:, ::-1] * np.sqrt(wt)).reshape(2 * m, -1)
+    return np.linalg.svd(matrix, compute_uv=False)[0]

@@ -346,7 +346,7 @@ class TestDiagnostics:
     def test_probes(self, tmp_path):
         cfg = write_config(
             tmp_path,
-            base_config(modes=8, grid={"horizon": 2.0, "steps": 200}, trials=2),
+            base_config(modes=8, grid={"horizon": 2.0, "steps": 200}),
         )
         out = tmp_path / "out"
         assert main(["probes", "--config", cfg, "--out", str(out)]) == 0
@@ -359,12 +359,14 @@ class TestDiagnostics:
             assert (out / name).exists()
         summary = read_summary(out)
         assert 0.9 <= summary["m_observed"] <= 1.0 + 1e-9
+        # Both suprema are exact: no sample count is read or reported.
+        assert "trials" not in summary and "trials" not in read_manifest(out)["config"]
         assert summary["max_trace_ratio"] > 0.0
         assert np.isclose(summary["weyl_constant"], np.pi / 2, atol=1e-12)
 
     def test_probes_rectangle_runs_the_lowest_modes(self, tmp_path):
         square = {"kind": "rectangle", "lengths": [1.0, 1.0]}
-        cfg = write_config(tmp_path, base_config(modes=64, geometry=square, trials=1))
+        cfg = write_config(tmp_path, base_config(modes=64, geometry=square))
         out = tmp_path / "out"
         assert main(["probes", "--config", cfg, "--out", str(out)]) == 0
         index = np.arange(1, 65) - 0.5
@@ -373,7 +375,7 @@ class TestDiagnostics:
         assert np.array_equal(mu, lowest)
 
     def test_probes_single_mode_defaults(self, tmp_path):
-        cfg = write_config(tmp_path, base_config(modes=1, grid={"horizon": 2.0, "steps": 100}, trials=2))
+        cfg = write_config(tmp_path, base_config(modes=1, grid={"horizon": 2.0, "steps": 100}))
         out = tmp_path / "out"
         assert main(["probes", "--config", cfg, "--out", str(out)]) == 0
         resolved = read_manifest(out)["config"]
@@ -422,7 +424,6 @@ SMALL_RUNS = {
     "probes": base_config(
         modes=4,
         kernel={"b": 0.2, "family": "prony", "params": {"amplitudes": [0.1, 0.05], "rates": [1.0, 3.0]}},
-        trials=2,
     ),
 }
 
@@ -620,7 +621,6 @@ class TestExitCodes:
             ("simulate", {"grid": {"horizon": 1.0, "steps": float("inf")}}, 3, "steps must be an integer"),
             ("simulate", {"modes": 6.9}, 3, "modes must be an integer"),
             ("simulate", {"seed": 2.5}, 3, "seed must be an integer"),
-            ("probes", {"trials": 2.5}, 3, "trials must be an integer"),
             ("probes", {"perturbation_modes": 3.7}, 3, "perturbation_modes must be an integer"),
             ("probes", {"mode_counts": [1, 1.5]}, 3, "mode_counts entry must be an integer"),
             ("gram-spectrum", {"mode_counts": [1, 2.5]}, 3, "mode_counts entry must be an integer"),
@@ -753,13 +753,20 @@ class TestExitCodes:
                 3,
                 "(2 modes)^2 Gram array would take",
             ),
-            # 262 GB for the probe's factor, near the most a config can ask
-            # for with small traces while the modal tables fit the budget.
+            (
+                "probes",
+                {"modes": 300000, "grid": {"horizon": 1.0, "steps": 2}},
+                3,
+                "(2 modes)^2 Gram array would take",
+            ),
+            # 137 GB for the probe's factor, near the most a config can ask
+            # for with small traces while the modal tables and the norm
+            # probe's Gram (5792 modes: 1.0735e9 bytes) fit the budget.
             (
                 "probes",
                 {
-                    "modes": 8000,
-                    "perturbation_modes": 8000,
+                    "modes": 5792,
+                    "perturbation_modes": 5792,
                     "geometry": {"kind": "rectangle", "lengths": [1.0, 1.0], "nodes_per_face": 64},
                     "grid": {"horizon": 1.0, "steps": 16000},
                 },
@@ -806,7 +813,6 @@ class TestExitCodes:
             ),
             ("simulate", {"modes": True}, 3, "modes must be an integer"),
             ("simulate", {"seed": True}, 3, "seed must be an integer"),
-            ("probes", {"trials": True}, 3, "trials must be an integer"),
             ("probes", {"perturbation_modes": True}, 3, "perturbation_modes must be an integer"),
             ("duality-check", {"tones": True}, 3, "tones must be an integer"),
             ("gram-spectrum", {"mode_counts": [True, 2]}, 3, "mode_counts entry must be an integer"),
@@ -855,6 +861,23 @@ class TestExitCodes:
                 3,
                 "control file 'header-only.csv' has shape (0, 1), expected (51, 2)",
             ),
+            # mu_M dt >= pi: 99.5 pi / 50 on the interval, 14.2 / 4 on the square.
+            (
+                "simulate",
+                {"modes": 100},
+                3,
+                "steps 50 alias the top mode (mu_M dt = 6.252 >= pi); steps must be at least 100",
+            ),
+            (
+                "probes",
+                {
+                    "modes": 16,
+                    "geometry": {"kind": "rectangle", "lengths": [1.0, 1.0]},
+                    "grid": {"horizon": 1.0, "steps": 4},
+                },
+                3,
+                "steps 4 alias the top mode (mu_M dt = 3.556 >= pi); steps must be at least 5",
+            ),
         ],
         ids=[
             "alpha-nan",
@@ -864,7 +887,6 @@ class TestExitCodes:
             "steps-infinite",
             "modes-fraction",
             "seed-fraction",
-            "probes-trials-fraction",
             "perturbation-modes-fraction",
             "probes-mode-counts-fraction",
             "spectrum-mode-counts-fraction",
@@ -905,6 +927,7 @@ class TestExitCodes:
             "budget-modal-tables",
             "budget-control-samples",
             "budget-gram",
+            "budget-probes-gram",
             "budget-compactness-matrix",
             "budget-thin-rectangle-modes",
             "budget-rectangle-traces-before-selection",
@@ -914,7 +937,6 @@ class TestExitCodes:
             "budget-tone-control",
             "modes-boolean",
             "seed-boolean",
-            "probes-trials-boolean",
             "perturbation-modes-boolean",
             "tones-boolean",
             "spectrum-mode-counts-boolean",
@@ -927,6 +949,8 @@ class TestExitCodes:
             "control-file-nan-cell",
             "control-file-nan-time",
             "control-file-header-only",
+            "aliased-interval-grid",
+            "aliased-rectangle-grid",
         ],
     )
     def test_field_values_exit_codes(
@@ -938,6 +962,22 @@ class TestExitCodes:
         cfg = write_config(tmp_path, base_config(**mutation))
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == code
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "modes, geometry, least",
+        [
+            (100, {"kind": "interval", "lengths": [1.0]}, 100),
+            (16, {"kind": "rectangle", "lengths": [1.0, 1.0]}, 5),
+        ],
+        ids=["interval", "rectangle"],
+    )
+    def test_least_admissible_steps_run(self, tmp_path, capsys, modes, geometry, least):
+        # The count an aliased grid's message names runs; one step fewer does not.
+        for steps, code in ((least, 0), (least - 1, 3)):
+            grid = {"horizon": 1.0, "steps": steps}
+            cfg = write_config(tmp_path, base_config(modes=modes, geometry=geometry, grid=grid))
+            assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == code
+        assert f"steps must be at least {least}" in capsys.readouterr().err
 
     def test_missing_modes_exits_three(self, tmp_path):
         payload = base_config()
