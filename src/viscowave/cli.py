@@ -50,6 +50,7 @@ from .modal_dynamics import (
     StatePair,
     control_l2_norm,
     forward_simulate,
+    forward_trajectory,
     gronwall_bound_check,
     release_operator,
     sobolev_norm,
@@ -283,7 +284,12 @@ def _load_control_csv(path: str, basis: SpectralBasis, grid: TimeGrid) -> Bounda
     return control
 
 
-def _read_control(root: _Block, basis: SpectralBasis, grid: TimeGrid, seed: int) -> BoundaryControl:
+def _seed(root: _Block) -> int:
+    """The seed of the run's random numbers, read only where an rng is built."""
+    return root.read("seed", _count, DEFAULT_SEED, least=0)
+
+
+def _read_control(root: _Block, basis: SpectralBasis, grid: TimeGrid) -> BoundaryControl:
     block = root.block("control", {})
     kind = block.read("type", default="zero")
     if kind == "zero":
@@ -305,14 +311,14 @@ def _read_control(root: _Block, basis: SpectralBasis, grid: TimeGrid, seed: int)
             phases = np.tile(phases, (basis.n_quad, 1))
         return tone_control(basis, grid, amplitudes, omegas, phases)
     if kind == "noise":
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_seed(root))
         return BoundaryControl(values=rng.standard_normal((basis.n_quad, grid.n_nodes)), grid=grid)
     if kind == "file":
         return _load_control_csv(block.read("path", _path), basis, grid)
     raise ValueError(f"unknown control type {kind!r}")
 
 
-def _read_target(root: _Block, basis: SpectralBasis, seed: int) -> StatePair:
+def _read_target(root: _Block, basis: SpectralBasis) -> StatePair:
     block = root.block("target")
     if "xi" in block.value or "eta" in block.value:
         xi = block.read("xi", _reals, ranks=(1,))
@@ -325,12 +331,13 @@ def _read_target(root: _Block, basis: SpectralBasis, seed: int) -> StatePair:
     if block.read("type", default=None) == "random-smooth":
         decay = block.read("decay", _real, 2.0)
         norm = block.read("norm", _real, 1.0)
-        return random_smooth_target(basis, np.random.default_rng(seed), decay=decay, norm=norm)
+        rng = np.random.default_rng(_seed(root))
+        return random_smooth_target(basis, rng, decay=decay, norm=norm)
     raise ValueError("target block needs either explicit xi/eta lists or type 'random-smooth'")
 
 
 def _setup(root: _Block, arrays=lambda modes, cells: {}):
-    """Basis, kernel, grid and seed of a config.
+    """Basis, kernel and grid of a config.
 
     The size fields are read first, and the budget covers the modal tables, a
     rectangle's traces, the control samples and the command's own large
@@ -364,7 +371,7 @@ def _setup(root: _Block, arrays=lambda modes, cells: {}):
             f"steps {grid.steps} alias the top mode (mu_M dt = {top * grid.dt:.4g} >= pi); "
             f"steps must be at least {math.floor(top * grid.horizon / math.pi) + 1}"
         )
-    return basis, _read_kernel(root), grid, root.read("seed", _count, DEFAULT_SEED, least=0)
+    return basis, _read_kernel(root), grid
 
 
 def _series(grid: TimeGrid, names, rows) -> dict:
@@ -379,17 +386,20 @@ def _modal(state: StatePair, position: str) -> dict:
 
 
 def _cmd_simulate(root):
-    basis, kernel, grid, seed = _setup(root)
-    control = _read_control(root, basis, grid, seed)
+    basis, kernel, grid = _setup(root)
+    control = _read_control(root, basis, grid)
     control_norm = control_l2_norm(basis, control)  # its temporaries go before the operator
-    sim = forward_simulate(basis, kernel, control, grid)
+    # The trajectory is marched anyway; its end is the terminal state, so the
+    # terminal impulse maps are not built.
+    trajectory = forward_trajectory(basis, kernel, control, grid)
+    terminal = trajectory.terminal
     names = [f"mode_{i + 1}" for i in range(basis.n_modes)]
     tables = {
-        "trajectory.csv": _series(grid, names, sim.trajectory.values),
-        "velocities.csv": _series(grid, names, sim.trajectory.velocities),
-        "terminal.csv": _modal(sim.terminal, "weighted_position"),
+        "trajectory.csv": _series(grid, names, trajectory.values),
+        "velocities.csv": _series(grid, names, trajectory.velocities),
+        "terminal.csv": _modal(terminal, "weighted_position"),
     }
-    return tables, dict(terminal_norm=sobolev_norm(sim.terminal, 0.0), control_norm=control_norm)
+    return tables, dict(terminal_norm=sobolev_norm(terminal, 0.0), control_norm=control_norm)
 
 
 def _gram_arrays(modes: int, cells: int) -> dict:
@@ -397,8 +407,8 @@ def _gram_arrays(modes: int, cells: int) -> dict:
 
 
 def _cmd_synthesize(root):
-    basis, kernel, grid, seed = _setup(root, _gram_arrays)
-    target = _read_target(root, basis, seed)
+    basis, kernel, grid = _setup(root, _gram_arrays)
+    target = _read_target(root, basis)
     regularization = root.read("regularization", _real, 0.0)
 
     gram = assemble_gram(basis, kernel, grid, basis.n_modes, regularization)
@@ -425,9 +435,9 @@ def _cmd_synthesize(root):
 
 
 def _cmd_verify(root):
-    basis, kernel, grid, seed = _setup(root)
-    control = _read_control(root, basis, grid, seed)
-    target = _read_target(root, basis, seed) if "target" in root.value else None
+    basis, kernel, grid = _setup(root)
+    control = _read_control(root, basis, grid)
+    target = _read_target(root, basis) if "target" in root.value else None
     control_norm = control_l2_norm(basis, control)  # its temporaries go before the operator
     sim = forward_simulate(basis, kernel, control, grid)
     values = dict(terminal_norm=sobolev_norm(sim.terminal, 0.0), control_norm=control_norm)
@@ -437,7 +447,7 @@ def _cmd_verify(root):
 
 
 def _cmd_gram_spectrum(root):
-    basis, kernel, grid, seed = _setup(root, _gram_arrays)
+    basis, kernel, grid = _setup(root, _gram_arrays)
     counts = root.read("mode_counts", _counts)
     rows = riesz_fisher_diagnostic(basis, kernel, grid, counts)
     min_eig = min(r.min_eigenvalue for r in rows)
@@ -456,11 +466,11 @@ def _cmd_gram_spectrum(root):
 def _cmd_duality_check(root):
     trials = root.read("trials", _count, 5, least=1)
     n_tones = root.read("tones", _count, 3, least=1)
-    basis, kernel, grid, seed = _setup(
+    basis, kernel, grid = _setup(
         root, lambda modes, cells: {"2 nodes_per_face x tones x (steps + 1)": n_tones * cells}
     )
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(root))
     omegas = np.arange(1, n_tones + 1) * np.pi / grid.horizon
     reports = []
     for _ in range(trials):
@@ -480,7 +490,6 @@ def _cmd_maccamy(root):
     kernel = _read_kernel(root)
     grid = _read_grid(root)
     _check_budget({"steps + 1": grid.n_nodes})
-    root.read("seed", _count, DEFAULT_SEED, least=0)
     system = transformed_system(kernel.kernel, grid)
     tables = {
         "R.csv": _series(grid, ["R"], [system.resolvent]),
@@ -495,7 +504,7 @@ def _cmd_maccamy(root):
 
 
 def _cmd_probes(root):
-    basis, kernel, grid, _ = _setup(root, _gram_arrays)
+    basis, kernel, grid = _setup(root, _gram_arrays)
     m = basis.n_modes
     p = root.read("perturbation_modes", _count, min(16, m), least=1, most=m)
     # The compactness probe's product of its trace and time QR factors.
@@ -562,7 +571,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _setup_echo(resolved: dict) -> dict:
     """The setup fields of a summary as the run read them: geometry, kernel,
-    seed, T and M, where maccamy reads no geometry and no mode count."""
+    seed, T and M, where maccamy reads no geometry and no mode count and only
+    a run that draws random numbers reads a seed."""
     echo = {key: resolved[key] for key in ("geometry", "kernel", "seed") if key in resolved}
     echo["T"] = resolved["grid"]["horizon"]
     if "modes" in resolved:

@@ -211,8 +211,9 @@ def duality_check(
     """Evaluate both sides of the pairing identity on independent code paths.
 
     lhs integrates the time-reversed adjoint trace against the control; rhs
-    pairs the forward-simulated weighted terminal state with the swapped slots
-    of v.  Agreement is O(dt^2) for smooth data.
+    pairs the forward run's weighted terminal state, read off the terminal
+    impulse maps, with the swapped slots of v.  Agreement is O(dt^2) for
+    smooth data.
     """
     tr = adjoint_trace(basis, kernel, v, grid)
     wt = trapezoid_weights(grid.n_nodes, grid.dt)
@@ -343,8 +344,8 @@ def perturbation_compactness_probe(
     if not 1 <= n_modes <= basis.n_modes:
         raise ValueError(f"n_modes must lie in [1, {basis.n_modes}], got {n_modes}")
     m = n_modes
-    memory, memoryless = basis_operator(basis, kernel, grid, m).terminal_maps
-    rows = np.vstack([a[:m] - b[:m] for a, b in zip(memory, memoryless)])
+    op = basis_operator(basis, kernel, grid, m)
+    rows = np.vstack([a[:m] - b[:m] for a, b in zip(op.terminal_maps, op.memoryless_maps)])
     rows /= np.sqrt(trapezoid_weights(grid.n_nodes, grid.dt))
     time_factor = np.linalg.qr(rows.T, mode="r").T
     traces = basis.traces[:m] * np.sqrt(basis.quad_weights)

@@ -18,10 +18,11 @@ ModalOperator holds everything that depends on the problem alone: the
 sin(mu_n t) and cos(mu_n t) tables, the kernels and their marching
 reciprocals, and, each marched at most once on first use, the unit free
 responses that every homogeneous solve combines and the terminal impulse
-maps.  The public solvers get theirs from basis_operator, which keeps
-the last operator it built in one module slot and hands it out again while
-the kernel object, the grid and the leading modes match, so solves of one
-problem build and invert each mode's kernel once.  release_operator empties
+maps that every forward run reads its terminal state from.  The public
+solvers get theirs from basis_operator, which keeps the last operator it
+built in one module slot and hands it out again while the kernel object,
+the grid and the leading modes match, so solves of one problem build and
+invert each mode's kernel once.  release_operator empties
 the slot.
 
 Every convolution with sin(mu_n .) or cos(mu_n .) here (the Duhamel responses
@@ -90,6 +91,11 @@ class ModalTrajectory:
     velocities: np.ndarray
     mu: np.ndarray
     grid: TimeGrid
+
+    @property
+    def terminal(self) -> StatePair:
+        """The weighted state (mu w(T), w'(T)) at the last sample."""
+        return StatePair(xi=self.mu * self.values[:, -1], eta=self.velocities[:, -1], mu=self.mu)
 
 
 @dataclass(frozen=True)
@@ -160,10 +166,11 @@ class ModalOperator:
     Holds the sin(mu t) and cos(mu t) tables, the kernels G_n/mu_n (as
     `kernels`) and, from the first march on, the spectrum of each kernel's
     marching reciprocal, so every problem solved through one operator inverts
-    each mode's kernel once.  The unit free responses and the terminal maps
-    are computed on first use and kept read-only.  mus may have any shape; like every solver in
-    this module, it broadcasts against the leading axes of the data, so
-    forcings of shape (r, M, n) give r forcings per mode of mus (M,).
+    each mode's kernel once.  The unit free responses and the terminal maps,
+    with and without the memory, are computed on first use and kept
+    read-only.  mus may have any shape; like every solver in this module,
+    it broadcasts against the leading axes of the data, so forcings of
+    shape (r, M, n) give r forcings per mode of mus (M,).
     """
 
     def __init__(self, mus, kernel: MemoryKernel, grid: TimeGrid):
@@ -235,27 +242,53 @@ class ModalOperator:
     @cached_property
     def terminal_maps(self):
         """Weighted terminal states (mu w(T), w'(T)) of a unit modal impulse at
-        every node, with the memory and without it.
-
-        Returns (memory, memoryless), each a pair of arrays of shape
-        mus.shape + (n,); column p answers the modal forcing e_p, so
+        every node: a read-only pair (xi, eta) of arrays of shape
+        mus.shape + (n,) whose column p answers the modal forcing e_p, so
         sum(map * g, axis=-1) is the terminal state a modal forcing g drives.
-        Each mode marches impulses at nodes 0 and 1 against its kernel.
-        Marching is Toeplitz on nodes >= 1 (only node 0 has the half trapezoid
-        weight), so an impulse at node p >= 1 answers with the node-1 response
-        delayed by p - 1: its terminal value is that response at node n - p.
-        The memoryless map reads the wave response the march is driven by.
-        """
-        impulses = np.zeros((2,) + (1,) * self.mus.ndim + (self.grid.n_nodes,))
-        impulses[0, ..., 0] = impulses[1, ..., 1] = 1.0
-        u = np.stack(self.wave(impulses))
-        w = march_difference_kernel(self._factored, u)
-        return self._weighted_terminal(w), self._weighted_terminal(u)
 
-    def _weighted_terminal(self, w: np.ndarray):
-        # Node 0's terminal value, then the node-1 response read backwards (p = 1..n-1).
-        xi, eta = np.concatenate([w[:, 0, ..., -1:], w[:, 1, ..., :0:-1]], axis=-1)
-        xi *= self.mus[..., None]
+        One march gives every column: that of the node-0 impulse's wave
+        response (u, u'), two rows per mode, in place.  Every impulse's wave
+        response vanishes at t = 0, and the one at node p >= 1 is twice the
+        node-0 response delayed by p plus, in u', (dt/2) e_p (only node 0
+        carries the half trapezoid weight).  Marching is Toeplitz on
+        forcings that vanish at t = 0, so with y0 the node-0 response and h
+        the march's reciprocal (FactoredKernel.reciprocal), column p >= 1
+        is (2 mu y0, 2 y0' + (dt/2) h) at node n-1-p and column 0 is
+        (mu y0, y0') at node n-1.  forward_simulate reads these maps, the
+        compactness probe reads them against memoryless_maps.
+        """
+        y = self._impulse_wave()
+        march_difference_kernel(self._factored, y, out=y)
+        h = self._factored.reciprocal()
+        h *= 0.5 * self.grid.dt
+        y[..., :-1] *= 2.0
+        y[1, ..., :-1] += h
+        del h  # before the reversed copy, which then peaks with y alone
+        return self._read_backwards(y)
+
+    @cached_property
+    def memoryless_maps(self):
+        """terminal_maps of the same modes without the memory, in the same
+        form: the wave response is its own march, and h is the unit impulse."""
+        y = self._impulse_wave()
+        y[..., :-1] *= 2.0
+        y[1, ..., 0] += 0.5 * self.grid.dt
+        return self._read_backwards(y)
+
+    def _impulse_wave(self) -> np.ndarray:
+        # wave() of the node-0 impulse, computed as it would compute it:
+        # (dt/2) (sin(mu t)/mu, cos(mu t)), and u'(0) = 0.
+        u = np.empty((2,) + self._sin.shape)
+        np.multiply(self._sin, 0.5 * self.grid.dt, out=u[0])
+        u[0] /= self.mus[..., None]
+        np.multiply(self._cos, 0.5 * self.grid.dt, out=u[1])
+        u[1, ..., 0] = 0.0
+        return u
+
+    def _read_backwards(self, y: np.ndarray):
+        # Node j < n-1 of the doubled response is column p = n-1-j >= 1.
+        y[0] *= self.mus[..., None]
+        xi, eta = y[..., ::-1].copy()
         xi.flags.writeable = eta.flags.writeable = False
         return xi, eta
 
@@ -323,10 +356,53 @@ def release_operator() -> None:
     _operator = None
 
 
+def _modal_forcing(basis: SpectralBasis, control: BoundaryControl, grid: TimeGrid) -> np.ndarray:
+    """g_n(t) = int_{Gamma_1} phi_n f(., t) of each basis mode, shape (M, n)."""
+    if control.grid != grid:
+        raise ValueError("control was sampled on a different grid")
+    if control.values.shape[0] != basis.n_quad:
+        raise ValueError(
+            f"control has {control.values.shape[0]} boundary nodes, basis has {basis.n_quad}"
+        )
+    return (basis.traces * basis.quad_weights[None, :]) @ control.values
+
+
+def forward_trajectory(
+    basis: SpectralBasis,
+    kernel: MemoryKernel,
+    control: BoundaryControl,
+    grid: TimeGrid,
+) -> ModalTrajectory:
+    """Per-mode (w, w') of the system driven from rest by a boundary traction,
+    from one forced march of the modes."""
+    g_modal = _modal_forcing(basis, control, grid)
+    m = basis.n_modes
+    op = basis_operator(basis, kernel, grid, m)
+    if op.mus.size > m:  # modes of the operator beyond the basis carry no forcing
+        g_modal = np.pad(g_modal, ((0, op.mus.size - m), (0, 0)))
+    w, wp = op.forced(g_modal)[:, :m]
+    return ModalTrajectory(values=w, velocities=wp, mu=basis.mu, grid=grid)
+
+
 @dataclass(frozen=True)
 class SimulationResult:
-    trajectory: ModalTrajectory
+    """A forward run from rest: its weighted terminal state, read off the
+    operator's terminal maps, and its inputs.
+
+    The trajectory is marched when first read, by forward_trajectory of the
+    same inputs, which finds the operator again through basis_operator (or
+    builds it anew if the slot has moved on), and kept.  Its end,
+    trajectory.terminal, agrees with terminal to rounding.
+    """
+
     terminal: StatePair
+    basis: SpectralBasis
+    kernel: MemoryKernel
+    control: BoundaryControl
+
+    @cached_property
+    def trajectory(self) -> ModalTrajectory:
+        return forward_trajectory(self.basis, self.kernel, self.control, self.control.grid)
 
 
 def forward_simulate(
@@ -338,23 +414,19 @@ def forward_simulate(
     """Drive the system from rest with a boundary traction.
 
     The terminal StatePair stores (mu_n w_n(T), w_n'(T)), the weighted state
-    the synthesis layer targets.
+    the synthesis layer targets.  It is sum(map * g, axis=-1) of the modal
+    forcing g against the operator's cached terminal_maps, O(M n) once the
+    maps exist; nothing is marched for the trajectory until it is read.
     """
-    if control.grid != grid:
-        raise ValueError("control was sampled on a different grid")
-    if control.values.shape[0] != basis.n_quad:
-        raise ValueError(
-            f"control has {control.values.shape[0]} boundary nodes, basis has {basis.n_quad}"
-        )
+    g_modal = _modal_forcing(basis, control, grid)
     m = basis.n_modes
-    g_modal = (basis.traces * basis.quad_weights[None, :]) @ control.values
-    op = basis_operator(basis, kernel, grid, m)
-    if op.mus.size > m:  # modes of the operator beyond the basis carry no forcing
-        g_modal = np.pad(g_modal, ((0, op.mus.size - m), (0, 0)))
-    w, wp = op.forced(g_modal)[:, :m]
-    trajectory = ModalTrajectory(values=w, velocities=wp, mu=basis.mu, grid=grid)
-    terminal = StatePair(xi=basis.mu * w[:, -1], eta=wp[:, -1], mu=basis.mu)
-    return SimulationResult(trajectory=trajectory, terminal=terminal)
+    xi_map, eta_map = basis_operator(basis, kernel, grid, m).terminal_maps
+    terminal = StatePair(
+        xi=np.sum(xi_map[:m] * g_modal, axis=-1),
+        eta=np.sum(eta_map[:m] * g_modal, axis=-1),
+        mu=basis.mu,
+    )
+    return SimulationResult(terminal=terminal, basis=basis, kernel=kernel, control=control)
 
 
 def adjoint_trace(

@@ -111,8 +111,29 @@ class FactoredKernel:
             np.fft.rfft(h[: len(a)], axis=-1, out=spectra[s : s + step])
         return spectra
 
+    def reciprocal(self) -> np.ndarray:
+        """h per kernel row, shape kernel.shape[:-1] + (n - 1,): the march's
+        response to a unit forcing at node 1, read back from `spectra` a
+        block of rows at a time, so no row is held at the full length."""
+        n = self.kernel.shape[-1]
+        if self.memoryless:
+            h = np.zeros(self.kernel.shape[:-1] + (n - 1,))
+            h[..., 0] = 1.0
+            return h
+        spectra = self.spectra
+        step = max(1, _BLOCK_SAMPLES // n)
+        h = np.empty((len(spectra), n - 1))
+        full = np.empty((min(step, len(spectra)), self.size))
+        for s in range(0, len(spectra), step):
+            r = len(spectra[s : s + step])
+            np.fft.irfft(spectra[s : s + step], self.size, axis=-1, out=full[:r])
+            h[s : s + r] = full[:r, : n - 1]
+        return h.reshape(self.kernel.shape[:-1] + (n - 1,))
 
-def march_difference_kernel(factored: FactoredKernel, forcing: np.ndarray) -> np.ndarray:
+
+def march_difference_kernel(
+    factored: FactoredKernel, forcing: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Trapezoid marching for difference kernels, batched over leading axes.
 
     The kernel samples of factored and forcing broadcast against each
@@ -126,20 +147,28 @@ def march_difference_kernel(factored: FactoredKernel, forcing: np.ndarray) -> np
     h depends on the kernel alone, so factored computes it once per kernel
     row and keeps its spectrum, shared by every forcing row that row
     broadcasts against.  A non-finite solution raises MarchOverflowError.
+    The solution goes to out if given, a C-contiguous float array of the
+    broadcast shape, which may be the forcing itself: each block of rows is
+    read before it is written.
     """
     f = np.asarray(forcing, dtype=float)
     k, dt = factored.kernel, factored.dt
     shape = np.broadcast_shapes(k.shape, f.shape)
     n = shape[-1]
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != float or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float array of shape {shape}")
     if factored.memoryless:
         # Every step returns its forcing sample.
-        return np.broadcast_to(f, shape).copy()
+        np.copyto(out, f)
+        return out
     f_rows = np.broadcast_to(f, shape).reshape(-1, n)
     k_rows = k.reshape(-1, n)
     # The row of k_rows each output row reads; h is computed once per k row.
     k_of = np.broadcast_to(np.arange(len(k_rows)).reshape(k.shape[:-1]), shape[:-1]).reshape(-1)
     step = max(1, _BLOCK_SAMPLES // n)
-    y = np.empty(f_rows.shape)
+    y = out.reshape(-1, n)
     # An overflow anywhere shows as a non-finite y, checked once below.
     with np.errstate(over="ignore", invalid="ignore"):
         h_spec, size = factored.spectra, factored.size
@@ -162,7 +191,7 @@ def march_difference_kernel(factored: FactoredKernel, forcing: np.ndarray) -> np
         raise MarchOverflowError(
             "the memory term overflowed the float range; shorten the horizon or weaken the kernel"
         )
-    return y.reshape(shape)
+    return out
 
 
 def _reciprocal(a: np.ndarray) -> np.ndarray:

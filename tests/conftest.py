@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from viscowave import modal_dynamics, spectral_basis, volterra
@@ -23,6 +26,23 @@ def inverted_rows(monkeypatch):
         return reciprocal(a)
 
     monkeypatch.setattr(volterra, "_reciprocal", counting)
+    return counts
+
+
+@pytest.fixture
+def marched_rows(monkeypatch):
+    """Rows each modal march solves, one entry per march_difference_kernel
+    call made through modal_dynamics: the leading size of its kernel and
+    forcing broadcast against each other."""
+    counts = []
+    march = modal_dynamics.march_difference_kernel
+
+    def counting(factored, forcing, out=None):
+        shape = np.broadcast_shapes(factored.kernel.shape, np.shape(forcing))
+        counts.append(math.prod(shape[:-1]))
+        return march(factored, forcing, out=out)
+
+    monkeypatch.setattr(modal_dynamics, "march_difference_kernel", counting)
     return counts
 
 

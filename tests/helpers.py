@@ -4,8 +4,10 @@ The integrators here are deliberately independent of the package's quadrature
 and marching code: RK4 time stepping for ODE-equivalent reference solutions,
 a plain O(n^2) product-trapezoid sum for convolution cross-checks, the
 step-by-step trapezoid march, and the dense SVDs of the perturbation probe's
-matrix and of the adjoint map.  direct_free_march is the exception: it runs the package's march on
-each datum's own forcing, the reference for combining unit responses.
+matrix and of the adjoint map.  direct_free_march and two_impulse_terminal_maps
+are the exceptions: they run the package's wave response and march on each
+datum's own forcing, the references for combining unit responses and for
+reading the terminal maps off one marched impulse.
 """
 
 import numpy as np
@@ -177,3 +179,26 @@ def adjoint_norm_reference(basis, op, n_modes, weight=1.0):
     traces = traces * np.sqrt(basis.quad_weights)
     matrix = np.einsum("rq,rp->rqp", traces, psi[:, ::-1] * np.sqrt(wt)).reshape(2 * m, -1)
     return np.linalg.svd(matrix, compute_uv=False)[0]
+
+
+def two_impulse_terminal_maps(op):
+    """Terminal impulse maps of op from two marched impulses per mode, the
+    reference for ModalOperator.terminal_maps and memoryless_maps.
+
+    Returns (memory, memoryless), each a pair (xi, eta) of shape
+    op.mus.shape + (n,).  Each mode marches the wave responses of impulses
+    at nodes 0 and 1.  Marching is Toeplitz on nodes >= 1 (only node 0 has
+    the half trapezoid weight), so an impulse at node p >= 1 answers with the
+    node-1 response delayed by p - 1: its terminal value is that response at
+    node n - p.  The memoryless maps read the wave responses themselves.
+    """
+    impulses = np.zeros((2,) + (1,) * op.mus.ndim + (op.grid.n_nodes,))
+    impulses[0, ..., 0] = impulses[1, ..., 1] = 1.0
+    u = np.stack(op.wave(impulses))
+    w = march_difference_kernel(FactoredKernel(op.kernels, op.grid.dt), u)
+
+    def weighted_terminal(y):
+        xi, eta = np.concatenate([y[:, 0, ..., -1:], y[:, 1, ..., :0:-1]], axis=-1)
+        return op.mus[..., None] * xi, eta
+
+    return weighted_terminal(w), weighted_terminal(u)

@@ -90,7 +90,8 @@ class TestSimulate:
         assert manifest["config"]["modes"] == 2
         assert manifest["config"]["grid"] == {"horizon": 1.0, "steps": 50}
         assert manifest["config"]["control"]["type"] == "constant"
-        assert manifest["config"]["seed"] == 1870
+        # A constant control draws no random numbers, so no seed is read.
+        assert "seed" not in manifest["config"]
         assert "viscowave_version" in manifest
 
     def test_manifest_echoes_each_field_as_read(self, tmp_path):
@@ -449,6 +450,27 @@ ROUND_TRIPS = {
 }
 
 
+class TestSeed:
+    """A run reads its seed only where it builds an rng: the noise control,
+    the random-smooth target and duality-check's random trials."""
+
+    @pytest.mark.parametrize("command", ["gram-spectrum", "maccamy", "probes"])
+    def test_runs_that_draw_nothing_echo_no_seed(self, tmp_path, command):
+        cfg = write_config(tmp_path, dict(SMALL_RUNS[command], seed=42))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        assert "seed" not in read_summary(out)
+        assert "seed" not in read_manifest(out)["config"]
+
+    @pytest.mark.parametrize("command", ["duality-check", "simulate", "synthesize", "verify"])
+    def test_runs_that_draw_echo_their_seed(self, tmp_path, command):
+        cfg = write_config(tmp_path, dict(SMALL_RUNS[command], seed=42))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        assert read_summary(out)["seed"] == 42
+        assert read_manifest(out)["config"]["seed"] == 42
+
+
 class TestOneInversePerRun:
     """Each command builds one memory operator and hands it to every solve, so
     it inverts each mode's kernel once."""
@@ -462,6 +484,29 @@ class TestOneInversePerRun:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         # maccamy marches the one resolvent row.
         assert sum(inverted_rows) == (1 if command == "maccamy" else payload["modes"])
+
+    @pytest.mark.parametrize(
+        "command, rows_per_mode",
+        [
+            # The Gram's unit free responses, then the terminal impulse maps.
+            ("synthesize", 4),
+            # The terminal impulse maps alone.
+            ("verify", 2),
+            # The forced march alone: its trajectory's end is the terminal state.
+            ("simulate", 2),
+            ("gram-spectrum", 2),
+            # The free responses, then the maps; the memoryless maps march nothing.
+            ("probes", 4),
+            # The free responses and the maps, however many trials.
+            ("duality-check", 4),
+        ],
+    )
+    def test_each_command_marches_its_rows_once(self, tmp_path, marched_rows, command, rows_per_mode):
+        payload = dict(SMALL_RUNS[command])
+        payload["kernel"] = {"b": 0.2, "family": "exponential", "params": {"amplitude": 0.1, "rate": 1.0}}
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert sum(marched_rows) == rows_per_mode * payload["modes"]
 
     def test_no_operator_outlives_the_run(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_RUNS["synthesize"], name="ok.json")
@@ -593,7 +638,7 @@ class TestExitCodes:
             {"kernel": {"family": "gaussian", "params": {}}},
             {"geometry": {"kind": "disk", "lengths": [1.0]}},
             {"control": {"type": "mystery"}},
-            {"seed": -3},
+            {"seed": -3, "control": {"type": "noise"}},
         ],
     )
     def test_invalid_values_exit_three(self, tmp_path, mutation, capsys):
@@ -620,7 +665,7 @@ class TestExitCodes:
             ("simulate", {"grid": {"horizon": 1.0, "steps": 400.7}}, 3, "steps must be an integer"),
             ("simulate", {"grid": {"horizon": 1.0, "steps": float("inf")}}, 3, "steps must be an integer"),
             ("simulate", {"modes": 6.9}, 3, "modes must be an integer"),
-            ("simulate", {"seed": 2.5}, 3, "seed must be an integer"),
+            ("simulate", {"seed": 2.5, "control": {"type": "noise"}}, 3, "seed must be an integer"),
             ("probes", {"perturbation_modes": 3.7}, 3, "perturbation_modes must be an integer"),
             ("probes", {"mode_counts": [1, 1.5]}, 3, "mode_counts entry must be an integer"),
             ("gram-spectrum", {"mode_counts": [1, 2.5]}, 3, "mode_counts entry must be an integer"),
@@ -812,7 +857,7 @@ class TestExitCodes:
                 "2 nodes_per_face x omegas x (steps + 1) array would take",
             ),
             ("simulate", {"modes": True}, 3, "modes must be an integer"),
-            ("simulate", {"seed": True}, 3, "seed must be an integer"),
+            ("simulate", {"seed": True, "control": {"type": "noise"}}, 3, "seed must be an integer"),
             ("probes", {"perturbation_modes": True}, 3, "perturbation_modes must be an integer"),
             ("duality-check", {"tones": True}, 3, "tones must be an integer"),
             ("gram-spectrum", {"mode_counts": [True, 2]}, 3, "mode_counts entry must be an integer"),

@@ -330,7 +330,9 @@ class TestPerturbationCompactness:
     def test_sum_of_squares_matches_per_impulse_forward_runs(self):
         # Sum of sigma^2 is the squared Frobenius norm of the probed matrix;
         # rebuild it column by column from forward runs of every unit nodal
-        # impulse, with and without memory, scaled to a unit-L2 control.
+        # impulse, with and without memory, scaled to a unit-L2 control.  Each
+        # run's terminal state is its marched trajectory's end: its terminal
+        # attribute reads the probe's own maps.
         basis = build_interval_basis(1.0, 4)
         grid = TimeGrid(2.5, 63)
         memory = MemoryKernel(b=0.2, kernel=PronyKernel((0.03, 0.05, 0.04), (0.5, 2.0, 5.0)))
@@ -345,7 +347,7 @@ class TestPerturbationCompactness:
                 values = np.zeros((basis.n_quad, grid.n_nodes))
                 values[q, p] = 1.0
                 control = BoundaryControl(values=values, grid=grid)
-                runs.append(forward_simulate(basis, kernel, control, grid).terminal)
+                runs.append(forward_simulate(basis, kernel, control, grid).trajectory.terminal)
             return runs
 
         expected = 0.0
@@ -394,8 +396,8 @@ class TestPerturbationCompactness:
     )
     def test_matches_the_svd_of_the_probed_matrix(self, basis, kernel, grid, m, zeros):
         got = perturbation_compactness_probe(basis, kernel, grid, m).singular_values
-        maps = basis_operator(basis, kernel, grid, m).terminal_maps
-        want = perturbation_svd_reference(basis, maps, m, grid.dt)
+        op = basis_operator(basis, kernel, grid, m)
+        want = perturbation_svd_reference(basis, (op.terminal_maps, op.memoryless_maps), m, grid.dt)
         assert got.size == want.size == min(2 * m, basis.n_quad * grid.n_nodes)
         # Both carry an absolute error of about eps sigma_1: a value that is
         # zero in exact arithmetic reads as rounding in both, every other

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from viscowave.modal_dynamics import (
     basis_operator,
     control_l2_norm,
     forward_simulate,
+    forward_trajectory,
     gronwall_bound_check,
     memory_oscillator_kernels,
     sobolev_norm,
@@ -29,7 +32,12 @@ from viscowave.modal_dynamics import (
 from viscowave.quadrature import trapezoid_convolve
 from viscowave.spectral_basis import build_interval_basis, build_rectangle_basis
 
-from helpers import direct_free_march, forced_memory_reference, free_memory_reference
+from helpers import (
+    direct_free_march,
+    forced_memory_reference,
+    free_memory_reference,
+    two_impulse_terminal_maps,
+)
 
 PRONY = PronyKernel((0.03, 0.05, 0.04), (0.5, 2.0, 5.0))
 
@@ -254,41 +262,133 @@ class TestForwardSimulate:
 class TestTerminalResponseMap:
     def test_columns_match_forward_runs_of_nodal_impulses(self):
         # The interval's one control node carries the traces, so an impulse
-        # control at node p forces mode m with trace_m e_p.
+        # control at node p forces mode m with trace_m e_p.  The reference is
+        # the marched trajectory's end, not forward_simulate's terminal state,
+        # which reads the map itself.
         basis = build_interval_basis(1.0, 6)
         grid = TimeGrid(2.5, 301)
-        kernel = MemoryKernel(b=0.2, kernel=PronyKernel((0.03, 0.05, 0.04), (0.5, 2.0, 5.0)))
-        map_xi, map_eta = ModalOperator(basis.mu, kernel, grid).terminal_maps[0]
+        kernel = MemoryKernel(b=0.2, kernel=PRONY)
+        map_xi, map_eta = ModalOperator(basis.mu, kernel, grid).terminal_maps
         assert map_xi.shape == map_eta.shape == (6, grid.n_nodes)
         n = grid.n_nodes
         for p in (0, 1, n // 2, n - 1):
             values = np.zeros((1, n))
             values[0, p] = 1.0
-            sim = forward_simulate(basis, kernel, BoundaryControl(values, grid), grid)
+            end = forward_simulate(basis, kernel, BoundaryControl(values, grid), grid).trajectory.terminal
             got = basis.traces[:, 0] * np.stack([map_xi[:, p], map_eta[:, p]])
-            want = np.stack([sim.terminal.xi, sim.terminal.eta])
+            want = np.stack([end.xi, end.eta])
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "geometry, family, shape",
+        [
+            ("interval", "prony", None),
+            ("interval", "sampled", None),
+            ("rectangle", "prony", None),
+            ("rectangle", "sampled", None),
+            ("interval", "prony", (3, 2)),
+        ],
+    )
+    def test_one_impulse_matches_two_impulse_march(self, geometry, family, shape):
+        # Column 0 is the node-0 impulse's own march, bit for bit; the rest
+        # are its Toeplitz shifts and the reciprocal, to rounding.
+        grid = TimeGrid(2.5, 400)
+        if geometry == "interval":
+            mus = build_interval_basis(1.0, 12 if shape is None else 6).mu
+        else:
+            mus = build_rectangle_basis(1.0, 1.5, 16, 6).mu
+        if shape is not None:
+            mus = mus.reshape(shape)
+        memory = PRONY
+        if family == "sampled":
+            t = np.linspace(0.0, 3.0, 61)
+            memory = SampledKernel(times=t, samples=0.1 * t * np.exp(-t))
+        op = ModalOperator(mus, MemoryKernel(b=0.2, kernel=memory), grid)
+        want_maps = two_impulse_terminal_maps(op)
+        for got_pair, want_pair in zip((op.terminal_maps, op.memoryless_maps), want_maps):
+            for got, want in zip(got_pair, want_pair):
+                assert got.shape == want.shape == mus.shape + (grid.n_nodes,)
+                assert np.array_equal(got[..., 0], want[..., 0])
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("extra_modes", [0, 5])
+    def test_terminal_state_is_the_trajectory_end(self, extra_modes):
+        # The map's terminal state against the march's, also when the slot's
+        # operator holds more modes than the basis.
+        grid = TimeGrid(2.5, 500)
+        kernel = MemoryKernel(b=0.2, kernel=PRONY)
+        basis = build_interval_basis(1.0, 7)
+        basis_operator(build_interval_basis(1.0, 7 + extra_modes), kernel, grid, 7 + extra_modes)
+        rng = np.random.default_rng(5)
+        control = BoundaryControl(rng.standard_normal((1, grid.n_nodes)), grid)
+        sim = forward_simulate(basis, kernel, control, grid)
+        got, want = sim.terminal, sim.trajectory.terminal
+        assert modal_dynamics._operator.mus.size == 7 + extra_modes
+        assert got.n_modes == want.n_modes == 7
+        gap = np.concatenate([got.xi - want.xi, got.eta - want.eta])
+        assert np.linalg.norm(gap) <= 1e-12 * sobolev_norm(want)
 
 
 class TestModalOperator:
-    def test_terminal_maps_are_computed_once(self, inverted_rows):
+    def test_terminal_maps_are_computed_once(self, inverted_rows, marched_rows):
         basis = build_interval_basis(1.0, 6)
         grid = TimeGrid(2.5, 301)
-        kernel = MemoryKernel(b=0.2, kernel=PronyKernel((0.03, 0.05, 0.04), (0.5, 2.0, 5.0)))
+        kernel = MemoryKernel(b=0.2, kernel=PRONY)
         operator = ModalOperator(basis.mu, kernel, grid)
-        memory, memoryless = operator.terminal_maps
-        assert operator.terminal_maps[0] is memory
+        memory = operator.terminal_maps
+        assert operator.terminal_maps is memory
+        memoryless = operator.memoryless_maps
+        assert operator.memoryless_maps is memoryless
+        # One march of the node-0 impulse pair; the memoryless maps march nothing.
+        assert marched_rows == [2 * basis.n_modes]
         assert sum(inverted_rows) == basis.n_modes
-        assert not memory[0].flags.writeable
-        # The memoryless map is the wave response's: a zero kernel marches
-        # its forcing unchanged.
-        zero = ModalOperator(basis.mu, MemoryKernel(), grid).terminal_maps[0]
+        assert not any(a.flags.writeable for a in memory + memoryless)
+        # The memoryless maps are the zero kernel's maps, which invert nothing.
+        zero = ModalOperator(basis.mu, MemoryKernel(), grid).terminal_maps
         for got, want in zip(memoryless, zero):
             assert np.array_equal(got, want)
+        assert sum(inverted_rows) == basis.n_modes
         # mus of any shape give maps of shape mus.shape + (n,), row for row.
-        square = ModalOperator(basis.mu.reshape(3, 2), kernel, grid).terminal_maps[0]
+        square = ModalOperator(basis.mu.reshape(3, 2), kernel, grid).terminal_maps
         for got, want in zip(square, memory):
             assert np.array_equal(got.reshape(want.shape), want)
+
+    def test_warm_forward_run_marches_only_when_its_trajectory_is_read(self, marched_rows):
+        basis = build_interval_basis(1.0, 8)
+        grid = TimeGrid(2.5, 301)
+        kernel = MemoryKernel(b=0.2, kernel=PRONY)
+        control = BoundaryControl(values=np.cos(grid.times)[None, :], grid=grid)
+        forward_simulate(basis, kernel, control, grid)
+        assert marched_rows == [2 * basis.n_modes]  # the terminal maps, once
+        marched_rows.clear()
+        sim = forward_simulate(basis, kernel, control, grid)
+        assert marched_rows == []
+        trajectory = sim.trajectory
+        assert sim.trajectory is trajectory
+        assert marched_rows == [2 * basis.n_modes]
+        want = forward_trajectory(basis, kernel, control, grid)
+        assert np.array_equal(trajectory.values, want.values)
+        assert np.array_equal(trajectory.velocities, want.velocities)
+
+    def test_terminal_maps_peak_no_higher_than_a_forced_march(self):
+        # Python-level peak (tracemalloc) of each, from the same warm operator.
+        grid = TimeGrid(2.5, 5000)
+        op = ModalOperator(build_interval_basis(1.0, 64).mu, MemoryKernel(b=0.2, kernel=PRONY), grid)
+        op.free_responses  # the reciprocal spectra exist before either is measured
+        forcing = np.random.default_rng(2).standard_normal((64, grid.n_nodes))
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                result = call()
+                return tracemalloc.get_traced_memory()[1] - base, result
+            finally:
+                tracemalloc.stop()
+
+        forced_peak, _ = peak(lambda: op.forced(forcing))
+        map_peak, _ = peak(lambda: op.terminal_maps)
+        assert map_peak <= forced_peak
 
     def test_free_responses_are_computed_once(self, monkeypatch):
         basis = build_interval_basis(1.0, 8)
@@ -297,9 +397,9 @@ class TestModalOperator:
         forcings = []
         march = modal_dynamics.march_difference_kernel
 
-        def counting(factored, forcing):
+        def counting(factored, forcing, out=None):
             forcings.append(forcing)
-            return march(factored, forcing)
+            return march(factored, forcing, out=out)
 
         monkeypatch.setattr(modal_dynamics, "march_difference_kernel", counting)
         operator = basis_operator(basis, kernel, grid, basis.n_modes)

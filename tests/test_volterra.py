@@ -151,6 +151,38 @@ class TestStepwiseReference:
         for f, y in zip(forcings, got):
             assert np.array_equal(y, march_difference_kernel(FactoredKernel(kernels, grid.dt), f))
 
+    def test_in_place_march_equals_fresh_march(self):
+        # out= may be the forcing itself: every block of rows is read before
+        # it is written, so the bits are those of a march into a new array.
+        grid = TimeGrid(2.5, 2000)
+        mus = (np.arange(1, 41) - 0.5) * np.pi
+        kernels = memory_oscillator_kernels(mus, MemoryKernel(0.2, ExponentialKernel(0.1, 1.0)), grid)
+        factored = FactoredKernel(kernels, grid.dt)
+        forcing = np.random.default_rng(8).standard_normal((2, mus.size, grid.n_nodes))
+        want = march_difference_kernel(factored, forcing)
+        y = forcing.copy()
+        assert march_difference_kernel(factored, y, out=y) is y
+        assert np.array_equal(y, want)
+        for bad in (np.empty((mus.size, grid.n_nodes)), np.empty(forcing.shape[::-1]).T):
+            with pytest.raises(ValueError, match="out must be"):
+                march_difference_kernel(factored, forcing, out=bad)
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [MemoryKernel(), MemoryKernel(0.2, PronyKernel((0.1, 0.05), (1.0, 3.0)))],
+        ids=["memoryless", "prony"],
+    )
+    def test_reciprocal_is_the_response_to_a_node_one_impulse(self, kernel):
+        grid = TimeGrid(2.5, 1500)
+        mus = ((np.arange(1, 13) - 0.5) * np.pi).reshape(3, 4)
+        kernels = memory_oscillator_kernels(mus, kernel, grid)
+        impulse = np.zeros(grid.n_nodes)
+        impulse[1] = 1.0
+        want = stepwise_march(kernels, impulse, grid.dt)[..., 1:]
+        got = FactoredKernel(kernels, grid.dt).reciprocal()
+        assert got.shape == mus.shape + (grid.n_nodes - 1,)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_growing_scalar_solution(self):
         # R = N - N*R with N = -3 is -3 e^{3t}, about -1e7 at T = 5.
         grid = TimeGrid(5.0, 2000)
