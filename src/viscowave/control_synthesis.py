@@ -30,6 +30,7 @@ from .modal_dynamics import (
     adjoint_trace,
     basis_operator,
     forward_simulate,
+    reversed_trace_sum,
 )
 from .quadrature import trapezoid_weights
 from .spectral_basis import SpectralBasis, control_time_lower_bound
@@ -44,10 +45,12 @@ class GramSystem:
     """Assembled 2M x 2M Gram matrix of adjoint traces plus its spectrum data.
 
     Row/column order: the M traces from data (e_m, 0) first, then the M traces
-    from (0, e_m).  psi_table holds the homogeneous modal solutions backing the
-    matrix, in that row order, so the synthesized control is assembled without
-    re-solving: the leading M modes of the operator's read-only
-    `free_responses`, a read-only view of them when the operator holds M modes.
+    from (0, e_m).  The matrix is exactly symmetric: every product behind it
+    is a symmetric one.  psi_table holds the homogeneous modal solutions
+    backing the matrix, in that row order, so the synthesized control is
+    contracted from it and the traces without re-solving: the leading M modes
+    of the operator's read-only `free_responses`, a read-only view of them
+    when the operator holds M modes.
     """
 
     matrix: np.ndarray
@@ -72,16 +75,24 @@ def _spectrum(matrix: np.ndarray) -> tuple[float, float, float]:
 
 def _trace_gram(basis: SpectralBasis, kernel: MemoryKernel, grid: TimeGrid, m: int):
     """The Gram matrix of the 2m canonical adjoint traces on the leading m
-    modes, (boundary trace Gram) x (time correlation) symmetrized, and the
+    modes, (boundary trace Gram) x (time correlation) entrywise, and the
     homogeneous rows psi behind it: the unit responses to (1, 0) and (0, 1)
-    in the (e_m, 0)-first order, a view of the operator's table."""
+    in the (e_m, 0)-first order, a view of the operator's table.
+
+    Both factors are symmetric products s @ s.T, which numpy evaluates as one
+    symmetric rank-k update and returns exactly symmetric.  The trapezoid
+    time correlation is dt psi psi^T less the half weight of the two end
+    columns, so no weighted copy of psi is formed.
+    """
     psi = basis_operator(basis, kernel, grid, m).free_responses[:, :m].reshape(2 * m, grid.n_nodes)
-    wt = trapezoid_weights(grid.n_nodes, grid.dt)
-    time_gram = (psi * wt[None, :]) @ psi.T
-    tr = basis.traces[:m]
-    boundary_gram = (tr * basis.quad_weights[None, :]) @ tr.T
-    gram = np.tile(boundary_gram, (2, 2)) * time_gram
-    return np.triu(gram) + np.triu(gram, 1).T, psi
+    time_gram = psi @ psi.T
+    time_gram *= grid.dt
+    ends = psi[:, [0, -1]]
+    time_gram -= (0.5 * grid.dt) * (ends @ ends.T)
+    tr = basis.traces[:m] * np.sqrt(basis.quad_weights)
+    gram = np.tile(tr @ tr.T, (2, 2))
+    gram *= time_gram
+    return gram, psi
 
 
 def _leading_block(matrix: np.ndarray, m: int) -> np.ndarray:
@@ -152,7 +163,8 @@ def solve_min_norm_control(
     rhs = (eta_m ; mu_m xi_m) in the (e_m, 0) / (0, e_m) trace order.  The
     synthesized control is the coefficient combination of the time-reversed
     traces, the unique minimizer of the control norm among exact solutions of
-    the truncated moment problem.
+    the truncated moment problem, contracted from psi_table through the
+    coefficient-weighted traces by reversed_trace_sum.
     """
     m = gram.n_modes
     if target.n_modes < m:
@@ -170,8 +182,7 @@ def solve_min_norm_control(
     coeffs = np.linalg.solve(system, rhs)
     residual = float(np.linalg.norm(gram.matrix @ coeffs - rhs))
 
-    traces = np.vstack([basis.traces[:m], basis.traces[:m]])
-    values = traces.T @ (coeffs[:, None] * gram.psi_table[:, ::-1])
+    values = reversed_trace_sum(basis.traces[:m], coeffs, gram.psi_table)
     control = BoundaryControl(values=values, grid=grid)
     return SynthesisResult(control=control, coefficients=coeffs, residual=residual, rhs=rhs)
 

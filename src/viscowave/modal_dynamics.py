@@ -243,8 +243,10 @@ class ModalOperator:
     def terminal_maps(self):
         """Weighted terminal states (mu w(T), w'(T)) of a unit modal impulse at
         every node: a read-only pair (xi, eta) of arrays of shape
-        mus.shape + (n,) whose column p answers the modal forcing e_p, so
-        sum(map * g, axis=-1) is the terminal state a modal forcing g drives.
+        mus.shape + (n,) whose column p answers the modal forcing e_p, so a
+        modal forcing g drives the terminal state sum(map * g, axis=-1);
+        forward_simulate contracts a boundary control through the traces
+        instead, so it forms no table of g's size.
 
         One march gives every column: that of the node-0 impulse's wave
         response (u, u'), two rows per mode, in place.  Every impulse's wave
@@ -356,15 +358,16 @@ def release_operator() -> None:
     _operator = None
 
 
-def _modal_forcing(basis: SpectralBasis, control: BoundaryControl, grid: TimeGrid) -> np.ndarray:
-    """g_n(t) = int_{Gamma_1} phi_n f(., t) of each basis mode, shape (M, n)."""
+def _control_values(basis: SpectralBasis, control: BoundaryControl, grid: TimeGrid) -> np.ndarray:
+    """The control's (n_quad, n) samples, once its grid and node count match
+    the problem's: a product with a 1-node control would broadcast silently."""
     if control.grid != grid:
         raise ValueError("control was sampled on a different grid")
     if control.values.shape[0] != basis.n_quad:
         raise ValueError(
             f"control has {control.values.shape[0]} boundary nodes, basis has {basis.n_quad}"
         )
-    return (basis.traces * basis.quad_weights[None, :]) @ control.values
+    return control.values
 
 
 def forward_trajectory(
@@ -375,7 +378,8 @@ def forward_trajectory(
 ) -> ModalTrajectory:
     """Per-mode (w, w') of the system driven from rest by a boundary traction,
     from one forced march of the modes."""
-    g_modal = _modal_forcing(basis, control, grid)
+    # g_n(t) = int_{Gamma_1} phi_n f(., t) of each basis mode, shape (M, n).
+    g_modal = (basis.traces * basis.quad_weights) @ _control_values(basis, control, grid)
     m = basis.n_modes
     op = basis_operator(basis, kernel, grid, m)
     if op.mus.size > m:  # modes of the operator beyond the basis carry no forcing
@@ -414,16 +418,19 @@ def forward_simulate(
     """Drive the system from rest with a boundary traction.
 
     The terminal StatePair stores (mu_n w_n(T), w_n'(T)), the weighted state
-    the synthesis layer targets.  It is sum(map * g, axis=-1) of the modal
-    forcing g against the operator's cached terminal_maps, O(M n) once the
-    maps exist; nothing is marched for the trajectory until it is read.
+    the synthesis layer targets: sum(map * g, axis=-1) of the modal forcing
+    g = tw f, tw = traces * quad_weights, against the operator's cached
+    terminal_maps.  It is contracted as sum(tw * (map @ f.T), axis=-1), so
+    no (M, n) forcing or product is formed; O(M n n_quad) once the maps
+    exist.  Nothing is marched for the trajectory until it is read.
     """
-    g_modal = _modal_forcing(basis, control, grid)
+    values = _control_values(basis, control, grid)
     m = basis.n_modes
     xi_map, eta_map = basis_operator(basis, kernel, grid, m).terminal_maps
+    tw = basis.traces * basis.quad_weights
     terminal = StatePair(
-        xi=np.sum(xi_map[:m] * g_modal, axis=-1),
-        eta=np.sum(eta_map[:m] * g_modal, axis=-1),
+        xi=np.sum(tw * (xi_map[:m] @ values.T), axis=-1),
+        eta=np.sum(tw * (eta_map[:m] @ values.T), axis=-1),
         mu=basis.mu,
     )
     return SimulationResult(terminal=terminal, basis=basis, kernel=kernel, control=control)
@@ -439,15 +446,33 @@ def adjoint_trace(
 
     For data (xi, eta) on the leading len(v) modes the returned samples are
     sum_n (phi_n|_{Gamma_1})(x_q) psi_n(T - t_j); the time reversal is exact on
-    the uniform grid.  These traces span the synthesis ansatz space.
+    the uniform grid.  These traces span the synthesis ansatz space.  psi is
+    xi psi_c + eta psi_s, so the samples are reversed_trace_sum of the unit
+    responses with the coefficients (xi, eta); psi itself is never formed.
     """
     m = v.n_modes
     if m > basis.n_modes:
         raise ValueError(f"state pair has {m} modes but the basis stores {basis.n_modes}")
-    psi_c, psi_s = basis_operator(basis, kernel, grid, m).free_responses[:, :m]
-    psi = v.xi[:, None] * psi_c + v.eta[:, None] * psi_s
-    values = basis.traces[:m].T @ psi[:, ::-1]
+    psi = basis_operator(basis, kernel, grid, m).free_responses[:, :m].reshape(2 * m, grid.n_nodes)
+    values = reversed_trace_sum(basis.traces[:m], np.concatenate([v.xi, v.eta]), psi)
     return BoundaryControl(values=values, grid=grid)
+
+
+def reversed_trace_sum(traces: np.ndarray, coeffs: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """sum_r coeffs_r tr_r(x_q) psi_r(T - t_j), shape (n_quad, n), over the 2m
+    rows of psi, the unit responses to (1, 0) and then (0, 1) on m modes,
+    whose traces tr_r are the (m, n_quad) traces in both slots.
+
+    The coefficients go on the small (n_quad, 2m) factor, and time is
+    reversed on whichever side has fewer rows: on the product when
+    n_quad < 2m (a 1-node product then stays on BLAS), else on psi (the
+    product is then already contiguous, and BoundaryControl keeps it without
+    a copy).  No table of psi's size is formed.
+    """
+    weighted = np.tile(traces.T, 2) * coeffs
+    if weighted.shape[0] < psi.shape[0]:
+        return (weighted @ psi)[:, ::-1]
+    return weighted @ psi[:, ::-1]
 
 
 @dataclass(frozen=True)

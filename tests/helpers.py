@@ -7,7 +7,11 @@ step-by-step trapezoid march, and the dense SVDs of the perturbation probe's
 matrix and of the adjoint map.  direct_free_march and two_impulse_terminal_maps
 are the exceptions: they run the package's wave response and march on each
 datum's own forcing, the references for combining unit responses and for
-reading the terminal maps off one marched impulse.
+reading the terminal maps off one marched impulse.  weighted_gemm_gram,
+modal_forcing_terminal and reversed_table_combination form the Gram, the
+forward run's terminal state and the synthesized control the direct way,
+through full (2m, n) and (M, n) tables, the references for the factored
+products.
 """
 
 import numpy as np
@@ -202,3 +206,31 @@ def two_impulse_terminal_maps(op):
         return op.mus[..., None] * xi, eta
 
     return weighted_terminal(w), weighted_terminal(u)
+
+
+def weighted_gemm_gram(basis, psi, dt):
+    """The Gram of the 2m adjoint traces as one weighted GEMM per factor,
+    (boundary trace Gram) x (time correlation (psi wt) psi^T), symmetrized
+    from its upper triangle; psi is the (2m, n) table of unit responses."""
+    m = psi.shape[0] // 2
+    n = psi.shape[-1]
+    wt = np.full(n, dt)
+    wt[0] = wt[-1] = 0.5 * dt
+    tr = basis.traces[:m]
+    gram = np.tile((tr * basis.quad_weights) @ tr.T, (2, 2)) * ((psi * wt) @ psi.T)
+    return np.triu(gram) + np.triu(gram, 1).T
+
+
+def modal_forcing_terminal(basis, maps, control):
+    """Weighted terminal state (xi, eta) of a boundary control from its
+    (M, n) modal forcing g = (traces * quad_weights) f summed against the
+    terminal impulse maps, sum(map * g, axis=-1)."""
+    g = (basis.traces * basis.quad_weights) @ control.values
+    return tuple(np.sum(mp[: basis.n_modes] * g, axis=-1) for mp in maps)
+
+
+def reversed_table_combination(traces, coeffs, psi):
+    """traces.T @ (c[:, None] * psi[:, ::-1]): the coefficient combination of
+    the time-reversed rows, scaled as a full (r, n) table before the trace
+    product; traces is (r, n_quad)."""
+    return traces.T @ (coeffs[:, None] * psi[:, ::-1])

@@ -1,7 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from helpers import adjoint_norm_reference, perturbation_svd_reference
+from helpers import (
+    adjoint_norm_reference,
+    modal_forcing_terminal,
+    perturbation_svd_reference,
+    reversed_table_combination,
+    weighted_gemm_gram,
+)
 from viscowave.control_synthesis import (
     IllPosedSystemError,
     assemble_gram,
@@ -14,7 +22,7 @@ from viscowave.control_synthesis import (
     terminal_error,
 )
 from viscowave.grids import TimeGrid
-from viscowave.memory_kernel import ExponentialKernel, MemoryKernel, PronyKernel
+from viscowave.memory_kernel import ExponentialKernel, MemoryKernel, PronyKernel, SampledKernel
 from viscowave.modal_dynamics import (
     BoundaryControl,
     ModalOperator,
@@ -531,6 +539,103 @@ class TestOperatorSlot:
         assemble_gram(basis, kernel, grid, 5)
         perturbation_compactness_probe(basis, kernel, grid, 5)
         assert inverted_rows == [12]
+
+
+def _sampled_kernel():
+    t = np.linspace(0.0, 4.5, 91)
+    return SampledKernel(times=t, samples=0.1 * t * np.exp(-t))
+
+
+def _traced_peak(call):
+    """Python-level peak (tracemalloc) of call() above what was allocated before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestFactoredProducts:
+    """The Gram, the synthesized control, the adjoint trace and the forward
+    run's terminal state, each formed through the small trace factor, against
+    the full-table routes of tests/helpers.py to 1e-13 of the reference's
+    largest entry: on the interval (1 node) and on rectangles whose node
+    count lies below and at or above the 2m rows, on all M stored modes and
+    on leading modes of the slot's M-mode operator."""
+
+    grid = TimeGrid(4.0, 600)
+
+    @staticmethod
+    def close(got, want):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "geometry, nodes_per_face, family, m",
+        [
+            ("interval", None, "prony", 12),
+            ("interval", None, "sampled", 7),
+            ("rectangle", 6, "prony", 16),  # 16 nodes < 32 rows
+            ("rectangle", 6, "sampled", 8),  # 16 nodes, 16 rows
+            ("rectangle", 6, "prony", 5),  # 16 nodes > 10 rows
+            ("rectangle", 20, "prony", 16),  # 48 nodes > 32 rows
+            ("rectangle", 20, "sampled", 11),  # 48 nodes > 22 rows
+        ],
+    )
+    def test_match_the_full_table_routes(self, geometry, nodes_per_face, family, m, inverted_rows):
+        grid = self.grid
+        if geometry == "interval":
+            full, small = build_interval_basis(1.0, 12), build_interval_basis(1.0, m)
+        else:
+            full = build_rectangle_basis(1.0, 1.5, 16, nodes_per_face)
+            small = build_rectangle_basis(1.0, 1.5, m, nodes_per_face)
+        memory = _sampled_kernel() if family == "sampled" else PronyKernel((0.03, 0.05), (0.5, 2.0))
+        kernel = MemoryKernel(b=0.2, kernel=memory)
+        assemble_gram(full, kernel, grid, full.n_modes)  # the slot's operator holds M modes
+
+        gram = assemble_gram(full, kernel, grid, m)
+        assert np.array_equal(gram.matrix, gram.matrix.T)
+        self.close(gram.matrix, weighted_gemm_gram(full, gram.psi_table, grid.dt))
+
+        traces = np.tile(full.traces[:m], (2, 1))
+        target = random_smooth_target(full, np.random.default_rng(6))
+        result = solve_min_norm_control(gram, full, kernel, grid, target)
+        want = reversed_table_combination(traces, result.coefficients, gram.psi_table)
+        self.close(result.control.values, want)
+
+        rng = np.random.default_rng(7)
+        v = StatePair(xi=rng.standard_normal(m), eta=rng.standard_normal(m), mu=full.mu[:m])
+        want = reversed_table_combination(traces, np.concatenate([v.xi, v.eta]), gram.psi_table)
+        self.close(adjoint_trace(full, kernel, v, grid).values, want)
+
+        maps = basis_operator(full, kernel, grid, full.n_modes).terminal_maps
+        for basis in (small, full):
+            terminal = forward_simulate(basis, kernel, result.control, grid).terminal
+            want = modal_forcing_terminal(basis, maps, result.control)
+            for got, want_slot in zip((terminal.xi, terminal.eta), want):
+                self.close(got, want_slot)
+        assert inverted_rows == [full.n_modes]
+
+    def test_each_layer_peaks_below_one_modal_table(self):
+        # On a warm operator none of the three layers of a synthesis forms a
+        # table of M x n doubles: the Gram, the control and the terminal state
+        # are contracted through the traces.
+        basis = build_interval_basis(1.0, 64)
+        grid = TimeGrid(2.5, 5000)
+        kernel = MemoryKernel(b=0.2, kernel=ExponentialKernel(0.1, 1.0))
+        target = random_smooth_target(basis, np.random.default_rng(1))
+        gram = assemble_gram(basis, kernel, grid, basis.n_modes)
+        result = solve_min_norm_control(gram, basis, kernel, grid, target)
+        forward_simulate(basis, kernel, result.control, grid)  # the terminal maps
+        table = basis.n_modes * grid.n_nodes * np.dtype(float).itemsize
+        peaks = [
+            _traced_peak(lambda: assemble_gram(basis, kernel, grid, basis.n_modes)),
+            _traced_peak(lambda: solve_min_norm_control(gram, basis, kernel, grid, target)),
+            _traced_peak(lambda: forward_simulate(basis, kernel, result.control, grid)),
+        ]
+        assert max(peaks) < table, peaks
 
 
 class TestRandomSmoothTarget:

@@ -250,13 +250,24 @@ class TestForwardSimulate:
         assert np.max(np.abs(gap)) <= 1e-12
 
     def test_rejects_mismatched_control(self):
+        # Both runs name the mismatch; a 1-node control would broadcast
+        # against a rectangle's traces without the node-count check.
         grid = TimeGrid(1.0, 20)
-        basis = build_interval_basis(1.0, 2)
-        with pytest.raises(ValueError):
-            forward_simulate(basis, MemoryKernel(), zero_control(basis, TimeGrid(1.0, 40)), grid)
-        bad = BoundaryControl(values=np.zeros((3, grid.n_nodes)), grid=grid)
-        with pytest.raises(ValueError):
-            forward_simulate(basis, MemoryKernel(), bad, grid)
+        kernel = MemoryKernel(b=0.2, kernel=PRONY)
+        interval = build_interval_basis(1.0, 2)
+        rectangle = build_rectangle_basis(1.0, 1.5, 6, 8)
+        assert rectangle.n_quad == 16
+        other_grid = "control was sampled on a different grid"
+        cases = [
+            (interval, zero_control(interval, TimeGrid(1.0, 40)), other_grid),
+            (rectangle, zero_control(rectangle, TimeGrid(1.0, 10)), other_grid),
+            (interval, zero_control(rectangle, grid), "control has 16 boundary nodes, basis has 1"),
+            (rectangle, zero_control(interval, grid), "control has 1 boundary nodes, basis has 16"),
+        ]
+        for run in (forward_simulate, forward_trajectory):
+            for basis, control, message in cases:
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    run(basis, kernel, control, grid)
 
 
 class TestTerminalResponseMap:
