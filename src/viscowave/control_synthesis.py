@@ -46,11 +46,13 @@ class GramSystem:
 
     Row/column order: the M traces from data (e_m, 0) first, then the M traces
     from (0, e_m).  The matrix is exactly symmetric: every product behind it
-    is a symmetric one.  psi_table holds the homogeneous modal solutions
-    backing the matrix, in that row order, so the synthesized control is
-    contracted from it and the traces without re-solving: the leading M modes
-    of the operator's read-only `free_responses`, a read-only view of them
-    when the operator holds M modes.
+    is a symmetric one.  It is a new array: the boundary trace Gram times the
+    operator's cached, read-only time correlation
+    (ModalOperator.time_correlation).  psi_table holds the homogeneous modal
+    solutions backing the matrix, in that row order, so the synthesized
+    control is contracted from it and the traces without re-solving: the
+    leading M modes of the operator's read-only `free_responses`, a
+    read-only view of them when the operator holds M modes.
     """
 
     matrix: np.ndarray
@@ -79,19 +81,17 @@ def _trace_gram(basis: SpectralBasis, kernel: MemoryKernel, grid: TimeGrid, m: i
     homogeneous rows psi behind it: the unit responses to (1, 0) and (0, 1)
     in the (e_m, 0)-first order, a view of the operator's table.
 
-    Both factors are symmetric products s @ s.T, which numpy evaluates as one
-    symmetric rank-k update and returns exactly symmetric.  The trapezoid
-    time correlation is dt psi psi^T less the half weight of the two end
-    columns, so no weighted copy of psi is formed.
+    The time correlation depends on the operator alone and is read from
+    ModalOperator.time_correlation, which forms it once per m and keeps the
+    last one, so repeated Grams of one problem re-form only the small trace
+    Gram.  Both factors are symmetric products s @ s.T, which numpy evaluates
+    as one symmetric rank-k update and returns exactly symmetric.
     """
-    psi = basis_operator(basis, kernel, grid, m).free_responses[:, :m].reshape(2 * m, grid.n_nodes)
-    time_gram = psi @ psi.T
-    time_gram *= grid.dt
-    ends = psi[:, [0, -1]]
-    time_gram -= (0.5 * grid.dt) * (ends @ ends.T)
+    op = basis_operator(basis, kernel, grid, m)
+    psi = op.free_responses[:, :m].reshape(2 * m, grid.n_nodes)
     tr = basis.traces[:m] * np.sqrt(basis.quad_weights)
     gram = np.tile(tr @ tr.T, (2, 2))
-    gram *= time_gram
+    gram *= op.time_correlation(m)
     return gram, psi
 
 
@@ -115,6 +115,9 @@ def assemble_gram(
 
     Entries factor into (boundary trace Gram) x (time correlation of the
     homogeneous modal solutions); both integrals use the stored quadrature.
+    The time correlation is the operator's: the first Gram of a mode count
+    on an operator forms it, a repeated one reads it, so a repeated Gram
+    costs the small trace Gram, one entrywise product and the spectrum.
     The matrix is stored unregularized; regularization only enters the solve.
     threads is unread; it stays while the benchmark passes it (ROADMAP item 1).
     Warns when the horizon sits below the sharp control-time bound.
@@ -144,6 +147,13 @@ def assemble_gram(
 
 @dataclass(frozen=True)
 class SynthesisResult:
+    """The min-norm control, its Gram coefficients and the right-hand side.
+
+    residual is the relative Gram residual |G c - rhs| / |rhs|, or the
+    absolute one when rhs = 0, so it reads at rounding level for a target of
+    any size.
+    """
+
     control: BoundaryControl
     coefficients: np.ndarray
     residual: float
@@ -180,7 +190,9 @@ def solve_min_norm_control(
         )
     system = gram.matrix + gram.regularization * np.eye(2 * m)
     coeffs = np.linalg.solve(system, rhs)
-    residual = float(np.linalg.norm(gram.matrix @ coeffs - rhs))
+    gap = float(np.linalg.norm(gram.matrix @ coeffs - rhs))
+    rhs_norm = float(np.linalg.norm(rhs))
+    residual = gap / rhs_norm if rhs_norm > 0.0 else gap
 
     values = reversed_trace_sum(basis.traces[:m], coeffs, gram.psi_table)
     control = BoundaryControl(values=values, grid=grid)

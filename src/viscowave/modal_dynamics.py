@@ -18,7 +18,8 @@ ModalOperator holds everything that depends on the problem alone: the
 sin(mu_n t) and cos(mu_n t) tables, the kernels and their marching
 reciprocals, and, each marched at most once on first use, the unit free
 responses that every homogeneous solve combines and the terminal impulse
-maps that every forward run reads its terminal state from.  The public
+maps that every forward run reads its terminal state from, and the time
+correlation of the free responses that the last Gram read.  The public
 solvers get theirs from basis_operator, which keeps the last operator it
 built in one module slot and hands it out again while the kernel object,
 the grid and the leading modes match, so solves of one problem build and
@@ -168,9 +169,10 @@ class ModalOperator:
     marching reciprocal, so every problem solved through one operator inverts
     each mode's kernel once.  The unit free responses and the terminal maps,
     with and without the memory, are computed on first use and kept
-    read-only.  mus may have any shape; like every solver in this module,
-    it broadcasts against the leading axes of the data, so forcings of
-    shape (r, M, n) give r forcings per mode of mus (M,).
+    read-only; so is the last time correlation of the free responses asked
+    for, one table per operator.  mus may have any shape; like every solver
+    in this module, it broadcasts against the leading axes of the data, so
+    forcings of shape (r, M, n) give r forcings per mode of mus (M,).
     """
 
     def __init__(self, mus, kernel: MemoryKernel, grid: TimeGrid):
@@ -189,6 +191,7 @@ class ModalOperator:
         g /= mu
         self.kernels = g
         self._factored = FactoredKernel(self.kernels, grid.dt)
+        self._correlation = None  # time_correlation's one slot
 
     def wave(self, forcing: np.ndarray):
         """Memoryless modal response to a forcing g: Duhamel sine/cosine integrals.
@@ -218,6 +221,29 @@ class ModalOperator:
         psi = march_difference_kernel(self._factored, np.stack([self._cos, self._sin]))
         psi.flags.writeable = False
         return psi
+
+    def time_correlation(self, m: int) -> np.ndarray:
+        """Read-only (2m, 2m) trapezoid time correlation of the unit free
+        responses on the leading m modes of 1-d mus, rows (psi_c, psi_s):
+        dt psi psi^T less the half weight of the two end columns.
+
+        psi @ psi.T is one symmetric rank-k update, exactly symmetric.  The
+        operator keeps the last table it formed in one slot, at most (2M)^2
+        doubles: a request for another m forms that table anew and replaces
+        it.  The leading block of a larger table is not read instead, since
+        it rounds differently from the m-mode product.
+        """
+        table = self._correlation
+        if table is None or table.shape[0] != 2 * m:
+            table = self._correlation = None  # the old table goes before the new one is formed
+            psi = self.free_responses[:, :m].reshape(2 * m, self.grid.n_nodes)
+            table = psi @ psi.T
+            table *= self.grid.dt
+            ends = psi[:, [0, -1]]
+            table -= (0.5 * self.grid.dt) * (ends @ ends.T)
+            table.flags.writeable = False
+            self._correlation = table
+        return table
 
     def free(self, xi, eta) -> np.ndarray:
         """Homogeneous memory mode with data psi(0) = xi, psi'(0) = mu * eta.

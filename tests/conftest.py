@@ -58,3 +58,20 @@ def lowest_mode_selections(monkeypatch):
 
     monkeypatch.setattr(spectral_basis, "_lowest_modes", counting)
     return calls
+
+
+@pytest.fixture
+def formed_correlations(monkeypatch):
+    """Each distinct table ModalOperator.time_correlation hands out, once, in
+    the order first seen: one entry per time correlation formed."""
+    tables = []
+    time_correlation = modal_dynamics.ModalOperator.time_correlation
+
+    def recording(self, m):
+        table = time_correlation(self, m)
+        if not any(seen is table for seen in tables):
+            tables.append(table)
+        return table
+
+    monkeypatch.setattr(modal_dynamics.ModalOperator, "time_correlation", recording)
+    return tables

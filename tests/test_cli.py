@@ -508,6 +508,27 @@ class TestOneInversePerRun:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert sum(marched_rows) == rows_per_mode * payload["modes"]
 
+    @pytest.mark.parametrize(
+        "command, correlations",
+        [
+            # The Gram's, or the norm-growth probe's, on the largest count.
+            ("synthesize", 1),
+            ("gram-spectrum", 1),
+            ("probes", 1),
+            # No Gram.
+            ("simulate", 0),
+            ("verify", 0),
+            ("duality-check", 0),
+            ("maccamy", 0),
+        ],
+    )
+    def test_each_command_forms_at_most_one_time_correlation(
+        self, tmp_path, formed_correlations, command, correlations
+    ):
+        cfg = write_config(tmp_path, SMALL_RUNS[command])
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert len(formed_correlations) == correlations
+
     def test_no_operator_outlives_the_run(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_RUNS["synthesize"], name="ok.json")
         assert main(["synthesize", "--config", cfg, "--out", str(tmp_path / "ok")]) == 0

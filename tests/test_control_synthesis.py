@@ -156,6 +156,22 @@ class TestMinNormSynthesis:
         assert np.linalg.norm(moved - base) <= 1e-8 * np.linalg.norm(base)
         assert control_l2_norm(basis, perturbed) > control_l2_norm(basis, result.control)
 
+    def test_residual_is_relative_to_the_right_hand_side(self):
+        basis = build_interval_basis(1.0, 8)
+        kernel = MemoryKernel(b=0.2, kernel=ExponentialKernel(0.1, 1.0))
+        grid = TimeGrid(2.5, 800)
+        gram = assemble_gram(basis, kernel, grid, n_modes=8)
+        target = random_smooth_target(basis, np.random.default_rng(3))
+        for scale in (1e-3, 1.0, 1e3):
+            scaled = StatePair(xi=scale * target.xi, eta=scale * target.eta, mu=target.mu)
+            result = solve_min_norm_control(gram, basis, kernel, grid, scaled)
+            gap = np.linalg.norm(gram.matrix @ result.coefficients - result.rhs)
+            assert result.residual == gap / np.linalg.norm(result.rhs)
+            assert result.residual <= 1e-14
+        # A zero right-hand side has no scale: the residual is the absolute gap.
+        zero = StatePair(xi=np.zeros(8), eta=np.zeros(8), mu=basis.mu)
+        assert solve_min_norm_control(gram, basis, kernel, grid, zero).residual == 0.0
+
     def test_target_with_fewer_modes_rejected(self):
         basis = build_interval_basis(1.0, 3)
         grid = TimeGrid(2.0, 200)
@@ -254,6 +270,36 @@ class TestRieszFisherDiagnostic:
             riesz_fisher_diagnostic(basis, MemoryKernel(), grid, [2, 8])
         with pytest.raises(ValueError):
             riesz_fisher_diagnostic(basis, MemoryKernel(), grid, [])
+
+
+class TestLeadingBlocks:
+    """riesz_fisher_diagnostic and norm_growth_probe read every count's row off
+    the leading block of one Gram on the largest count; each row is the
+    spectrum of that count's own Gram, assembled on a fresh operator."""
+
+    @pytest.mark.parametrize(
+        "basis, horizon",
+        [(build_interval_basis(1.0, 12), 2.5), (build_rectangle_basis(1.0, 1.5, 12, 6), 4.0)],
+        ids=["interval", "rectangle"],
+    )
+    def test_rows_match_each_counts_own_gram(self, basis, horizon):
+        grid = TimeGrid(horizon, 400)
+        kernel = MemoryKernel(b=0.2, kernel=PronyKernel((0.03, 0.05, 0.04), (0.5, 2.0, 5.0)))
+        counts = [1, 3, 7, basis.n_modes]
+        spectrum = riesz_fisher_diagnostic(basis, kernel, grid, counts)
+        growth = norm_growth_probe(basis, kernel, grid, counts, alpha=0.6).rows
+        for m, row, grow in zip(counts, spectrum, growth, strict=True):
+            release_operator()
+            gram = assemble_gram(basis, kernel, grid, m).matrix
+            eigs = np.linalg.eigvalsh(gram)
+            weight = np.tile(basis.mu[:m] ** (0.6 - 1.0), 2)
+            weighted_max = np.linalg.eigvalsh(weight[:, None] * gram * weight[None, :])[-1]
+            got = np.array(
+                [row.min_eigenvalue, row.condition_number, grow.max_ratio, grow.max_weighted_ratio]
+            )
+            want = np.array([eigs[0], eigs[-1] / eigs[0], np.sqrt(eigs[-1]), np.sqrt(weighted_max)])
+            assert row.n_modes == grow.n_modes == m
+            assert np.max(np.abs(got - want) / want) <= 1e-12, m
 
 
 class TestNormGrowthProbe:

@@ -466,6 +466,54 @@ class TestModalOperator:
         assert modal_dynamics._operator is operator
 
 
+class TestTimeCorrelation:
+    """ModalOperator.time_correlation keeps one read-only table per operator,
+    for the last mode count asked for; Grams read from it are bitwise those
+    of a fresh operator."""
+
+    grid = TimeGrid(2.5, 400)
+
+    def test_one_read_only_table_for_the_last_count(self, formed_correlations):
+        basis = build_interval_basis(1.0, 8)
+        op = ModalOperator(basis.mu, MemoryKernel(b=0.2, kernel=PRONY), self.grid)
+        table = op.time_correlation(8)
+        assert table.shape == (16, 16)
+        assert not table.flags.writeable
+        assert op.time_correlation(8) is table
+        assert len(formed_correlations) == 1
+        # Another count replaces the table: the operator holds one.
+        small = op.time_correlation(3)
+        assert small.shape == (6, 6)
+        assert op._correlation is small
+        assert op.time_correlation(3) is small
+        again = op.time_correlation(8)
+        assert again is not table and op._correlation is again
+        assert np.array_equal(again, table)
+        assert len(formed_correlations) == 3
+
+    @pytest.mark.parametrize("family", ["prony", "sampled"])
+    def test_grams_equal_a_fresh_operators(self, family, formed_correlations):
+        basis = build_interval_basis(1.0, 10)
+        memory = PRONY
+        if family == "sampled":
+            t = np.linspace(0.0, 3.0, 61)
+            memory = SampledKernel(times=t, samples=0.1 * t * np.exp(-t))
+        kernel, grid = MemoryKernel(b=0.2, kernel=memory), self.grid
+
+        def fresh(m):
+            modal_dynamics.release_operator()
+            return assemble_gram(basis, kernel, grid, m).matrix
+
+        want = {m: fresh(m) for m in (10, 4)}
+        modal_dynamics.release_operator()
+        formed_correlations.clear()
+        # m = M twice, m < M, then M again, all on the slot's one operator.
+        for m, formed in ((10, 1), (10, 1), (4, 2), (10, 3)):
+            assert np.array_equal(assemble_gram(basis, kernel, grid, m).matrix, want[m])
+            assert len(formed_correlations) == formed
+        assert modal_dynamics._operator.mus.size == 10
+
+
 class TestAdjointTrace:
     def test_single_mode_without_memory(self):
         # Data (xi, eta) = (1, 0) on mode 1 propagates as cos(mu_1 t); the trace
