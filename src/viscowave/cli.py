@@ -464,26 +464,18 @@ def _cmd_gram_spectrum(root):
 
 
 def _cmd_duality_check(root):
-    trials = root.read("trials", _count, 5, least=1)
-    n_tones = root.read("tones", _count, 3, least=1)
-    basis, kernel, grid = _setup(
-        root, lambda modes, cells: {"2 nodes_per_face x tones x (steps + 1)": n_tones * cells}
+    basis, kernel, grid = _setup(root)
+    report = duality_check(basis, kernel, grid)
+    duality = dict(
+        mode=np.arange(1, basis.n_modes + 1),
+        mu=basis.mu,
+        interior_gap=report.interior_gap,
+        node0_gap=report.node0_gap,
     )
-
-    rng = np.random.default_rng(_seed(root))
-    omegas = np.arange(1, n_tones + 1) * np.pi / grid.horizon
-    reports = []
-    for _ in range(trials):
-        amplitudes = rng.standard_normal((basis.n_quad, n_tones))
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=(basis.n_quad, n_tones))
-        control = tone_control(basis, grid, amplitudes, omegas, phases)
-        data = rng.standard_normal(2 * basis.n_modes)
-        data /= np.linalg.norm(data)
-        v = StatePair(xi=data[: basis.n_modes], eta=data[basis.n_modes :], mu=basis.mu.copy())
-        reports.append(duality_check(basis, kernel, grid, control, v))
-    lhs, rhs, gaps = np.array([(r.lhs, r.rhs, r.rel_gap) for r in reports]).T
-    duality = dict(trial=np.arange(1, trials + 1), lhs=lhs, rhs=rhs, rel_gap=gaps)
-    return {"duality.csv": duality}, dict(trials=trials, max_rel_gap=float(gaps.max()))
+    return {"duality.csv": duality}, dict(
+        max_interior_gap=float(report.interior_gap.max()),
+        max_node0_gap=float(report.node0_gap.max()),
+    )
 
 
 def _cmd_maccamy(root):

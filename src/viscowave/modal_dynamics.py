@@ -215,10 +215,12 @@ class ModalOperator:
         and (0, 1), shape (2,) + mus.shape + (n,).
 
         Each solves psi = cos(mu t) + (G/mu) * psi, resp. with sin(mu t), by
-        trapezoid marching, the convolution form of the modal memory equation;
-        every homogeneous solve reads this one march.
+        trapezoid marching, the convolution form of the modal memory equation,
+        in place over the stacked forcing; every homogeneous solve reads this
+        one march.
         """
-        psi = march_difference_kernel(self._factored, np.stack([self._cos, self._sin]))
+        psi = np.stack([self._cos, self._sin])
+        march_difference_kernel(self._factored, psi, out=psi)
         psi.flags.writeable = False
         return psi
 

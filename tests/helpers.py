@@ -11,11 +11,15 @@ reading the terminal maps off one marched impulse.  weighted_gemm_gram,
 modal_forcing_terminal and reversed_table_combination form the Gram, the
 forward run's terminal state and the synthesized control the direct way,
 through full (2m, n) and (M, n) tables, the references for the factored
-products.
+products.  pairing_sides evaluates both sides of the pairing identity for
+one control and datum, through the adjoint trace and the forward run, the
+sampled reference for the entrywise duality_check.
 """
 
 import numpy as np
 
+from viscowave.modal_dynamics import adjoint_trace, forward_simulate
+from viscowave.quadrature import trapezoid_weights
 from viscowave.volterra import FactoredKernel, march_difference_kernel
 
 
@@ -234,3 +238,20 @@ def reversed_table_combination(traces, coeffs, psi):
     the time-reversed rows, scaled as a full (r, n) table before the trace
     product; traces is (r, n_quad)."""
     return traces.T @ (coeffs[:, None] * psi[:, ::-1])
+
+
+def pairing_sides(basis, kernel, grid, control, v):
+    """Both sides (lhs, rhs) of the pairing identity on independent code paths.
+
+    lhs integrates the time-reversed adjoint trace against the control; rhs
+    pairs the forward run's weighted terminal state, read off the terminal
+    impulse maps, with the swapped slots of v.  Agreement is O(dt^2) for
+    smooth data.
+    """
+    tr = adjoint_trace(basis, kernel, v, grid)
+    wt = trapezoid_weights(grid.n_nodes, grid.dt)
+    lhs = float(np.sum(basis.quad_weights[:, None] * tr.values * control.values * wt[None, :]))
+    sim = forward_simulate(basis, kernel, control, grid)
+    m = v.n_modes
+    rhs = float(sim.terminal.xi[:m] @ v.eta + sim.terminal.eta[:m] @ v.xi)
+    return lhs, rhs

@@ -314,14 +314,15 @@ class TestDiagnostics:
                 modes=6,
                 kernel={"b": 0.3, "family": "exponential", "params": {"amplitude": 0.2, "rate": 2.0}},
                 grid={"horizon": 2.0, "steps": 800},
-                trials=2,
             ),
         )
         out = tmp_path / "out"
         assert main(["duality-check", "--config", cfg, "--out", str(out)]) == 0
         table = np.loadtxt(out / "duality.csv", delimiter=",", skiprows=1, ndmin=2)
-        assert table.shape == (2, 4)
-        assert read_summary(out)["max_rel_gap"] <= 1e-4
+        assert table.shape == (6, 4)
+        summary = read_summary(out)
+        assert summary["max_interior_gap"] <= 1e-12
+        assert 0.0 < summary["max_node0_gap"] < 1e-3
 
     def test_maccamy(self, tmp_path):
         cfg = write_config(
@@ -418,7 +419,7 @@ SMALL_RUNS = {
     "synthesize": base_config(grid={"horizon": 2.5, "steps": 120}, target={"type": "random-smooth"}),
     "verify": base_config(control={"type": "noise"}, target={"type": "random-smooth"}),
     "gram-spectrum": base_config(modes=3, grid={"horizon": 2.5, "steps": 120}, mode_counts=[1, 3]),
-    "duality-check": base_config(trials=2, tones=2),
+    "duality-check": base_config(),
     "maccamy": base_config(
         kernel={"family": "prony", "params": {"amplitudes": [1.0, -1.0], "rates": [1.0, 2.0]}}
     ),
@@ -451,10 +452,10 @@ ROUND_TRIPS = {
 
 
 class TestSeed:
-    """A run reads its seed only where it builds an rng: the noise control,
-    the random-smooth target and duality-check's random trials."""
+    """A run reads its seed only where it builds an rng: the noise control
+    and the random-smooth target."""
 
-    @pytest.mark.parametrize("command", ["gram-spectrum", "maccamy", "probes"])
+    @pytest.mark.parametrize("command", ["duality-check", "gram-spectrum", "maccamy", "probes"])
     def test_runs_that_draw_nothing_echo_no_seed(self, tmp_path, command):
         cfg = write_config(tmp_path, dict(SMALL_RUNS[command], seed=42))
         out = tmp_path / "out"
@@ -462,7 +463,7 @@ class TestSeed:
         assert "seed" not in read_summary(out)
         assert "seed" not in read_manifest(out)["config"]
 
-    @pytest.mark.parametrize("command", ["duality-check", "simulate", "synthesize", "verify"])
+    @pytest.mark.parametrize("command", ["simulate", "synthesize", "verify"])
     def test_runs_that_draw_echo_their_seed(self, tmp_path, command):
         cfg = write_config(tmp_path, dict(SMALL_RUNS[command], seed=42))
         out = tmp_path / "out"
@@ -497,7 +498,7 @@ class TestOneInversePerRun:
             ("gram-spectrum", 2),
             # The free responses, then the maps; the memoryless maps march nothing.
             ("probes", 4),
-            # The free responses and the maps, however many trials.
+            # The free responses and the maps, compared entry by entry.
             ("duality-check", 4),
         ],
     )
@@ -585,7 +586,7 @@ HEADERS = {
     },
     "verify": {"terminal.csv": "mode,mu,weighted_position,velocity"},
     "gram-spectrum": {"spectrum.csv": "modes,min_eigenvalue,condition_number"},
-    "duality-check": {"duality.csv": "trial,lhs,rhs,rel_gap"},
+    "duality-check": {"duality.csv": "mode,mu,interior_gap,node0_gap"},
     "maccamy": {"R.csv": "t,R", "transformed_kernel.csv": "t,K"},
     "probes": {
         "gronwall.csv": "mode,mu,max_abs_psi",
@@ -594,7 +595,7 @@ HEADERS = {
         "perturbation_singular_values.csv": "index,sigma",
     },
 }
-INTEGER_COLUMNS = {"mode", "index", "trial", "modes"}
+INTEGER_COLUMNS = {"mode", "index", "modes"}
 
 
 class TestArtifactFormat:
@@ -690,8 +691,6 @@ class TestExitCodes:
             ("probes", {"perturbation_modes": 3.7}, 3, "perturbation_modes must be an integer"),
             ("probes", {"mode_counts": [1, 1.5]}, 3, "mode_counts entry must be an integer"),
             ("gram-spectrum", {"mode_counts": [1, 2.5]}, 3, "mode_counts entry must be an integer"),
-            ("duality-check", {"tones": 1.5}, 3, "tones must be an integer"),
-            ("duality-check", {"trials": 2.5}, 3, "trials must be an integer"),
             (
                 "simulate",
                 {"geometry": {"kind": "rectangle", "lengths": [1.0, 1.0], "nodes_per_face": 8.5}},
@@ -866,7 +865,6 @@ class TestExitCodes:
                 3,
                 "modes x 2 nodes_per_face array would take",
             ),
-            ("duality-check", {"tones": 10**12}, 3, "2 nodes_per_face x tones x (steps + 1) array would take"),
             ("maccamy", {"grid": {"horizon": 1.0, "steps": 10**13}}, 3, "steps + 1 array would take"),
             (
                 "simulate",
@@ -880,7 +878,6 @@ class TestExitCodes:
             ("simulate", {"modes": True}, 3, "modes must be an integer"),
             ("simulate", {"seed": True, "control": {"type": "noise"}}, 3, "seed must be an integer"),
             ("probes", {"perturbation_modes": True}, 3, "perturbation_modes must be an integer"),
-            ("duality-check", {"tones": True}, 3, "tones must be an integer"),
             ("gram-spectrum", {"mode_counts": [True, 2]}, 3, "mode_counts entry must be an integer"),
             (
                 "simulate",
@@ -956,8 +953,6 @@ class TestExitCodes:
             "perturbation-modes-fraction",
             "probes-mode-counts-fraction",
             "spectrum-mode-counts-fraction",
-            "tones-fraction",
-            "duality-trials-fraction",
             "nodes-per-face-fraction",
             "b-boolean",
             "horizon-string",
@@ -998,13 +993,11 @@ class TestExitCodes:
             "budget-thin-rectangle-modes",
             "budget-rectangle-traces-before-selection",
             "budget-rectangle-traces",
-            "budget-duality-tones",
             "budget-maccamy-grid",
             "budget-tone-control",
             "modes-boolean",
             "seed-boolean",
             "perturbation-modes-boolean",
-            "tones-boolean",
             "spectrum-mode-counts-boolean",
             "rectangle-modes-negative",
             "nodes-per-face-zero",

@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     adjoint_norm_reference,
     modal_forcing_terminal,
+    pairing_sides,
     perturbation_svd_reference,
     reversed_table_combination,
     weighted_gemm_gram,
@@ -22,7 +23,13 @@ from viscowave.control_synthesis import (
     terminal_error,
 )
 from viscowave.grids import TimeGrid
-from viscowave.memory_kernel import ExponentialKernel, MemoryKernel, PronyKernel, SampledKernel
+from viscowave.memory_kernel import (
+    ConstantKernel,
+    ExponentialKernel,
+    MemoryKernel,
+    PronyKernel,
+    SampledKernel,
+)
 from viscowave.modal_dynamics import (
     BoundaryControl,
     ModalOperator,
@@ -37,6 +44,7 @@ from viscowave.modal_dynamics import (
 )
 from viscowave.quadrature import trapezoid_weights
 from viscowave.spectral_basis import build_interval_basis, build_rectangle_basis
+from viscowave.volterra import FactoredKernel, march_difference_kernel
 
 
 class TestGramAssembly:
@@ -217,7 +225,80 @@ class TestTerminalError:
             terminal_error(terminal, target)
 
 
+def _sampled_kernel():
+    t = np.linspace(0.0, 4.5, 91)
+    return SampledKernel(times=t, samples=0.1 * t * np.exp(-t))
+
+
+def _rel_gap(lhs, rhs):
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
+
+
+_DUALITY_BASES = {
+    "interval": lambda: build_interval_basis(1.0, 8),
+    "rectangle": lambda: build_rectangle_basis(1.0, 1.5, 8),
+}
+
+
 class TestDualityCheck:
+    """The exact gaps of the pairing identity: the forward impulse map against
+    the reversed, weighted adjoint responses, entry by entry."""
+
+    strong = MemoryKernel(b=1.0, kernel=ExponentialKernel(2.0, 1.0))
+
+    @pytest.mark.parametrize("geometry", sorted(_DUALITY_BASES))
+    @pytest.mark.parametrize("steps", [400, 4000])
+    def test_node0_gap_is_half_the_node0_march(self, geometry, steps):
+        # Node 0 alone carries the half trapezoid weight; the march answers a
+        # unit sample there with r, and the velocity slot is off by (dt/2) r(T).
+        basis = _DUALITY_BASES[geometry]()
+        grid = TimeGrid(2.5, steps)
+        report = duality_check(basis, self.strong, grid)
+        op = basis_operator(basis, self.strong, grid, basis.n_modes)
+        e0 = np.zeros(grid.n_nodes)
+        e0[0] = 1.0
+        r = march_difference_kernel(FactoredKernel(op.kernels, grid.dt), e0)[:, -1]
+        np.testing.assert_allclose(report.node0_gap, np.abs(r) / 2.0, rtol=1e-9, atol=0.0)
+        # The position slot's node-0 entry is at rounding.
+        xi_map, _ = op.terminal_maps
+        position = xi_map[:, 0] - 0.5 * grid.dt * op.free_responses[1, :, -1]
+        assert np.max(np.abs(position)) / grid.dt <= 1e-13
+
+    @pytest.mark.parametrize("geometry", sorted(_DUALITY_BASES))
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            MemoryKernel(b=0.3, kernel=ExponentialKernel(0.2, 2.0)),
+            MemoryKernel(b=0.2, kernel=PronyKernel((0.03, 0.05, 0.04), (0.5, 2.0, 5.0))),
+            MemoryKernel(b=0.1, kernel=_sampled_kernel()),
+            MemoryKernel(b=0.5, kernel=ConstantKernel(0.3)),
+        ],
+        ids=["exponential", "prony", "sampled", "constant"],
+    )
+    def test_interior_gap_at_rounding(self, geometry, kernel):
+        basis = _DUALITY_BASES[geometry]()
+        report = duality_check(basis, kernel, TimeGrid(2.5, 1000))
+        assert report.interior_gap.shape == report.node0_gap.shape == (basis.n_modes,)
+        assert np.max(report.interior_gap) <= 1e-12
+        assert np.all(report.node0_gap > 0.0)
+
+    @pytest.mark.parametrize("geometry", sorted(_DUALITY_BASES))
+    def test_without_memory_node0_agrees_too(self, geometry):
+        # The march of a unit sample at node 0 is that sample, so r(T) = 0.
+        report = duality_check(_DUALITY_BASES[geometry](), MemoryKernel(), TimeGrid(2.5, 1000))
+        assert np.max(report.interior_gap) <= 1e-12
+        assert np.max(report.node0_gap) <= 1e-12
+
+    @pytest.mark.parametrize("geometry", sorted(_DUALITY_BASES))
+    def test_node0_gap_halves_with_the_step(self, geometry):
+        basis = _DUALITY_BASES[geometry]()
+        coarse, fine = (
+            duality_check(basis, self.strong, TimeGrid(2.5, steps)).node0_gap
+            for steps in (500, 1000)
+        )
+        ratio = coarse / fine
+        assert np.all((1.9 <= ratio) & (ratio <= 2.1))
+
     def _random_case(self, basis, grid, seed):
         rng = np.random.default_rng(seed)
         omegas = np.arange(1, 4) * np.pi / grid.horizon
@@ -234,8 +315,7 @@ class TestDualityCheck:
         kernel = MemoryKernel(b=0.3, kernel=ExponentialKernel(0.2, 2.0))
         grid = TimeGrid(2.0, 2000)
         control, pair = self._random_case(basis, grid, seed=7)
-        report = duality_check(basis, kernel, grid, control, pair)
-        assert report.rel_gap <= 1e-4
+        assert _rel_gap(*pairing_sides(basis, kernel, grid, control, pair)) <= 1e-4
 
     def test_gap_shrinks_at_second_order(self):
         basis = build_interval_basis(1.0, 6)
@@ -244,7 +324,7 @@ class TestDualityCheck:
         for steps in (500, 1000):
             grid = TimeGrid(2.0, steps)
             control, pair = self._random_case(basis, grid, seed=11)
-            gaps.append(duality_check(basis, kernel, grid, control, pair).rel_gap)
+            gaps.append(_rel_gap(*pairing_sides(basis, kernel, grid, control, pair)))
         assert np.log2(gaps[0] / gaps[1]) >= 1.8
 
 
@@ -524,7 +604,7 @@ class TestOperatorSlot:
             lambda: forward_simulate(basis, kernel, control, grid),
             lambda: forward_simulate(small, kernel, control, grid),
             lambda: adjoint_trace(basis, kernel, v, grid),
-            lambda: duality_check(basis, kernel, grid, control, v),
+            lambda: duality_check(small, kernel, grid),
             lambda: gronwall_bound_check(basis, kernel, grid),
             lambda: gronwall_bound_check(small, kernel, grid),
             lambda: norm_growth_probe(basis, kernel, grid, [4, 12]),
@@ -543,7 +623,8 @@ class TestOperatorSlot:
             small_sim.trajectory.values,
             small_sim.trajectory.velocities,
             trace.values,
-            np.array([dual.lhs, dual.rhs]),
+            dual.interior_gap,
+            dual.node0_gap,
             gron.per_mode_max,
             small_gron.per_mode_max,
             np.array([(r.max_ratio, r.max_weighted_ratio) for r in growth.rows]),
@@ -585,11 +666,6 @@ class TestOperatorSlot:
         assemble_gram(basis, kernel, grid, 5)
         perturbation_compactness_probe(basis, kernel, grid, 5)
         assert inverted_rows == [12]
-
-
-def _sampled_kernel():
-    t = np.linspace(0.0, 4.5, 91)
-    return SampledKernel(times=t, samples=0.1 * t * np.exp(-t))
 
 
 def _traced_peak(call):

@@ -409,14 +409,13 @@ class TestModalOperator:
         march = modal_dynamics.march_difference_kernel
 
         def counting(factored, forcing, out=None):
-            forcings.append(forcing)
+            forcings.append(np.array(forcing))  # the march may overwrite it
             return march(factored, forcing, out=out)
 
         monkeypatch.setattr(modal_dynamics, "march_difference_kernel", counting)
         operator = basis_operator(basis, kernel, grid, basis.n_modes)
         rng = np.random.default_rng(3)
         v = StatePair(xi=rng.standard_normal(5), eta=rng.standard_normal(5), mu=basis.mu[:5])
-        control = BoundaryControl(values=np.cos(grid.times)[None, :], grid=grid)
         gram = assemble_gram(basis, kernel, grid, basis.n_modes)
         assemble_gram(basis, kernel, grid, 4)
         adjoint_trace(basis, kernel, v, grid)
@@ -424,8 +423,8 @@ class TestModalOperator:
         phase = basis.mu[:, None] * grid.times
         assert len(forcings) == 1
         assert np.array_equal(forcings[0], np.stack([np.cos(phase), np.sin(phase)]))
-        # duality_check adds its verifying forward run and nothing else.
-        duality_check(basis, kernel, grid, control, v)
+        # duality_check adds the terminal-map march and nothing else.
+        duality_check(basis, kernel, grid)
         assert len(forcings) == 2
         assert modal_dynamics._operator is operator
         table = operator.free_responses
