@@ -390,7 +390,7 @@ def _cmd_simulate(root):
     control = _read_control(root, basis, grid)
     control_norm = control_l2_norm(basis, control)  # its temporaries go before the operator
     # The trajectory is marched anyway; its end is the terminal state, so the
-    # terminal impulse maps are not built.
+    # free responses are not marched.
     trajectory = forward_trajectory(basis, kernel, control, grid)
     terminal = trajectory.terminal
     names = [f"mode_{i + 1}" for i in range(basis.n_modes)]

@@ -229,18 +229,20 @@ def duality_check(basis: SpectralBasis, kernel: MemoryKernel, grid: TimeGrid) ->
     """The pairing identity entry by entry, for every control and datum at once.
 
     The identity is bilinear, so it holds exactly when the forward map equals
-    the adjoint one: column p of the operator's terminal_maps, the weighted
-    terminal state of a unit modal forcing at node p, against the weighted,
-    time-reversed unit responses wt_p (psi_s, psi_c)(T - t_p), slots swapped.
-    The two tables come from independent marches, the node-0 impulse and the
-    data (cos, sin).  They agree to rounding at every node p >= 1.  Node 0
-    alone carries the half trapezoid weight, and there the velocity slot
-    differs by (dt/2) r(T), r the march of a unit forcing sample at node 0:
-    O(dt^2) absolute.
+    the adjoint one: column p of the forward map, the weighted terminal state
+    of a unit modal forcing at node p, against the weighted, time-reversed
+    unit responses wt_p (psi_s, psi_c)(T - t_p), slots swapped.  The forward
+    map here is marched on its own, from the node-0 impulse, not read off
+    the operator's terminal_maps, which are built from these very unit
+    responses: the two tables come from independent marches, the node-0
+    impulse and the data (cos, sin).  They agree to rounding at every node
+    p >= 1.  Node 0 alone carries the half trapezoid weight, and there the
+    velocity slot differs by (dt/2) r(T), r the march of a unit forcing
+    sample at node 0: O(dt^2) absolute, the operator's node0_term.
     """
     m = basis.n_modes
     op = basis_operator(basis, kernel, grid, m)
-    gap = np.stack([table[:m] for table in op.terminal_maps])
+    gap = np.stack([table[:m] for table in op._marched_terminal_maps()])
     gap -= (trapezoid_weights(grid.n_nodes, grid.dt) * op.free_responses[::-1, :m])[..., ::-1]
     gap = np.max(np.abs(gap, out=gap), axis=0) / grid.dt
     return DualityReport(interior_gap=np.max(gap[:, 1:], axis=1), node0_gap=gap[:, 0])

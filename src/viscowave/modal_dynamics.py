@@ -16,10 +16,15 @@ initial data psi(0) = xi, psi'(0) with modal coefficients mu_n eta_n.
 
 ModalOperator holds everything that depends on the problem alone: the
 sin(mu_n t) and cos(mu_n t) tables, the kernels and their marching
-reciprocals, and, each marched at most once on first use, the unit free
-responses that every homogeneous solve combines and the terminal impulse
-maps that every forward run reads its terminal state from, and the time
-correlation of the free responses that the last Gram read.  The public
+reciprocals, and, marched at most once on first use, the unit free
+responses that every homogeneous solve combines, and the time correlation
+of the free responses that the last Gram read.  The forward map is their
+adjoint: the terminal state of a unit modal impulse at node p is
+wt_p (psi_s, psi_c)(T - t_p), slots swapped, but for one closed-form
+number per mode at node 0 (ModalOperator.node0_term).  So a forward run
+reads its terminal state off the free responses too, and an operator
+marches one table, not two; only duality_check marches the forward map
+on its own, to compare the two.  The public
 solvers get theirs from basis_operator, which keeps the last operator it
 built in one module slot and hands it out again while the kernel object,
 the grid and the leading modes match, so solves of one problem build and
@@ -167,9 +172,11 @@ class ModalOperator:
     Holds the sin(mu t) and cos(mu t) tables, the kernels G_n/mu_n (as
     `kernels`) and, from the first march on, the spectrum of each kernel's
     marching reciprocal, so every problem solved through one operator inverts
-    each mode's kernel once.  The unit free responses and the terminal maps,
-    with and without the memory, are computed on first use and kept
-    read-only; so is the last time correlation of the free responses asked
+    each mode's kernel once.  The unit free responses, the one table it
+    marches, are computed on first use and kept read-only; so are the
+    node-0 term and the terminal maps, with and without the memory, which
+    are read off the free responses and the trig tables with no march of
+    their own, and the last time correlation of the free responses asked
     for, one table per operator.  mus may have any shape; like every solver
     in this module, it broadcasts against the leading axes of the data, so
     forcings of shape (r, M, n) give r forcings per mode of mus (M,).
@@ -268,13 +275,56 @@ class ModalOperator:
         return march_difference_kernel(self._factored, np.stack(self.wave(forcing)))
 
     @cached_property
+    def node0_term(self) -> np.ndarray:
+        """Read-only (dt/2) r(T) per mode, shape mus.shape: the amount by which
+        the velocity slot of terminal_maps at node 0 lies below the reversed,
+        weighted free response.  r is the march of a unit forcing sample at
+        node 0, r(T) = (dt/2) sum_i h_i k_(n-1-i) with h the march's
+        reciprocal (FactoredKernel.reciprocal) and k the kernel; 0 without
+        memory, where h is the unit impulse and k vanishes.
+        """
+        if self._factored.memoryless:
+            term = np.zeros(self.mus.shape)
+        else:
+            h = self._factored.reciprocal()
+            term = np.einsum("...i,...i->...", h, self.kernels[..., :0:-1])
+            term *= 0.25 * self.grid.dt**2
+        term.flags.writeable = False
+        return term
+
+    @cached_property
     def terminal_maps(self):
         """Weighted terminal states (mu w(T), w'(T)) of a unit modal impulse at
         every node: a read-only pair (xi, eta) of arrays of shape
         mus.shape + (n,) whose column p answers the modal forcing e_p, so a
-        modal forcing g drives the terminal state sum(map * g, axis=-1);
-        forward_simulate contracts a boundary control through the traces
-        instead, so it forms no table of g's size.
+        modal forcing g drives the terminal state sum(map * g, axis=-1).
+
+        By the duality of the control-to-state map and the adjoint trace,
+        column p is wt_p (psi_s, psi_c)(T - t_p), the free responses
+        reversed and weighted with the slots swapped, except the velocity
+        slot at node 0, which only node 0's half trapezoid weight reaches:
+        it lies node0_term below.  So nothing is marched here beyond
+        free_responses.  The compactness probe reads these maps against
+        memoryless_maps; forward_simulate contracts the same construction
+        with the control and forms neither.
+        """
+        psi_c, psi_s = self.free_responses
+        xi, eta = _reversed_weighted(psi_s, self.grid), _reversed_weighted(psi_c, self.grid)
+        eta[..., 0] -= self.node0_term
+        xi.flags.writeable = eta.flags.writeable = False
+        return xi, eta
+
+    @cached_property
+    def memoryless_maps(self):
+        """terminal_maps of the same modes without the memory, in the same
+        form: the free responses are then cos(mu t) and sin(mu t)."""
+        xi, eta = _reversed_weighted(self._sin, self.grid), _reversed_weighted(self._cos, self.grid)
+        xi.flags.writeable = eta.flags.writeable = False
+        return xi, eta
+
+    def _marched_terminal_maps(self):
+        """terminal_maps from a march of their own, for duality_check, which
+        compares it with the free responses: a new pair (xi, eta).
 
         One march gives every column: that of the node-0 impulse's wave
         response (u, u'), two rows per mode, in place.  Every impulse's wave
@@ -282,45 +332,34 @@ class ModalOperator:
         node-0 response delayed by p plus, in u', (dt/2) e_p (only node 0
         carries the half trapezoid weight).  Marching is Toeplitz on
         forcings that vanish at t = 0, so with y0 the node-0 response and h
-        the march's reciprocal (FactoredKernel.reciprocal), column p >= 1
-        is (2 mu y0, 2 y0' + (dt/2) h) at node n-1-p and column 0 is
-        (mu y0, y0') at node n-1.  forward_simulate reads these maps, the
-        compactness probe reads them against memoryless_maps.
+        the march's reciprocal, column p >= 1 is (2 mu y0, 2 y0' + (dt/2) h)
+        at node n-1-p and column 0 is (mu y0, y0') at node n-1.
         """
-        y = self._impulse_wave()
+        # wave() of the node-0 impulse, computed as it would compute it:
+        # (dt/2) (sin(mu t)/mu, cos(mu t)), and u'(0) = 0.
+        y = np.empty((2,) + self._sin.shape)
+        np.multiply(self._sin, 0.5 * self.grid.dt, out=y[0])
+        y[0] /= self.mus[..., None]
+        np.multiply(self._cos, 0.5 * self.grid.dt, out=y[1])
+        y[1, ..., 0] = 0.0
         march_difference_kernel(self._factored, y, out=y)
         h = self._factored.reciprocal()
         h *= 0.5 * self.grid.dt
         y[..., :-1] *= 2.0
         y[1, ..., :-1] += h
         del h  # before the reversed copy, which then peaks with y alone
-        return self._read_backwards(y)
-
-    @cached_property
-    def memoryless_maps(self):
-        """terminal_maps of the same modes without the memory, in the same
-        form: the wave response is its own march, and h is the unit impulse."""
-        y = self._impulse_wave()
-        y[..., :-1] *= 2.0
-        y[1, ..., 0] += 0.5 * self.grid.dt
-        return self._read_backwards(y)
-
-    def _impulse_wave(self) -> np.ndarray:
-        # wave() of the node-0 impulse, computed as it would compute it:
-        # (dt/2) (sin(mu t)/mu, cos(mu t)), and u'(0) = 0.
-        u = np.empty((2,) + self._sin.shape)
-        np.multiply(self._sin, 0.5 * self.grid.dt, out=u[0])
-        u[0] /= self.mus[..., None]
-        np.multiply(self._cos, 0.5 * self.grid.dt, out=u[1])
-        u[1, ..., 0] = 0.0
-        return u
-
-    def _read_backwards(self, y: np.ndarray):
         # Node j < n-1 of the doubled response is column p = n-1-j >= 1.
         y[0] *= self.mus[..., None]
         xi, eta = y[..., ::-1].copy()
-        xi.flags.writeable = eta.flags.writeable = False
         return xi, eta
+
+
+def _reversed_weighted(table: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """(wt table)(T - t), wt the trapezoid weights of grid on the last axis,
+    as a new C-contiguous array.  wt is symmetric, so the reversed view times
+    wt is the reversed product, formed in one pass and contiguous: a
+    negative-stride operand would take numpy's matmul off BLAS."""
+    return table[..., ::-1] * trapezoid_weights(grid.n_nodes, grid.dt)
 
 
 def memory_oscillator_kernels(
@@ -418,8 +457,9 @@ def forward_trajectory(
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """A forward run from rest: its weighted terminal state, read off the
-    operator's terminal maps, and its inputs.
+    """A forward run from rest: its weighted terminal state, contracted
+    from the operator's free responses and node-0 term (the construction
+    of its terminal_maps), and its inputs.
 
     The trajectory is marched when first read, by forward_trajectory of the
     same inputs, which finds the operator again through basis_operator (or
@@ -447,20 +487,29 @@ def forward_simulate(
 
     The terminal StatePair stores (mu_n w_n(T), w_n'(T)), the weighted state
     the synthesis layer targets: sum(map * g, axis=-1) of the modal forcing
-    g = tw f, tw = traces * quad_weights, against the operator's cached
-    terminal_maps.  It is contracted as sum(tw * (map @ f.T), axis=-1), so
-    no (M, n) forcing or product is formed; O(M n n_quad) once the maps
-    exist.  Nothing is marched for the trajectory until it is read.
+    g = tw f, tw = traces * quad_weights, against the operator's
+    terminal_maps.  Those maps are the free responses reversed and weighted,
+    slots swapped, less node0_term in the velocity slot at node 0, so the
+    state is contracted from the operator's cached free_responses directly:
+    sum(tw * (psi_s @ ((f wt)(T - t)).T), axis=-1) for xi, psi_c for eta.
+    Time is reversed and weighted on whichever operand has fewer rows, the
+    control when n_quad < 2m, else each slot of psi.  No (M, n) map or
+    forcing is formed once the operator is warm; O(M n n_quad).  Nothing is
+    marched for the trajectory until it is read.
     """
     values = _control_values(basis, control, grid)
     m = basis.n_modes
-    xi_map, eta_map = basis_operator(basis, kernel, grid, m).terminal_maps
+    op = basis_operator(basis, kernel, grid, m)
+    # Each slot's leading m modes stay a view when the operator holds more.
+    slots = op.free_responses[1, :m], op.free_responses[0, :m]  # (xi, eta) read (psi_s, psi_c)
     tw = basis.traces * basis.quad_weights
-    terminal = StatePair(
-        xi=np.sum(tw * (xi_map[:m] @ values.T), axis=-1),
-        eta=np.sum(tw * (eta_map[:m] @ values.T), axis=-1),
-        mu=basis.mu,
-    )
+    if values.shape[0] < 2 * m:
+        reversed_control = _reversed_weighted(values, grid)
+        xi, eta = (np.sum(tw * (psi @ reversed_control.T), axis=-1) for psi in slots)
+    else:
+        xi, eta = (np.sum(tw * (_reversed_weighted(psi, grid) @ values.T), axis=-1) for psi in slots)
+    eta -= op.node0_term[:m] * (tw @ values[:, 0])
+    terminal = StatePair(xi=xi, eta=eta, mu=basis.mu)
     return SimulationResult(terminal=terminal, basis=basis, kernel=kernel, control=control)
 
 

@@ -7,7 +7,7 @@ step-by-step trapezoid march, and the dense SVDs of the perturbation probe's
 matrix and of the adjoint map.  direct_free_march and two_impulse_terminal_maps
 are the exceptions: they run the package's wave response and march on each
 datum's own forcing, the references for combining unit responses and for
-reading the terminal maps off one marched impulse.  weighted_gemm_gram,
+the terminal maps read off the free responses.  weighted_gemm_gram,
 modal_forcing_terminal and reversed_table_combination form the Gram, the
 forward run's terminal state and the synthesized control the direct way,
 through full (2m, n) and (M, n) tables, the references for the factored
@@ -244,9 +244,9 @@ def pairing_sides(basis, kernel, grid, control, v):
     """Both sides (lhs, rhs) of the pairing identity on independent code paths.
 
     lhs integrates the time-reversed adjoint trace against the control; rhs
-    pairs the forward run's weighted terminal state, read off the terminal
-    impulse maps, with the swapped slots of v.  Agreement is O(dt^2) for
-    smooth data.
+    pairs the forward run's weighted terminal state, contracted from the
+    free responses and the node-0 term, with the swapped slots of v.
+    Agreement is O(dt^2) for smooth data.
     """
     tr = adjoint_trace(basis, kernel, v, grid)
     wt = trapezoid_weights(grid.n_nodes, grid.dt)

@@ -489,16 +489,16 @@ class TestOneInversePerRun:
     @pytest.mark.parametrize(
         "command, rows_per_mode",
         [
-            # The Gram's unit free responses, then the terminal impulse maps.
-            ("synthesize", 4),
-            # The terminal impulse maps alone.
+            # The Gram's unit free responses, which the verifying run reads too.
+            ("synthesize", 2),
+            # The free responses alone, for the terminal state.
             ("verify", 2),
             # The forced march alone: its trajectory's end is the terminal state.
             ("simulate", 2),
             ("gram-spectrum", 2),
-            # The free responses, then the maps; the memoryless maps march nothing.
-            ("probes", 4),
-            # The free responses and the maps, compared entry by entry.
+            # The free responses; the terminal maps are read off them.
+            ("probes", 2),
+            # The free responses and the node-0 impulse, compared entry by entry.
             ("duality-check", 4),
         ],
     )

@@ -750,7 +750,7 @@ class TestFactoredProducts:
         target = random_smooth_target(basis, np.random.default_rng(1))
         gram = assemble_gram(basis, kernel, grid, basis.n_modes)
         result = solve_min_norm_control(gram, basis, kernel, grid, target)
-        forward_simulate(basis, kernel, result.control, grid)  # the terminal maps
+        forward_simulate(basis, kernel, result.control, grid)  # the node-0 term
         table = basis.n_modes * grid.n_nodes * np.dtype(float).itemsize
         peaks = [
             _traced_peak(lambda: assemble_gram(basis, kernel, grid, basis.n_modes)),

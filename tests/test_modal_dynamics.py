@@ -301,8 +301,8 @@ class TestTerminalResponseMap:
         ],
     )
     def test_one_impulse_matches_two_impulse_march(self, geometry, family, shape):
-        # Column 0 is the node-0 impulse's own march, bit for bit; the rest
-        # are its Toeplitz shifts and the reciprocal, to rounding.
+        # The maps are the free responses reversed and weighted, less the
+        # node-0 term; the oracle marches two impulses per mode instead.
         grid = TimeGrid(2.5, 400)
         if geometry == "interval":
             mus = build_interval_basis(1.0, 12 if shape is None else 6).mu
@@ -319,25 +319,60 @@ class TestTerminalResponseMap:
         for got_pair, want_pair in zip((op.terminal_maps, op.memoryless_maps), want_maps):
             for got, want in zip(got_pair, want_pair):
                 assert got.shape == want.shape == mus.shape + (grid.n_nodes,)
-                assert np.array_equal(got[..., 0], want[..., 0])
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("extra_modes", [0, 5])
-    def test_terminal_state_is_the_trajectory_end(self, extra_modes):
-        # The map's terminal state against the march's, also when the slot's
-        # operator holds more modes than the basis.
+    @pytest.mark.parametrize("family", ["prony", "sampled"])
+    @pytest.mark.parametrize("geometry", ["interval", "rectangle"])
+    def test_terminal_state_is_the_trajectory_end(self, geometry, family, extra_modes):
+        # The contracted terminal state against the forced march's, also when
+        # the slot's operator holds more modes than the basis.  The interval's
+        # 1 node is fewer than the 2m = 14 rows of psi, so the control is
+        # reversed; the rectangle's 16 nodes are more, so psi is.
         grid = TimeGrid(2.5, 500)
-        kernel = MemoryKernel(b=0.2, kernel=PRONY)
-        basis = build_interval_basis(1.0, 7)
-        basis_operator(build_interval_basis(1.0, 7 + extra_modes), kernel, grid, 7 + extra_modes)
+        memory = PRONY
+        if family == "sampled":
+            t = np.linspace(0.0, 3.0, 61)
+            memory = SampledKernel(times=t, samples=0.1 * t * np.exp(-t))
+        kernel = MemoryKernel(b=0.2, kernel=memory)
+
+        def build(modes):
+            if geometry == "interval":
+                return build_interval_basis(1.0, modes)
+            return build_rectangle_basis(1.0, 1.5, modes, 8)
+
+        basis = build(7)
+        assert (basis.n_quad < 14) == (geometry == "interval")
+        basis_operator(build(7 + extra_modes), kernel, grid, 7 + extra_modes)
         rng = np.random.default_rng(5)
-        control = BoundaryControl(rng.standard_normal((1, grid.n_nodes)), grid)
+        control = BoundaryControl(rng.standard_normal((basis.n_quad, grid.n_nodes)), grid)
         sim = forward_simulate(basis, kernel, control, grid)
         got, want = sim.terminal, sim.trajectory.terminal
         assert modal_dynamics._operator.mus.size == 7 + extra_modes
         assert got.n_modes == want.n_modes == 7
         gap = np.concatenate([got.xi - want.xi, got.eta - want.eta])
         assert np.linalg.norm(gap) <= 1e-12 * sobolev_norm(want)
+
+    @pytest.mark.parametrize("geometry", ["interval", "rectangle"])
+    def test_node0_term_is_the_marched_node0_gap(self, geometry):
+        # duality_check marches the forward map from the node-0 impulse, so
+        # its node-0 gap checks the closed form.  The gap is the difference
+        # of two entries of about (dt/2) psi_c(T), so it cannot resolve the
+        # term below their rounding: 1e-12 relative, or 16 eps of the entry
+        # where the term is smaller than that allows (the interval's higher
+        # modes, whose term is 1e-4 of the entry).
+        basis = build_interval_basis(1.0, 8) if geometry == "interval" else build_rectangle_basis(1.0, 1.5, 8)
+        kernel = MemoryKernel(b=1.0, kernel=ExponentialKernel(2.0, 1.0))
+        grid = TimeGrid(2.5, 400)
+        report = duality_check(basis, kernel, grid)
+        op = basis_operator(basis, kernel, grid, basis.n_modes)
+        term = op.node0_term
+        assert term.shape == (basis.n_modes,) and not term.flags.writeable
+        entry = 0.5 * grid.dt * np.abs(op.free_responses[0, :, -1])
+        rounding = 16.0 * np.finfo(float).eps * entry
+        assert np.all(np.abs(np.abs(term) - grid.dt * report.node0_gap) <= 1e-12 * np.abs(term) + rounding)
+        # Without memory the term is 0.
+        assert not np.any(ModalOperator(basis.mu, MemoryKernel(), grid).node0_term)
 
 
 class TestModalOperator:
@@ -346,11 +381,14 @@ class TestModalOperator:
         grid = TimeGrid(2.5, 301)
         kernel = MemoryKernel(b=0.2, kernel=PRONY)
         operator = ModalOperator(basis.mu, kernel, grid)
+        operator.free_responses
+        assert marched_rows == [2 * basis.n_modes]
+        assert sum(inverted_rows) == basis.n_modes
+        # The maps are read off the free responses: neither marches anything.
         memory = operator.terminal_maps
         assert operator.terminal_maps is memory
         memoryless = operator.memoryless_maps
         assert operator.memoryless_maps is memoryless
-        # One march of the node-0 impulse pair; the memoryless maps march nothing.
         assert marched_rows == [2 * basis.n_modes]
         assert sum(inverted_rows) == basis.n_modes
         assert not any(a.flags.writeable for a in memory + memoryless)
@@ -370,7 +408,7 @@ class TestModalOperator:
         kernel = MemoryKernel(b=0.2, kernel=PRONY)
         control = BoundaryControl(values=np.cos(grid.times)[None, :], grid=grid)
         forward_simulate(basis, kernel, control, grid)
-        assert marched_rows == [2 * basis.n_modes]  # the terminal maps, once
+        assert marched_rows == [2 * basis.n_modes]  # the free responses, once
         marched_rows.clear()
         sim = forward_simulate(basis, kernel, control, grid)
         assert marched_rows == []
@@ -420,10 +458,14 @@ class TestModalOperator:
         assemble_gram(basis, kernel, grid, 4)
         adjoint_trace(basis, kernel, v, grid)
         gronwall_bound_check(basis, kernel, grid)
+        # The maps and the forward run's terminal state read the same table.
+        operator.terminal_maps, operator.memoryless_maps
+        control = BoundaryControl(values=np.cos(grid.times)[None, :], grid=grid)
+        forward_simulate(basis, kernel, control, grid)
         phase = basis.mu[:, None] * grid.times
         assert len(forcings) == 1
         assert np.array_equal(forcings[0], np.stack([np.cos(phase), np.sin(phase)]))
-        # duality_check adds the terminal-map march and nothing else.
+        # duality_check adds the node-0 impulse march and nothing else.
         duality_check(basis, kernel, grid)
         assert len(forcings) == 2
         assert modal_dynamics._operator is operator
