@@ -480,6 +480,11 @@ def _cmd_duality_check(root):
 
 def _cmd_maccamy(root):
     kernel = _read_kernel(root)
+    if kernel.b != 0.0:
+        raise ValueError(
+            f"kernel.b must be 0 for maccamy, got {kernel.b}; the reduction reads the kernel N "
+            "alone and reports its own b"
+        )
     grid = _read_grid(root)
     _check_budget({"steps + 1": grid.n_nodes})
     system = transformed_system(kernel.kernel, grid)

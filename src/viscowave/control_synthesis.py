@@ -75,9 +75,7 @@ def _spectrum(matrix: np.ndarray) -> tuple[float, float, float]:
 
 def _trace_gram(basis: SpectralBasis, kernel: MemoryKernel, grid: TimeGrid, m: int):
     """The Gram matrix of the 2m canonical adjoint traces on the leading m
-    modes, (boundary trace Gram) x (time correlation) entrywise, and the
-    homogeneous rows psi behind it: the unit responses to (1, 0) and (0, 1)
-    in the (e_m, 0)-first order, a view of the operator's table.
+    modes, (boundary trace Gram) x (time correlation) entrywise.
 
     The time correlation depends on the operator alone and is read from
     ModalOperator.time_correlation, which forms it once per m and keeps the
@@ -85,12 +83,10 @@ def _trace_gram(basis: SpectralBasis, kernel: MemoryKernel, grid: TimeGrid, m: i
     Gram.  Both factors are symmetric products s @ s.T, which numpy evaluates
     as one symmetric rank-k update and returns exactly symmetric.
     """
-    op = basis_operator(basis, kernel, grid, m)
-    psi = op.free_responses[:, :m].reshape(2 * m, grid.n_nodes)
     tr = basis.traces[:m] * np.sqrt(basis.quad_weights)
     gram = np.tile(tr @ tr.T, (2, 2))
-    gram *= op.time_correlation(m)
-    return gram, psi
+    gram *= basis_operator(basis, kernel, grid, m).time_correlation(m)
+    return gram
 
 
 def _leading_block(matrix: np.ndarray, m: int) -> np.ndarray:
@@ -131,15 +127,16 @@ def assemble_gram(
             "the Gram system degenerates",
             stacklevel=2,
         )
-    gram, psi = _trace_gram(basis, kernel, grid, n_modes)
+    gram = _trace_gram(basis, kernel, grid, n_modes)
     min_eig, max_eig, cond = _spectrum(gram)
+    psi = basis_operator(basis, kernel, grid, n_modes).free_responses[:, :n_modes]
     return GramSystem(
         matrix=gram,
         min_eigenvalue=min_eig,
         max_eigenvalue=max_eig,
         condition_number=cond,
         regularization=float(regularization),
-        psi_table=psi,
+        psi_table=psi.reshape(2 * n_modes, grid.n_nodes),
     )
 
 
@@ -326,7 +323,7 @@ def norm_growth_probe(
     warning: the upper bound holds at any horizon.
     """
     counts = _checked_mode_counts(basis, mode_counts)
-    gram, _ = _trace_gram(basis, kernel, grid, counts[-1])
+    gram = _trace_gram(basis, kernel, grid, counts[-1])
     weight = np.tile(basis.mu[: counts[-1]] ** (alpha - 1.0), 2)
     weighted = weight[:, None] * gram * weight[None, :]
 

@@ -1,4 +1,4 @@
-"""Uniform time grids shared by the kernel, Volterra, and dynamics layers."""
+"""Uniform time grids shared by the kernel, dynamics and synthesis layers."""
 
 from __future__ import annotations
 
@@ -33,7 +33,3 @@ class TimeGrid:
     @cached_property
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.steps + 1)
-
-    def refined(self, factor: int = 2) -> "TimeGrid":
-        """Same horizon with `factor` times as many panels."""
-        return TimeGrid(self.horizon, self.steps * factor)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import TimeGrid
-from .volterra import VolterraProblem, solve_marching
+from .volterra import FactoredKernel, march_difference_kernel
 
 
 class Kernel:
@@ -138,8 +138,7 @@ def maccamy_resolvent(kernel: Kernel, grid: TimeGrid) -> np.ndarray:
     exp(-t); for N = 0 it vanishes.
     """
     n_samples = np.asarray(kernel.values(grid.times), dtype=float)
-    problem = VolterraProblem(forcing=n_samples, kernel=-n_samples)
-    return solve_marching(problem, grid)
+    return march_difference_kernel(FactoredKernel(-n_samples, grid.dt), n_samples)
 
 
 def _second_derivative(values: np.ndarray, dt: float) -> np.ndarray:

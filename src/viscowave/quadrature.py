@@ -1,7 +1,8 @@
 """Trapezoid and Gauss-Legendre quadrature helpers used across the package.
 
 The package's FFTs all run on numpy.fft at the lengths next_fast_len gives;
-trapezoid_convolve is the reference FFT convolution.
+trapezoid_convolve is the reference FFT convolution: the tests check the
+solvers against it, and no solver calls it.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Second-kind Volterra integral equations on uniform grids.
 
 Equations y(t) = g(t) + int_0^t kappa(t - s) y(s) ds with a difference kernel,
-given as its samples kappa(t_j) on the grid, are solved two independent ways:
-product-trapezoid marching (second order), which on nodes >= 1 is one
-lower-triangular Toeplitz system solved by a power-series reciprocal and an
-FFT product, and Picard iteration on the same quadrature.  The march takes
+given as its samples kappa(t_j) on the grid, are solved by product-trapezoid
+marching (second order), which on nodes >= 1 is one lower-triangular
+Toeplitz system solved by a power-series reciprocal and an FFT product.
+The march is the package's one Volterra solver; the tests keep Picard
+iteration on the same quadrature as its independent oracle.  The march takes
 a FactoredKernel: the samples, their step dt and, from the first march on,
 the reciprocal of each kernel row, which depends on the kernel alone, kept
 as its spectrum at the length of the full product.  Each forcing row then
@@ -15,19 +16,15 @@ spectrum of the known coefficients.  The FFTs run on numpy.fft at 5-smooth
 lengths (quadrature.next_fast_len); each call allocates its zero-padded
 operands and spectra once and hands them to every FFT as out=.  A solution
 that leaves the float range raises MarchOverflowError.
-The two routes cross-validate each other; on contraction problems they agree
-to the fixed-point tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .grids import TimeGrid
-from .quadrature import next_fast_len, trapezoid_convolve
+from .quadrature import next_fast_len
 
 # |1 - (dt/2) kappa(0)| below this is treated as a singular diagonal factor.
 _SINGULAR_TOL = 1e-12
@@ -41,37 +38,6 @@ class StepSizeError(RuntimeError):
 
 class MarchOverflowError(RuntimeError):
     """A marched solution left the float range (overflow or NaN)."""
-
-
-@dataclass
-class VolterraProblem:
-    """Forcing g and difference-kernel samples kappa, both sampled on the grid."""
-
-    forcing: np.ndarray
-    kernel: np.ndarray
-
-
-@dataclass
-class PicardResult:
-    solution: np.ndarray
-    contraction_estimate: float
-    iterations: int
-
-
-def _check_problem(problem: VolterraProblem, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-    g = np.asarray(problem.forcing, dtype=float)
-    if g.shape[-1] != grid.n_nodes:
-        raise ValueError(
-            f"forcing has {g.shape[-1]} samples but the grid has {grid.n_nodes} nodes"
-        )
-    if not np.all(np.isfinite(g)):
-        raise ValueError("forcing contains non-finite samples")
-    k = np.asarray(problem.kernel, dtype=float)
-    if k.shape[-1] != grid.n_nodes:
-        raise ValueError(
-            f"difference kernel has {k.shape[-1]} samples, expected {grid.n_nodes}"
-        )
-    return g, k
 
 
 class FactoredKernel:
@@ -234,26 +200,3 @@ def _reciprocal(a: np.ndarray) -> np.ndarray:
         h[:, m:top] = -x[:, : top - m]
         m = top
     return h
-
-
-def solve_marching(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
-    """March the discretized equation forward; O(dt^2) accurate."""
-    g, k = _check_problem(problem, grid)
-    return march_difference_kernel(FactoredKernel(k, grid.dt), g)
-
-
-def solve_picard(problem: VolterraProblem, grid: TimeGrid, n_iter: int = 20) -> PicardResult:
-    """Fixed-point iteration y^(m) = g + K y^(m-1) starting from y^(0) = g.
-
-    Converges geometrically when the quadrature operator is a contraction;
-    contraction_estimate is the sup-norm distance of the last two iterates.
-    """
-    if n_iter < 1:
-        raise ValueError(f"n_iter must be >= 1, got {n_iter}")
-    g, k = _check_problem(problem, grid)
-    y_prev = g
-    y = g + trapezoid_convolve(k, g, grid.dt)
-    for _ in range(n_iter - 1):
-        y_prev, y = y, g + trapezoid_convolve(k, y, grid.dt)
-    gap = float(np.max(np.abs(y - y_prev)))
-    return PicardResult(solution=y, contraction_estimate=gap, iterations=n_iter)

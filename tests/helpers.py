@@ -4,10 +4,16 @@ The integrators here are deliberately independent of the package's quadrature
 and marching code: RK4 time stepping for ODE-equivalent reference solutions,
 a plain O(n^2) product-trapezoid sum for convolution cross-checks, the
 step-by-step trapezoid march, and the dense SVDs of the perturbation probe's
-matrix and of the adjoint map.  direct_free_march and two_impulse_terminal_maps
-are the exceptions: they run the package's wave response and march on each
-datum's own forcing, the references for combining unit responses and for
-the terminal maps read off the free responses.  weighted_gemm_gram,
+matrix and of the adjoint map.  solve_picard is the Volterra oracle: Picard
+iteration on the product-trapezoid quadrature through the FFT convolution
+quadrature.trapezoid_convolve, never the march; VolterraProblem holds the
+one forcing and kernel row on a grid that it and solve_marching both take,
+with their length and finiteness checks.  solve_marching,
+direct_free_march and two_impulse_terminal_maps are the exceptions:
+solve_marching is the package's march on such a problem, and the other two
+run the package's wave response and march on each datum's own forcing, the
+references for combining unit responses and for the terminal maps read off
+the free responses.  weighted_gemm_gram,
 modal_forcing_terminal and reversed_table_combination form the Gram, the
 forward run's terminal state and the synthesized control the direct way,
 through full (2m, n) and (M, n) tables, the references for the factored
@@ -16,10 +22,13 @@ one control and datum, through the adjoint trace and the forward run, the
 sampled reference for the entrywise duality_check.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from viscowave.grids import TimeGrid
 from viscowave.modal_dynamics import adjoint_trace, forward_simulate
-from viscowave.quadrature import trapezoid_weights
+from viscowave.quadrature import trapezoid_convolve, trapezoid_weights
 from viscowave.volterra import FactoredKernel, march_difference_kernel
 
 
@@ -109,6 +118,60 @@ def stepwise_march(kernel, forcing, dt):
         y[..., j] = (fb[..., j] + dt * acc) / denom
     return y
 
+
+
+@dataclass
+class VolterraProblem:
+    """Forcing g and difference-kernel samples kappa, both sampled on the grid."""
+
+    forcing: np.ndarray
+    kernel: np.ndarray
+
+
+@dataclass
+class PicardResult:
+    solution: np.ndarray
+    contraction_estimate: float
+    iterations: int
+
+
+def _check_problem(problem: VolterraProblem, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    g = np.asarray(problem.forcing, dtype=float)
+    if g.shape[-1] != grid.n_nodes:
+        raise ValueError(
+            f"forcing has {g.shape[-1]} samples but the grid has {grid.n_nodes} nodes"
+        )
+    if not np.all(np.isfinite(g)):
+        raise ValueError("forcing contains non-finite samples")
+    k = np.asarray(problem.kernel, dtype=float)
+    if k.shape[-1] != grid.n_nodes:
+        raise ValueError(
+            f"difference kernel has {k.shape[-1]} samples, expected {grid.n_nodes}"
+        )
+    return g, k
+
+
+def solve_marching(problem: VolterraProblem, grid: TimeGrid) -> np.ndarray:
+    """March the discretized equation forward; O(dt^2) accurate."""
+    g, k = _check_problem(problem, grid)
+    return march_difference_kernel(FactoredKernel(k, grid.dt), g)
+
+
+def solve_picard(problem: VolterraProblem, grid: TimeGrid, n_iter: int = 20) -> PicardResult:
+    """Fixed-point iteration y^(m) = g + K y^(m-1) starting from y^(0) = g.
+
+    Converges geometrically when the quadrature operator is a contraction;
+    contraction_estimate is the sup-norm distance of the last two iterates.
+    """
+    if n_iter < 1:
+        raise ValueError(f"n_iter must be >= 1, got {n_iter}")
+    g, k = _check_problem(problem, grid)
+    y_prev = g
+    y = g + trapezoid_convolve(k, g, grid.dt)
+    for _ in range(n_iter - 1):
+        y_prev, y = y, g + trapezoid_convolve(k, y, grid.dt)
+    gap = float(np.max(np.abs(y - y_prev)))
+    return PicardResult(solution=y, contraction_estimate=gap, iterations=n_iter)
 
 def rectangle_basis_reference(a, b, n_modes, ya, xb):
     """Mode by mode (mu, traces, labels) of the n_modes lowest rectangle modes.

@@ -34,9 +34,8 @@ from viscowave.modal_dynamics import (
     memory_oscillator_kernels,
 )
 from viscowave.spectral_basis import build_interval_basis, build_rectangle_basis
-from viscowave.volterra import VolterraProblem, solve_marching, solve_picard
 
-from helpers import free_memory_reference
+from helpers import VolterraProblem, free_memory_reference, solve_marching, solve_picard
 
 
 def _report(index, name, ok, detail):

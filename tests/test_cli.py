@@ -866,6 +866,7 @@ class TestExitCodes:
                 "modes x 2 nodes_per_face array would take",
             ),
             ("maccamy", {"grid": {"horizon": 1.0, "steps": 10**13}}, 3, "steps + 1 array would take"),
+            ("maccamy", {"kernel": {"b": 0.5, "family": "zero", "params": {}}}, 3, "kernel.b must be 0"),
             (
                 "simulate",
                 {
@@ -994,6 +995,7 @@ class TestExitCodes:
             "budget-rectangle-traces-before-selection",
             "budget-rectangle-traces",
             "budget-maccamy-grid",
+            "maccamy-kernel-b",
             "budget-tone-control",
             "modes-boolean",
             "seed-boolean",

@@ -743,7 +743,9 @@ class TestFactoredProducts:
     def test_each_layer_peaks_below_one_modal_table(self):
         # On a warm operator none of the three layers of a synthesis forms a
         # table of M x n doubles: the Gram, the control and the terminal state
-        # are contracted through the traces.
+        # are contracted through the traces.  Nor does the norm-growth probe,
+        # whose counts end below the operator's modes: it reads the Gram of
+        # its largest count and no psi rows.
         basis = build_interval_basis(1.0, 64)
         grid = TimeGrid(2.5, 5000)
         kernel = MemoryKernel(b=0.2, kernel=ExponentialKernel(0.1, 1.0))
@@ -757,6 +759,9 @@ class TestFactoredProducts:
             _traced_peak(lambda: solve_min_norm_control(gram, basis, kernel, grid, target)),
             _traced_peak(lambda: forward_simulate(basis, kernel, result.control, grid)),
         ]
+        counts = [8, 16, 32]
+        norm_growth_probe(basis, kernel, grid, counts)  # the 32-mode time correlation
+        peaks.append(_traced_peak(lambda: norm_growth_probe(basis, kernel, grid, counts)))
         assert max(peaks) < table, peaks
 
 

@@ -25,11 +25,6 @@ class TestTimeGrid:
         assert grid.n_nodes == 5
         assert np.allclose(grid.times, [0.0, 0.5, 1.0, 1.5, 2.0])
 
-    def test_refined_keeps_horizon(self):
-        grid = TimeGrid(3.0, 10).refined()
-        assert grid.horizon == 3.0
-        assert grid.steps == 20
-
     def test_integral_float_steps_are_stored_as_int(self):
         grid = TimeGrid(1.0, 100.0)
         assert type(grid.steps) is int

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import stepwise_march
+from helpers import PicardResult, VolterraProblem, solve_marching, solve_picard, stepwise_march
+import viscowave
 from viscowave import volterra
 from viscowave.grids import TimeGrid
 from viscowave.memory_kernel import (
@@ -15,15 +16,7 @@ from viscowave.memory_kernel import (
     ZeroKernel,
 )
 from viscowave.modal_dynamics import memory_oscillator_kernels
-from viscowave.volterra import (
-    FactoredKernel,
-    PicardResult,
-    StepSizeError,
-    VolterraProblem,
-    march_difference_kernel,
-    solve_marching,
-    solve_picard,
-)
+from viscowave.volterra import FactoredKernel, StepSizeError, march_difference_kernel
 
 
 class TestMarching:
@@ -256,4 +249,11 @@ class TestValidation:
         grid = TimeGrid(1.0, 10)
         k = np.full(grid.n_nodes, 2.0 / grid.dt)
         with pytest.raises(StepSizeError):
-            solve_marching(VolterraProblem(np.ones(grid.n_nodes), k), grid)
+            FactoredKernel(k, grid.dt)
+
+
+def test_package_exports_resolve_and_the_picard_route_is_gone():
+    # Picard and the problem wrapper live in tests/helpers.py as oracles.
+    assert all(hasattr(viscowave, name) for name in viscowave.__all__)
+    retired = ("VolterraProblem", "PicardResult", "solve_marching", "solve_picard")
+    assert not any(hasattr(viscowave, name) or hasattr(volterra, name) for name in retired)
