@@ -411,8 +411,8 @@ def _cmd_synthesize(root):
     target = _read_target(root, basis)
     regularization = root.read("regularization", _real, 0.0)
 
-    gram = assemble_gram(basis, kernel, grid, basis.n_modes, regularization)
-    result = solve_min_norm_control(gram, basis, kernel, grid, target)
+    gram = assemble_gram(basis, kernel, grid, basis.n_modes)
+    result = solve_min_norm_control(gram, basis, kernel, grid, target, regularization)
     verified = forward_simulate(basis, kernel, result.control, grid)
     release_operator()  # the modal tables go before the control norm's temporaries
 

@@ -27,8 +27,8 @@ from .memory_kernel import MemoryKernel
 from .modal_dynamics import (
     BoundaryControl,
     StatePair,
+    adjoint_trace,
     basis_operator,
-    reversed_trace_sum,
 )
 from .quadrature import trapezoid_weights
 from .spectral_basis import SpectralBasis, control_time_lower_bound
@@ -40,25 +40,19 @@ class IllPosedSystemError(RuntimeError):
 
 @dataclass
 class GramSystem:
-    """Assembled 2M x 2M Gram matrix of adjoint traces plus its spectrum data.
+    """Assembled 2M x 2M Gram matrix of adjoint traces and its spectrum.
 
     Row/column order: the M traces from data (e_m, 0) first, then the M traces
     from (0, e_m).  The matrix is exactly symmetric: every product behind it
     is a symmetric one.  It is a new array: the boundary trace Gram times the
     operator's cached, read-only time correlation
-    (ModalOperator.time_correlation).  psi_table holds the homogeneous modal
-    solutions backing the matrix, in that row order, so the synthesized
-    control is contracted from it and the traces without re-solving: the
-    leading M modes of the operator's read-only `free_responses`, a
-    read-only view of them when the operator holds M modes.
+    (ModalOperator.time_correlation).
     """
 
     matrix: np.ndarray
     min_eigenvalue: float
     max_eigenvalue: float
     condition_number: float
-    regularization: float
-    psi_table: np.ndarray
 
     @property
     def n_modes(self) -> int:
@@ -101,7 +95,6 @@ def assemble_gram(
     kernel: MemoryKernel,
     grid: TimeGrid,
     n_modes: int,
-    regularization: float = 0.0,
     *,
     threads: int = 1,
 ) -> GramSystem:
@@ -112,14 +105,12 @@ def assemble_gram(
     The time correlation is the operator's: the first Gram of a mode count
     on an operator forms it, a repeated one reads it, so a repeated Gram
     costs the small trace Gram, one entrywise product and the spectrum.
-    The matrix is stored unregularized; regularization only enters the solve.
+    The matrix is stored unregularized; the solve takes the ridge.
     threads is unread; it stays while the benchmark passes it (ROADMAP item 1).
     Warns when the horizon sits below the sharp control-time bound.
     """
     if not 1 <= n_modes <= basis.n_modes:
         raise ValueError(f"n_modes must lie in [1, {basis.n_modes}], got {n_modes}")
-    if regularization < 0.0:
-        raise ValueError(f"regularization must be >= 0, got {regularization}")
     t_min = control_time_lower_bound(basis.geometry)
     if grid.horizon < t_min:
         warnings.warn(
@@ -128,16 +119,7 @@ def assemble_gram(
             stacklevel=2,
         )
     gram = _trace_gram(basis, kernel, grid, n_modes)
-    min_eig, max_eig, cond = _spectrum(gram)
-    psi = basis_operator(basis, kernel, grid, n_modes).free_responses[:, :n_modes]
-    return GramSystem(
-        matrix=gram,
-        min_eigenvalue=min_eig,
-        max_eigenvalue=max_eig,
-        condition_number=cond,
-        regularization=float(regularization),
-        psi_table=psi.reshape(2 * n_modes, grid.n_nodes),
-    )
+    return GramSystem(gram, *_spectrum(gram))
 
 
 @dataclass(frozen=True)
@@ -161,36 +143,38 @@ def solve_min_norm_control(
     kernel: MemoryKernel,
     grid: TimeGrid,
     target: StatePair,
+    regularization: float = 0.0,
 ) -> SynthesisResult:
     """Steer (w, w')(T) to the target pair (xi, eta) with the min-norm control.
 
     The right-hand side reads the target through the pairing identity:
-    rhs = (eta_m ; mu_m xi_m) in the (e_m, 0) / (0, e_m) trace order.  The
-    synthesized control is the coefficient combination of the time-reversed
-    traces, the unique minimizer of the control norm among exact solutions of
-    the truncated moment problem, contracted from psi_table through the
-    coefficient-weighted traces by reversed_trace_sum.
+    rhs = (eta_m ; mu_m xi_m) in the (e_m, 0) / (0, e_m) trace order, and the
+    coefficients c solve (Gram + regularization I) c = rhs.  The synthesized
+    control is the adjoint trace of the data (c[:m], c[m:]): the unique
+    minimizer of the control norm among exact solutions of the truncated
+    moment problem.
     """
+    if regularization < 0.0:
+        raise ValueError(f"regularization must be >= 0, got {regularization}")
     m = gram.n_modes
     if target.n_modes < m:
         raise ValueError(f"target has {target.n_modes} modes, Gram system needs {m}")
     rhs = np.concatenate([target.eta[:m], basis.mu[:m] * target.xi[:m]])
 
     scale = max(gram.max_eigenvalue, np.finfo(float).tiny)
-    if gram.regularization == 0.0 and gram.min_eigenvalue < 1e-12 * scale:
+    if regularization == 0.0 and gram.min_eigenvalue < 1e-12 * scale:
         raise IllPosedSystemError(
             f"Gram minimum eigenvalue {gram.min_eigenvalue:.3e} is below 1e-12 of its "
             f"norm {scale:.3e}; pass a regularization (e.g. 1e-10 * trace = "
             f"{1e-10 * float(np.trace(gram.matrix)):.3e}) or enlarge the horizon"
         )
-    system = gram.matrix + gram.regularization * np.eye(2 * m)
+    system = gram.matrix + regularization * np.eye(2 * m)
     coeffs = np.linalg.solve(system, rhs)
     gap = float(np.linalg.norm(gram.matrix @ coeffs - rhs))
     rhs_norm = float(np.linalg.norm(rhs))
     residual = gap / rhs_norm if rhs_norm > 0.0 else gap
 
-    values = reversed_trace_sum(basis.traces[:m], coeffs, gram.psi_table)
-    control = BoundaryControl(values=values, grid=grid)
+    control = adjoint_trace(basis, kernel, StatePair(coeffs[:m], coeffs[m:], basis.mu[:m]), grid)
     return SynthesisResult(control=control, coefficients=coeffs, residual=residual, rhs=rhs)
 
 
@@ -272,21 +256,15 @@ def riesz_fisher_diagnostic(
     A positive, slowly shrinking minimum eigenvalue is the discrete coercivity
     (Riesz-Fisher) signal; the condition number tracks the absent upper frame
     bound.  Modal decoupling makes each smaller Gram a principal submatrix of
-    the largest one, so only one assembly is needed, and its own spectrum is
-    the last row.
+    the largest one, so only one assembly is needed, and every row, the
+    largest count's too, is the spectrum of its leading block.
     """
     counts = _checked_mode_counts(basis, mode_counts)
-    top = assemble_gram(basis, kernel, grid, counts[-1])
-    m_top = counts[-1]
+    gram = assemble_gram(basis, kernel, grid, counts[-1]).matrix
     rows = []
-    for m in counts[:-1]:
-        min_eig, _, cond = _spectrum(_leading_block(top.matrix, m))
+    for m in counts:
+        min_eig, _, cond = _spectrum(_leading_block(gram, m))
         rows.append(GramSpectrumRow(n_modes=m, min_eigenvalue=min_eig, condition_number=cond))
-    rows.append(
-        GramSpectrumRow(
-            n_modes=m_top, min_eigenvalue=top.min_eigenvalue, condition_number=top.condition_number
-        )
-    )
     return rows
 
 

@@ -523,33 +523,24 @@ def adjoint_trace(
 
     For data (xi, eta) on the leading len(v) modes the returned samples are
     sum_n (phi_n|_{Gamma_1})(x_q) psi_n(T - t_j); the time reversal is exact on
-    the uniform grid.  These traces span the synthesis ansatz space.  psi is
-    xi psi_c + eta psi_s, so the samples are reversed_trace_sum of the unit
-    responses with the coefficients (xi, eta); psi itself is never formed.
+    the uniform grid.  These traces span the synthesis ansatz space, and the
+    min-norm control is the trace of its Gram coefficients.  psi is
+    xi psi_c + eta psi_s of the unit responses, so the data go on the small
+    (n_quad, 2m) factor of traces and psi is never formed.  Time is reversed
+    on whichever side has fewer rows: on the product when n_quad < 2m (a
+    1-node product then stays on BLAS), else on the unit responses (the
+    product is then contiguous, and BoundaryControl keeps it without a copy).
     """
     m = v.n_modes
     if m > basis.n_modes:
         raise ValueError(f"state pair has {m} modes but the basis stores {basis.n_modes}")
     psi = basis_operator(basis, kernel, grid, m).free_responses[:, :m].reshape(2 * m, grid.n_nodes)
-    values = reversed_trace_sum(basis.traces[:m], np.concatenate([v.xi, v.eta]), psi)
+    weighted = np.tile(basis.traces[:m].T, 2) * np.concatenate([v.xi, v.eta])
+    if basis.n_quad < 2 * m:
+        values = (weighted @ psi)[:, ::-1]
+    else:
+        values = weighted @ psi[:, ::-1]
     return BoundaryControl(values=values, grid=grid)
-
-
-def reversed_trace_sum(traces: np.ndarray, coeffs: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """sum_r coeffs_r tr_r(x_q) psi_r(T - t_j), shape (n_quad, n), over the 2m
-    rows of psi, the unit responses to (1, 0) and then (0, 1) on m modes,
-    whose traces tr_r are the (m, n_quad) traces in both slots.
-
-    The coefficients go on the small (n_quad, 2m) factor, and time is
-    reversed on whichever side has fewer rows: on the product when
-    n_quad < 2m (a 1-node product then stays on BLAS), else on psi (the
-    product is then already contiguous, and BoundaryControl keeps it without
-    a copy).  No table of psi's size is formed.
-    """
-    weighted = np.tile(traces.T, 2) * coeffs
-    if weighted.shape[0] < psi.shape[0]:
-        return (weighted @ psi)[:, ::-1]
-    return weighted @ psi[:, ::-1]
 
 
 @dataclass(frozen=True)

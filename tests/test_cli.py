@@ -678,6 +678,17 @@ class TestExitCodes:
                 3,
                 "regularization must be finite",
             ),
+            # Above the control-time bound, so the Gram before the solve does not warn.
+            (
+                "synthesize",
+                {
+                    "regularization": -1.0,
+                    "grid": {"horizon": 2.5, "steps": 50},
+                    "target": {"xi": [0.1, 0.0], "eta": [0.0, 0.0]},
+                },
+                3,
+                "regularization must be >= 0",
+            ),
             (
                 "simulate",
                 {"geometry": {"kind": "interval", "lengths": [1.0, 2.0]}},
@@ -946,6 +957,7 @@ class TestExitCodes:
         ids=[
             "alpha-nan",
             "regularization-nan",
+            "regularization-negative",
             "interval-two-lengths",
             "steps-fraction",
             "steps-infinite",

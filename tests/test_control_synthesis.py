@@ -82,7 +82,6 @@ class TestGramAssembly:
         grid = TimeGrid(2.5, 400)
         serial = assemble_gram(basis, kernel, grid, n_modes=8, threads=1)
         threaded = assemble_gram(basis, kernel, grid, n_modes=8, threads=2)
-        assert np.array_equal(serial.psi_table, threaded.psi_table)
         assert np.array_equal(serial.matrix, threaded.matrix)
         assert serial.min_eigenvalue == threaded.min_eigenvalue
 
@@ -96,8 +95,11 @@ class TestGramAssembly:
         grid = TimeGrid(2.0, 100)
         with pytest.raises(ValueError):
             assemble_gram(basis, MemoryKernel(), grid, n_modes=3)
-        with pytest.raises(ValueError):
-            assemble_gram(basis, MemoryKernel(), grid, n_modes=1, regularization=-1.0)
+        # The ridge is the solve's.
+        gram = assemble_gram(basis, MemoryKernel(), grid, n_modes=1)
+        target = StatePair(xi=np.ones(2), eta=np.zeros(2), mu=basis.mu)
+        with pytest.raises(ValueError, match="regularization must be >= 0"):
+            solve_min_norm_control(gram, basis, MemoryKernel(), grid, target, regularization=-1.0)
 
 
 class TestMinNormSynthesis:
@@ -141,7 +143,8 @@ class TestMinNormSynthesis:
         result = solve_min_norm_control(gram, basis, kernel, grid, target)
 
         tr = np.vstack([basis.traces[:m], basis.traces[:m]])
-        taus = tr[:, :, None] * gram.psi_table[:, None, ::-1]
+        psi = basis_operator(basis, kernel, grid, m).free_responses[:, :m].reshape(2 * m, grid.n_nodes)
+        taus = tr[:, :, None] * psi[:, None, ::-1]
         wt = trapezoid_weights(grid.n_nodes, grid.dt)
         qw = basis.quad_weights
 
@@ -197,9 +200,7 @@ class TestMinNormSynthesis:
         with pytest.raises(IllPosedSystemError, match="regularization"):
             solve_min_norm_control(gram, basis, MemoryKernel(), grid, target)
         ridge = 1e-10 * float(np.trace(gram.matrix))
-        with pytest.warns(UserWarning, match="control-time bound"):
-            regularized = assemble_gram(basis, MemoryKernel(), grid, n_modes=8, regularization=ridge)
-        result = solve_min_norm_control(regularized, basis, MemoryKernel(), grid, target)
+        result = solve_min_norm_control(gram, basis, MemoryKernel(), grid, target, ridge)
         assert np.all(np.isfinite(result.coefficients))
         assert np.isfinite(result.residual)
 
@@ -571,14 +572,17 @@ class TestOneInversePerMode:
             assert sum(inverted_rows) == modes
 
     def test_consecutive_calls_share_one_inversion(self, inverted_rows):
-        m = self.m
-        first = assemble_gram(self.basis, self.kernel, self.grid, n_modes=m)
+        basis, kernel, grid, m = self.basis, self.kernel, self.grid, self.m
+        target = random_smooth_target(basis, np.random.default_rng(5))
+        first = assemble_gram(basis, kernel, grid, n_modes=m)
+        control = solve_min_norm_control(first, basis, kernel, grid, target).control
         for call, _ in self.layers():
             call()
         assert inverted_rows == [m]
-        assert first.psi_table.shape == (2 * m, self.grid.n_nodes)
-        again = assemble_gram(self.basis, self.kernel, self.grid, n_modes=m)
+        again = assemble_gram(basis, kernel, grid, n_modes=m)
         assert np.array_equal(first.matrix, again.matrix)
+        retraced = solve_min_norm_control(again, basis, kernel, grid, target).control
+        assert np.array_equal(retraced.values, control.values)
         assert inverted_rows == [m]
 
 
@@ -597,10 +601,13 @@ class TestOperatorSlot:
         rng = np.random.default_rng(4)
         control = BoundaryControl(values=rng.standard_normal((1, grid.n_nodes)), grid=grid)
         v = StatePair(xi=rng.standard_normal(7), eta=rng.standard_normal(7), mu=basis.mu[:7])
+        target = random_smooth_target(basis, rng)
         results = []
         for call in (
             lambda: assemble_gram(basis, kernel, grid, 12),
             lambda: assemble_gram(basis, kernel, grid, 5),
+            # The 5-mode control reads the leading rows of the 12-mode operator.
+            lambda: solve_min_norm_control(results[1], basis, kernel, grid, target),
             lambda: forward_simulate(basis, kernel, control, grid),
             lambda: forward_simulate(small, kernel, control, grid),
             lambda: adjoint_trace(basis, kernel, v, grid),
@@ -613,11 +620,14 @@ class TestOperatorSlot:
         ):
             before_each()
             results.append(call())
-        gram, sub, sim, small_sim, trace, dual, gron, small_gron, growth, small_growth, pert = results
+        gram, sub, synth, sim, small_sim, trace, dual, gron, small_gron, growth, small_growth, pert = (
+            results
+        )
         return [
             gram.matrix,
-            gram.psi_table,
             sub.matrix,
+            synth.control.values,
+            synth.coefficients,
             sim.trajectory.values,
             sim.trajectory.velocities,
             small_sim.trajectory.values,
@@ -718,18 +728,23 @@ class TestFactoredProducts:
         assemble_gram(full, kernel, grid, full.n_modes)  # the slot's operator holds M modes
 
         gram = assemble_gram(full, kernel, grid, m)
+        psi = basis_operator(full, kernel, grid, m).free_responses[:, :m].reshape(2 * m, grid.n_nodes)
         assert np.array_equal(gram.matrix, gram.matrix.T)
-        self.close(gram.matrix, weighted_gemm_gram(full, gram.psi_table, grid.dt))
+        self.close(gram.matrix, weighted_gemm_gram(full, psi, grid.dt))
 
         traces = np.tile(full.traces[:m], (2, 1))
         target = random_smooth_target(full, np.random.default_rng(6))
         result = solve_min_norm_control(gram, full, kernel, grid, target)
-        want = reversed_table_combination(traces, result.coefficients, gram.psi_table)
+        want = reversed_table_combination(traces, result.coefficients, psi)
         self.close(result.control.values, want)
+        # The control is the adjoint trace of its coefficients, bit for bit.
+        c = result.coefficients
+        coefficient_trace = adjoint_trace(full, kernel, StatePair(c[:m], c[m:], full.mu[:m]), grid)
+        assert np.array_equal(result.control.values, coefficient_trace.values)
 
         rng = np.random.default_rng(7)
         v = StatePair(xi=rng.standard_normal(m), eta=rng.standard_normal(m), mu=full.mu[:m])
-        want = reversed_table_combination(traces, np.concatenate([v.xi, v.eta]), gram.psi_table)
+        want = reversed_table_combination(traces, np.concatenate([v.xi, v.eta]), psi)
         self.close(adjoint_trace(full, kernel, v, grid).values, want)
 
         maps = basis_operator(full, kernel, grid, full.n_modes).terminal_maps
@@ -743,9 +758,9 @@ class TestFactoredProducts:
     def test_each_layer_peaks_below_one_modal_table(self):
         # On a warm operator none of the three layers of a synthesis forms a
         # table of M x n doubles: the Gram, the control and the terminal state
-        # are contracted through the traces.  Nor does the norm-growth probe,
-        # whose counts end below the operator's modes: it reads the Gram of
-        # its largest count and no psi rows.
+        # are contracted through the traces.  Nor do the norm-growth probe,
+        # whose counts end below the operator's modes, and a Gram on those
+        # leading modes: both read the time correlation and no psi rows.
         basis = build_interval_basis(1.0, 64)
         grid = TimeGrid(2.5, 5000)
         kernel = MemoryKernel(b=0.2, kernel=ExponentialKernel(0.1, 1.0))
@@ -760,8 +775,10 @@ class TestFactoredProducts:
             _traced_peak(lambda: forward_simulate(basis, kernel, result.control, grid)),
         ]
         counts = [8, 16, 32]
-        norm_growth_probe(basis, kernel, grid, counts)  # the 32-mode time correlation
+        # The 32-mode time correlation, which the 32-mode Gram reads too.
+        norm_growth_probe(basis, kernel, grid, counts)
         peaks.append(_traced_peak(lambda: norm_growth_probe(basis, kernel, grid, counts)))
+        peaks.append(_traced_peak(lambda: assemble_gram(basis, kernel, grid, 32)))
         assert max(peaks) < table, peaks
 
 
