@@ -27,6 +27,9 @@ from .memory_kernel import MemoryKernel
 from .modal_dynamics import (
     BoundaryControl,
     StatePair,
+    _pair_rows,
+    _per_mode,
+    _row_count,
     adjoint_trace,
     basis_operator,
 )
@@ -72,14 +75,22 @@ def _trace_gram(basis: SpectralBasis, kernel: MemoryKernel, grid: TimeGrid, m: i
     modes, (boundary trace Gram) x (time correlation) entrywise.
 
     The time correlation depends on the operator alone and is read from
-    ModalOperator.time_correlation, which forms it once per m and keeps the
-    last one, so repeated Grams of one problem re-form only the small trace
-    Gram.  Both factors are symmetric products s @ s.T, which numpy evaluates
-    as one symmetric rank-k update and returns exactly symmetric.
+    ModalOperator.time_correlation, which forms it once per row count and
+    keeps the last one, so repeated Grams of one problem re-form only the
+    small trace Gram.  It has one row and column per operator row, the
+    (2u)^2 table, and is read per mode.  Both factors are symmetric products
+    s @ s.T, which numpy evaluates as one symmetric rank-k update and returns
+    exactly symmetric; so is the per-mode reading of the correlation.
     """
     tr = basis.traces[:m] * np.sqrt(basis.quad_weights)
     gram = np.tile(tr @ tr.T, (2, 2))
-    gram *= basis_operator(basis, kernel, grid, m).time_correlation(m)
+    op, rows = basis_operator(basis, kernel, grid, m)
+    u = _row_count(rows, m)
+    correlation = op.time_correlation(u)
+    if rows is not None:
+        pair = _pair_rows(rows, u)
+        correlation = correlation[np.ix_(pair, pair)]
+    gram *= correlation
     return gram
 
 
@@ -222,11 +233,15 @@ def duality_check(basis: SpectralBasis, kernel: MemoryKernel, grid: TimeGrid) ->
     sample at node 0: O(dt^2) absolute, the operator's node0_term.
     """
     m = basis.n_modes
-    op = basis_operator(basis, kernel, grid, m)
-    gap = np.stack([table[:m] for table in op._marched_terminal_maps()])
-    gap -= (trapezoid_weights(grid.n_nodes, grid.dt) * op.free_responses[::-1, :m])[..., ::-1]
+    op, rows = basis_operator(basis, kernel, grid, m)
+    u = _row_count(rows, m)
+    gap = np.stack([table[:u] for table in op._marched_terminal_maps()])
+    gap -= (trapezoid_weights(grid.n_nodes, grid.dt) * op.free_responses[::-1, :u])[..., ::-1]
     gap = np.max(np.abs(gap, out=gap), axis=0) / grid.dt
-    return DualityReport(interior_gap=np.max(gap[:, 1:], axis=1), node0_gap=gap[:, 0])
+    return DualityReport(
+        interior_gap=_per_mode(np.max(gap[:, 1:], axis=1), rows, m),
+        node0_gap=_per_mode(gap[:, 0], rows, m),
+    )
 
 
 @dataclass(frozen=True)
@@ -337,15 +352,20 @@ def perturbation_compactness_probe(
     so with the QR factors L and L' of those two sets of rows, A has the
     singular values of the row-wise Kronecker product of L (tiled over both
     slots) and L', to about eps sigma_1 absolute, and its n_quad n columns are
-    never formed.
+    never formed.  D_i depends on mode i's frequency alone, so L' factors the
+    2u rows of the distinct frequencies, and modes that share one share its
+    row of L'.
     """
     if not 1 <= n_modes <= basis.n_modes:
         raise ValueError(f"n_modes must lie in [1, {basis.n_modes}], got {n_modes}")
     m = n_modes
-    op = basis_operator(basis, kernel, grid, m)
-    rows = np.vstack([a[:m] - b[:m] for a, b in zip(op.terminal_maps, op.memoryless_maps)])
-    rows /= np.sqrt(trapezoid_weights(grid.n_nodes, grid.dt))
-    time_factor = np.linalg.qr(rows.T, mode="r").T
+    op, rows = basis_operator(basis, kernel, grid, m)
+    u = _row_count(rows, m)
+    diffs = np.vstack([a[:u] - b[:u] for a, b in zip(op.terminal_maps, op.memoryless_maps)])
+    diffs /= np.sqrt(trapezoid_weights(grid.n_nodes, grid.dt))
+    time_factor = np.linalg.qr(diffs.T, mode="r").T
+    if rows is not None:  # modes that share a row share its factor row
+        time_factor = time_factor[_pair_rows(rows, u)]
     traces = basis.traces[:m] * np.sqrt(basis.quad_weights)
     trace_factor = np.tile(np.linalg.qr(traces.T, mode="r").T, (2, 1))
     factor = (trace_factor[:, :, None] * time_factor[:, None, :]).reshape(2 * m, -1)

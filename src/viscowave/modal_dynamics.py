@@ -28,7 +28,11 @@ on its own, to compare the two.  The public
 solvers get theirs from basis_operator, which keeps the last operator it
 built in one module slot and hands it out again while the kernel object,
 the grid and the leading modes match, so solves of one problem build and
-invert each mode's kernel once.  release_operator empties
+invert the kernel of each distinct frequency once.  The kernel, its
+reciprocal and the free responses depend on a mode through mu_n alone, so
+that operator holds one row per distinct value of mu, and the slot keeps
+each mode's row beside it; the solvers read their per-mode results through
+that map, expanding only their smallest tables.  release_operator empties
 the slot.
 
 Every convolution with sin(mu_n .) or cos(mu_n .) here (the Duhamel responses
@@ -152,10 +156,12 @@ def tone_control(
 
 def control_l2_norm(basis: SpectralBasis, control: BoundaryControl) -> float:
     """Discrete L2(0,T; L2(Gamma_1)) norm of a boundary control; inf if the
-    squares overflow."""
+    squares overflow.  Contracted row by row, so no temporary of the
+    control's size is formed."""
     wt = trapezoid_weights(control.grid.n_nodes, control.grid.dt)
+    v = control.values
     with np.errstate(over="ignore"):
-        sq = np.sum(basis.quad_weights[:, None] * control.values**2 * wt[None, :])
+        sq = basis.quad_weights @ np.einsum("qt,qt,t->q", v, v, wt)
     return float(np.sqrt(sq))
 
 
@@ -200,20 +206,21 @@ class ModalOperator:
         self._factored = FactoredKernel(self.kernels, grid.dt)
         self._correlation = None  # time_correlation's one slot
 
-    def wave(self, forcing: np.ndarray):
+    def wave(self, forcing: np.ndarray, rows=...):
         """Memoryless modal response to a forcing g: Duhamel sine/cosine integrals.
 
             u(t)  = (1/mu) int_0^t sin(mu (t-s)) g(s) ds
             u'(t) =        int_0^t cos(mu (t-s)) g(s) ds
 
         Returns (u, u') sampled on the grid; both are O(dt^2) product-trapezoid
-        convolutions.
+        convolutions.  The forcing is for the operator rows mus[rows], all of
+        them by default.
         """
         g = np.asarray(forcing, dtype=float)
         if g.shape[-1] != self.grid.n_nodes:
             raise ValueError(f"forcing has {g.shape[-1]} samples, grid has {self.grid.n_nodes}")
-        u, up = _trig_convolutions(self._sin, self._cos, g, self.grid.dt)
-        u /= self.mus[..., None]
+        u, up = _trig_convolutions(self._sin[rows], self._cos[rows], g, self.grid.dt)
+        u /= self.mus[rows][..., None]
         return u, up
 
     @cached_property
@@ -264,15 +271,19 @@ class ModalOperator:
         psi_c, psi_s = self.free_responses
         return xi * psi_c + eta * psi_s
 
-    def forced(self, forcing: np.ndarray) -> np.ndarray:
+    def forced(self, forcing: np.ndarray, rows=...) -> np.ndarray:
         """Forced memory mode from rest: the (w, w') stack sampled on the grid.
 
         w solves w = u + (G/mu) * w with u the memoryless Duhamel response; the
         velocity solves the same Volterra equation driven by u' (the
         differentiated displacement equation), so both components are
-        second-order consistent.
+        second-order consistent.  The forcing is for the operator rows
+        mus[rows], all of them by default; their kernels are not inverted
+        again (FactoredKernel.take).  The march runs in place on the stack.
         """
-        return march_difference_kernel(self._factored, np.stack(self.wave(forcing)))
+        y = np.stack(self.wave(forcing, rows))
+        factored = self._factored if rows is Ellipsis else self._factored.take(rows)
+        return march_difference_kernel(factored, y, out=y)
 
     @cached_property
     def node0_term(self) -> np.ndarray:
@@ -399,30 +410,65 @@ def _trig_convolutions(s: np.ndarray, c: np.ndarray, g: np.ndarray, dt: float, c
     return sine, cum_c
 
 
-# The operator basis_operator built last; racing threads at worst build one twice.
-_operator: ModalOperator | None = None
+# The operator basis_operator built last, the mode frequencies it was built
+# for and each mode's operator row, ascending (None where every mode has its
+# own row); racing threads at worst build one twice.
+_slot: tuple[ModalOperator, np.ndarray, np.ndarray | None] | None = None
 
 
 def basis_operator(
     basis: SpectralBasis, kernel: MemoryKernel, grid: TimeGrid, modes: int
-) -> ModalOperator:
-    """The slot's operator if it was built for this kernel object and grid and
-    its mus begin with basis.mu[:modes]; else a new ModalOperator(basis.mu[:modes],
-    kernel, grid), which takes the slot.  Callers read its leading `modes` rows."""
-    global _operator
+) -> tuple[ModalOperator, np.ndarray | None]:
+    """The memory operator of basis.mu[:modes] and the operator row of each
+    of those modes: (op, rows) with rows None where mode i reads row i.
+
+    The operator holds one row per run of equal frequencies, in order, and
+    a basis lists its frequencies in ascending order, so that is one row per
+    distinct frequency, and the leading modes read the leading rows: on the
+    unit square, where (m, n) and (n, m) share mu bit for bit, the 64 lowest
+    modes read 33 rows.  Equality is exact; frequencies one ulp apart keep
+    rows of their own.  The slot's operator is handed out again if it was
+    built for this kernel object and grid and its modes begin with
+    basis.mu[:modes]; else a new one takes the slot, with its row map,
+    which is computed once per slot."""
+    global _slot
     mus = basis.mu[:modes]
-    op = _operator
-    hit = op is not None and op.kernel is kernel and op.grid == grid
-    if not (hit and np.array_equal(op.mus[:modes], mus)):
-        _operator = None  # the old tables go before the new ones are built
-        op = _operator = ModalOperator(mus, kernel, grid)
-    return op
+    slot = _slot
+    hit = slot is not None and slot[0].kernel is kernel and slot[0].grid == grid
+    if not (hit and np.array_equal(slot[1][:modes], mus)):
+        _slot = None  # the old tables go before the new ones are built
+        distinct, rows = mus, None
+        starts = np.diff(mus) != 0.0  # mode i + 1 begins a run of equal mu
+        if not np.all(starts):
+            starts = np.concatenate([[True], starts])
+            distinct, rows = mus[starts], np.cumsum(starts) - 1
+        slot = _slot = (ModalOperator(distinct, kernel, grid), mus.copy(), rows)
+    op, _, rows = slot
+    return op, None if rows is None else rows[:modes]
+
+
+def _row_count(rows: np.ndarray | None, modes: int) -> int:
+    """Operator rows that the leading `modes` modes read: the leading ones."""
+    return modes if rows is None else int(rows[-1]) + 1
+
+
+def _per_mode(table: np.ndarray, rows: np.ndarray | None, modes: int) -> np.ndarray:
+    """A table with one entry per operator row on its first axis, as one per
+    mode: its leading `modes` entries (a view) where every mode has its own
+    row, else its entries at rows (a copy)."""
+    return table[:modes] if rows is None else table[rows]
+
+
+def _pair_rows(rows: np.ndarray, u: int) -> np.ndarray:
+    """Each mode's rows in a two-slot table of 2u rows, such as the free
+    responses (psi_c, psi_s) flattened: rows, then rows + u."""
+    return np.concatenate([rows, rows + u])
 
 
 def release_operator() -> None:
     """Empty basis_operator's slot, freeing the operator it holds."""
-    global _operator
-    _operator = None
+    global _slot
+    _slot = None
 
 
 def _control_values(basis: SpectralBasis, control: BoundaryControl, grid: TimeGrid) -> np.ndarray:
@@ -444,14 +490,12 @@ def forward_trajectory(
     grid: TimeGrid,
 ) -> ModalTrajectory:
     """Per-mode (w, w') of the system driven from rest by a boundary traction,
-    from one forced march of the modes."""
+    from one forced march of the modes, each through its operator row."""
     # g_n(t) = int_{Gamma_1} phi_n f(., t) of each basis mode, shape (M, n).
     g_modal = (basis.traces * basis.quad_weights) @ _control_values(basis, control, grid)
     m = basis.n_modes
-    op = basis_operator(basis, kernel, grid, m)
-    if op.mus.size > m:  # modes of the operator beyond the basis carry no forcing
-        g_modal = np.pad(g_modal, ((0, op.mus.size - m), (0, 0)))
-    w, wp = op.forced(g_modal)[:, :m]
+    op, rows = basis_operator(basis, kernel, grid, m)
+    w, wp = op.forced(g_modal, slice(m) if rows is None else rows)
     return ModalTrajectory(values=w, velocities=wp, mu=basis.mu, grid=grid)
 
 
@@ -493,22 +537,25 @@ def forward_simulate(
     state is contracted from the operator's cached free_responses directly:
     sum(tw * (psi_s @ ((f wt)(T - t)).T), axis=-1) for xi, psi_c for eta.
     Time is reversed and weighted on whichever operand has fewer rows, the
-    control when n_quad < 2m, else each slot of psi.  No (M, n) map or
-    forcing is formed once the operator is warm; O(M n n_quad).  Nothing is
-    marched for the trajectory until it is read.
+    control when n_quad < 2u, u the operator rows the modes read, else each
+    slot of psi; the (u, n_quad) products are then read per mode.  No (M, n)
+    map or forcing is formed once the operator is warm; O(u n n_quad).
+    Nothing is marched for the trajectory until it is read.
     """
     values = _control_values(basis, control, grid)
     m = basis.n_modes
-    op = basis_operator(basis, kernel, grid, m)
-    # Each slot's leading m modes stay a view when the operator holds more.
-    slots = op.free_responses[1, :m], op.free_responses[0, :m]  # (xi, eta) read (psi_s, psi_c)
+    op, rows = basis_operator(basis, kernel, grid, m)
+    u = _row_count(rows, m)
+    # Each slot's leading u rows stay a view when the operator holds more.
+    slots = op.free_responses[1, :u], op.free_responses[0, :u]  # (xi, eta) read (psi_s, psi_c)
     tw = basis.traces * basis.quad_weights
-    if values.shape[0] < 2 * m:
+    if values.shape[0] < 2 * u:
         reversed_control = _reversed_weighted(values, grid)
-        xi, eta = (np.sum(tw * (psi @ reversed_control.T), axis=-1) for psi in slots)
+        products = (psi @ reversed_control.T for psi in slots)
     else:
-        xi, eta = (np.sum(tw * (_reversed_weighted(psi, grid) @ values.T), axis=-1) for psi in slots)
-    eta -= op.node0_term[:m] * (tw @ values[:, 0])
+        products = (_reversed_weighted(psi, grid) @ values.T for psi in slots)
+    xi, eta = (np.sum(tw * _per_mode(product, rows, m), axis=-1) for product in products)
+    eta -= _per_mode(op.node0_term, rows, m) * (tw @ values[:, 0])
     terminal = StatePair(xi=xi, eta=eta, mu=basis.mu)
     return SimulationResult(terminal=terminal, basis=basis, kernel=kernel, control=control)
 
@@ -526,17 +573,28 @@ def adjoint_trace(
     the uniform grid.  These traces span the synthesis ansatz space, and the
     min-norm control is the trace of its Gram coefficients.  psi is
     xi psi_c + eta psi_s of the unit responses, so the data go on the small
-    (n_quad, 2m) factor of traces and psi is never formed.  Time is reversed
-    on whichever side has fewer rows: on the product when n_quad < 2m (a
-    1-node product then stays on BLAS), else on the unit responses (the
-    product is then contiguous, and BoundaryControl keeps it without a copy).
+    (n_quad, 2m) factor of traces, summed over the modes that share an
+    operator row into (n_quad, 2u), and psi is never formed.  Time is
+    reversed on whichever side has fewer rows: on the product when
+    n_quad < 2u (a 1-node product then stays on BLAS), else on the unit
+    responses (the product is then contiguous, and BoundaryControl keeps it
+    without a copy).
     """
     m = v.n_modes
     if m > basis.n_modes:
         raise ValueError(f"state pair has {m} modes but the basis stores {basis.n_modes}")
-    psi = basis_operator(basis, kernel, grid, m).free_responses[:, :m].reshape(2 * m, grid.n_nodes)
+    op, rows = basis_operator(basis, kernel, grid, m)
+    u = _row_count(rows, m)
+    # A copy when u is below the operator's rows.  A product over all of
+    # them with zero weights would need none but rounds differently from a
+    # fresh operator's, which the slot promises to match bit for bit.
+    psi = op.free_responses[:, :u].reshape(2 * u, grid.n_nodes)
     weighted = np.tile(basis.traces[:m].T, 2) * np.concatenate([v.xi, v.eta])
-    if basis.n_quad < 2 * m:
+    if rows is not None:
+        summed = np.zeros((basis.n_quad, 2 * u))
+        np.add.at(summed, (slice(None), _pair_rows(rows, u)), weighted)
+        weighted = summed
+    if basis.n_quad < 2 * u:
         values = (weighted @ psi)[:, ::-1]
     else:
         values = weighted @ psi[:, ::-1]
@@ -560,6 +618,7 @@ def gronwall_bound_check(
     largest value over theta is hypot(psi_c, psi_s) at each time.
     """
     m = basis.n_modes
-    psi_c, psi_s = basis_operator(basis, kernel, grid, m).free_responses[:, :m]
-    per_mode = np.max(np.hypot(psi_c, psi_s), axis=1)
+    op, rows = basis_operator(basis, kernel, grid, m)
+    psi_c, psi_s = op.free_responses[:, : _row_count(rows, m)]
+    per_mode = _per_mode(np.max(np.hypot(psi_c, psi_s), axis=1), rows, m)
     return GronwallReport(m_observed=float(per_mode.max()), per_mode_max=per_mode)

@@ -77,6 +77,18 @@ class FactoredKernel:
             np.fft.rfft(h[: len(a)], axis=-1, out=spectra[s : s + step])
         return spectra
 
+    def take(self, rows) -> "FactoredKernel":
+        """The kernel rows at rows, an index into the leading axis, with
+        their reciprocal spectra read from this kernel's (computed here if
+        not yet): marching through the result inverts no row again.  A
+        slice gives views, an index array copies."""
+        taken = FactoredKernel(self.kernel[rows], self.dt)
+        if not taken.memoryless:
+            # As in the march, an overflow shows in the marched solution.
+            with np.errstate(over="ignore", invalid="ignore"):
+                taken.spectra = self.spectra[rows]
+        return taken
+
     def reciprocal(self) -> np.ndarray:
         """h per kernel row, shape kernel.shape[:-1] + (n - 1,): the march's
         response to a unit forcing at node 1, read back from `spectra` a

@@ -15,7 +15,7 @@ from viscowave.memory_kernel import (
     SampledKernel,
     ZeroKernel,
 )
-from viscowave.spectral_basis import default_nodes_per_face
+from viscowave.spectral_basis import build_rectangle_basis, default_nodes_per_face
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -474,7 +474,8 @@ class TestSeed:
 
 class TestOneInversePerRun:
     """Each command builds one memory operator and hands it to every solve, so
-    it inverts each mode's kernel once."""
+    it inverts the kernel of each distinct frequency once: one per mode on the
+    interval, fewer on the unit square, where (m, n) and (n, m) share mu."""
 
     @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
     def test_each_command_inverts_one_row_per_mode(self, tmp_path, inverted_rows, command):
@@ -510,6 +511,37 @@ class TestOneInversePerRun:
         assert sum(marched_rows) == rows_per_mode * payload["modes"]
 
     @pytest.mark.parametrize(
+        "command, rows_per_frequency, rows_per_mode",
+        [
+            ("synthesize", 2, 0),
+            ("verify", 2, 0),
+            ("gram-spectrum", 2, 0),
+            ("probes", 2, 0),
+            ("duality-check", 4, 0),
+            # The forced march has a forcing per mode, each through its frequency's kernel.
+            ("simulate", 0, 2),
+        ],
+    )
+    def test_square_inverts_and_marches_each_frequency_once(
+        self, tmp_path, inverted_rows, marched_rows, command, rows_per_frequency, rows_per_mode
+    ):
+        payload = dict(
+            SMALL_RUNS[command],
+            modes=16,
+            geometry={"kind": "rectangle", "lengths": [1.0, 1.0]},
+            kernel={"b": 0.2, "family": "exponential", "params": {"amplitude": 0.1, "rate": 1.0}},
+            grid={"horizon": 4.0, "steps": 200},
+        )
+        if command == "gram-spectrum":
+            payload["mode_counts"] = [5, 16]
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        distinct = len(np.unique(build_rectangle_basis(1.0, 1.0, 16).mu))
+        assert distinct < 16
+        assert inverted_rows == [distinct]
+        assert sum(marched_rows) == rows_per_frequency * distinct + rows_per_mode * 16
+
+    @pytest.mark.parametrize(
         "command, correlations",
         [
             # The Gram's, or the norm-growth probe's, on the largest count.
@@ -533,13 +565,13 @@ class TestOneInversePerRun:
     def test_no_operator_outlives_the_run(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_RUNS["synthesize"], name="ok.json")
         assert main(["synthesize", "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
-        assert modal_dynamics._operator is None
+        assert modal_dynamics._slot is None
         # The Gram is built before its ill-posed solve exits 4.
         ill_posed = dict(grid={"horizon": 0.05, "steps": 60}, target={"type": "random-smooth"})
         cfg = write_config(tmp_path, base_config(modes=8, **ill_posed), name="ill.json")
         with pytest.warns(UserWarning, match="control-time bound"):
             assert main(["synthesize", "--config", cfg, "--out", str(tmp_path / "ill")]) == 4
-        assert modal_dynamics._operator is None
+        assert modal_dynamics._slot is None
 
 
 class TestDeterminism:

@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from viscowave import modal_dynamics
+
 from helpers import (
     adjoint_norm_reference,
     modal_forcing_terminal,
@@ -43,7 +45,7 @@ from viscowave.modal_dynamics import (
     tone_control,
 )
 from viscowave.quadrature import trapezoid_weights
-from viscowave.spectral_basis import build_interval_basis, build_rectangle_basis
+from viscowave.spectral_basis import SpectralBasis, build_interval_basis, build_rectangle_basis
 from viscowave.volterra import FactoredKernel, march_difference_kernel
 
 
@@ -143,7 +145,7 @@ class TestMinNormSynthesis:
         result = solve_min_norm_control(gram, basis, kernel, grid, target)
 
         tr = np.vstack([basis.traces[:m], basis.traces[:m]])
-        psi = basis_operator(basis, kernel, grid, m).free_responses[:, :m].reshape(2 * m, grid.n_nodes)
+        psi = basis_operator(basis, kernel, grid, m)[0].free_responses[:, :m].reshape(2 * m, grid.n_nodes)
         taus = tr[:, :, None] * psi[:, None, ::-1]
         wt = trapezoid_weights(grid.n_nodes, grid.dt)
         qw = basis.quad_weights
@@ -255,7 +257,7 @@ class TestDualityCheck:
         basis = _DUALITY_BASES[geometry]()
         grid = TimeGrid(2.5, steps)
         report = duality_check(basis, self.strong, grid)
-        op = basis_operator(basis, self.strong, grid, basis.n_modes)
+        op, _ = basis_operator(basis, self.strong, grid, basis.n_modes)
         e0 = np.zeros(grid.n_nodes)
         e0[0] = 1.0
         r = march_difference_kernel(FactoredKernel(op.kernels, grid.dt), e0)[:, -1]
@@ -531,7 +533,8 @@ class TestPerturbationCompactness:
     )
     def test_matches_the_svd_of_the_probed_matrix(self, basis, kernel, grid, m, zeros):
         got = perturbation_compactness_probe(basis, kernel, grid, m).singular_values
-        op = basis_operator(basis, kernel, grid, m)
+        # One operator row per mode: the square's slot holds one per frequency.
+        op = ModalOperator(basis.mu[:m], kernel, grid)
         want = perturbation_svd_reference(basis, (op.terminal_maps, op.memoryless_maps), m, grid.dt)
         assert got.size == want.size == min(2 * m, basis.n_quad * grid.n_nodes)
         # Both carry an absolute error of about eps sigma_1: a value that is
@@ -670,12 +673,89 @@ class TestOperatorSlot:
 
     def test_fewer_leading_modes_hit(self, inverted_rows):
         basis, kernel, grid = self.basis, self.kernel, self.grid
-        full = basis_operator(basis, kernel, grid, 12)
+        full, _ = basis_operator(basis, kernel, grid, 12)
         assemble_gram(basis, kernel, grid, 12)
-        assert basis_operator(basis, kernel, grid, 5) is full
+        assert basis_operator(basis, kernel, grid, 5)[0] is full
         assemble_gram(basis, kernel, grid, 5)
         perturbation_compactness_probe(basis, kernel, grid, 5)
         assert inverted_rows == [12]
+
+
+class TestDistinctFrequencies:
+    """basis_operator's operator holds one row per distinct frequency, and
+    every solver reads it per mode.  On the unit square, where (m, n) and
+    (n, m) share mu bit for bit, the results match those of a per-mode
+    operator, ModalOperator(basis.mu, ...) planted in the slot, to 1e-13 of
+    the largest entry."""
+
+    basis = build_rectangle_basis(1.0, 1.0, 16)
+    grid = TimeGrid(4.0, 600)
+    kernel = MemoryKernel(b=0.2, kernel=PronyKernel((0.03, 0.05), (0.5, 2.0)))
+
+    def results(self):
+        basis, kernel, grid = self.basis, self.kernel, self.grid
+        rng = np.random.default_rng(12)
+        target = random_smooth_target(basis, rng)
+        gram = assemble_gram(basis, kernel, grid, basis.n_modes)
+        synth = solve_min_norm_control(gram, basis, kernel, grid, target)
+        terminal = forward_simulate(basis, kernel, synth.control, grid).terminal
+        control = BoundaryControl(rng.standard_normal((basis.n_quad, grid.n_nodes)), grid)
+        trajectory = forward_simulate(basis, kernel, control, grid).trajectory
+        v = StatePair(xi=rng.standard_normal(7), eta=rng.standard_normal(7), mu=basis.mu[:7])
+        duality = duality_check(basis, kernel, grid)
+        return [
+            gram.matrix,
+            assemble_gram(basis, kernel, grid, 7).matrix,
+            synth.control.values,
+            adjoint_trace(basis, kernel, v, grid).values,
+            terminal.xi,
+            terminal.eta,
+            trajectory.values,
+            trajectory.velocities,
+            gronwall_bound_check(basis, kernel, grid).per_mode_max,
+            perturbation_compactness_probe(basis, kernel, grid, 12).singular_values,
+            duality.interior_gap,
+            duality.node0_gap,
+        ]
+
+    def test_match_a_per_mode_operator(self, inverted_rows, monkeypatch):
+        basis, kernel, grid = self.basis, self.kernel, self.grid
+        distinct = len(np.unique(basis.mu))
+        assert distinct < basis.n_modes
+        got = self.results()
+        assert inverted_rows == [distinct]
+        op, rows = basis_operator(basis, kernel, grid, basis.n_modes)
+        assert np.array_equal(op.mus[rows], basis.mu)
+        per_mode = ModalOperator(basis.mu, kernel, grid)
+        monkeypatch.setattr(modal_dynamics, "_slot", (per_mode, basis.mu.copy(), None))
+        want = self.results()
+        assert modal_dynamics._slot[0] is per_mode
+        for g, w in zip(got, want, strict=True):
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+
+    def test_unequal_frequencies_keep_their_rows(self, inverted_rows):
+        interval = build_interval_basis(1.0, 4)
+        near = np.nextafter(1.5, 2.0)
+        basis = SpectralBasis(
+            geometry=interval.geometry,
+            mu=np.array([1.5, near, 3.0, 3.0]),
+            traces=np.ones((4, 1)),
+            labels=interval.labels,
+            quad_nodes=interval.quad_nodes,
+            quad_weights=interval.quad_weights,
+        )
+        op, rows = basis_operator(basis, self.kernel, self.grid, 4)
+        assert op.mus.tolist() == [1.5, near, 3.0]
+        assert rows.tolist() == [0, 1, 2, 2]
+        # The leading modes read the leading rows of the same operator.
+        lead, lead_rows = basis_operator(basis, self.kernel, self.grid, 2)
+        assert lead is op and lead_rows.tolist() == [0, 1]
+        per_mode = gronwall_bound_check(basis, self.kernel, self.grid).per_mode_max
+        assert per_mode.shape == (4,) and per_mode[2] == per_mode[3]
+        assert inverted_rows == [3]
+        # Where every frequency is distinct, mode i reads row i.
+        assert basis_operator(interval, self.kernel, self.grid, 4)[1] is None
 
 
 def _traced_peak(call):
@@ -728,7 +808,7 @@ class TestFactoredProducts:
         assemble_gram(full, kernel, grid, full.n_modes)  # the slot's operator holds M modes
 
         gram = assemble_gram(full, kernel, grid, m)
-        psi = basis_operator(full, kernel, grid, m).free_responses[:, :m].reshape(2 * m, grid.n_nodes)
+        psi = basis_operator(full, kernel, grid, m)[0].free_responses[:, :m].reshape(2 * m, grid.n_nodes)
         assert np.array_equal(gram.matrix, gram.matrix.T)
         self.close(gram.matrix, weighted_gemm_gram(full, psi, grid.dt))
 
@@ -747,7 +827,7 @@ class TestFactoredProducts:
         want = reversed_table_combination(traces, np.concatenate([v.xi, v.eta]), psi)
         self.close(adjoint_trace(full, kernel, v, grid).values, want)
 
-        maps = basis_operator(full, kernel, grid, full.n_modes).terminal_maps
+        maps = basis_operator(full, kernel, grid, full.n_modes)[0].terminal_maps
         for basis in (small, full):
             terminal = forward_simulate(basis, kernel, result.control, grid).terminal
             want = modal_forcing_terminal(basis, maps, result.control)

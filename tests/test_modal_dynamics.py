@@ -348,7 +348,7 @@ class TestTerminalResponseMap:
         control = BoundaryControl(rng.standard_normal((basis.n_quad, grid.n_nodes)), grid)
         sim = forward_simulate(basis, kernel, control, grid)
         got, want = sim.terminal, sim.trajectory.terminal
-        assert modal_dynamics._operator.mus.size == 7 + extra_modes
+        assert modal_dynamics._slot[0].mus.size == 7 + extra_modes
         assert got.n_modes == want.n_modes == 7
         gap = np.concatenate([got.xi - want.xi, got.eta - want.eta])
         assert np.linalg.norm(gap) <= 1e-12 * sobolev_norm(want)
@@ -365,7 +365,7 @@ class TestTerminalResponseMap:
         kernel = MemoryKernel(b=1.0, kernel=ExponentialKernel(2.0, 1.0))
         grid = TimeGrid(2.5, 400)
         report = duality_check(basis, kernel, grid)
-        op = basis_operator(basis, kernel, grid, basis.n_modes)
+        op, _ = basis_operator(basis, kernel, grid, basis.n_modes)
         term = op.node0_term
         assert term.shape == (basis.n_modes,) and not term.flags.writeable
         entry = 0.5 * grid.dt * np.abs(op.free_responses[0, :, -1])
@@ -451,7 +451,7 @@ class TestModalOperator:
             return march(factored, forcing, out=out)
 
         monkeypatch.setattr(modal_dynamics, "march_difference_kernel", counting)
-        operator = basis_operator(basis, kernel, grid, basis.n_modes)
+        operator, _ = basis_operator(basis, kernel, grid, basis.n_modes)
         rng = np.random.default_rng(3)
         v = StatePair(xi=rng.standard_normal(5), eta=rng.standard_normal(5), mu=basis.mu[:5])
         assemble_gram(basis, kernel, grid, basis.n_modes)
@@ -468,7 +468,7 @@ class TestModalOperator:
         # duality_check adds the node-0 impulse march and nothing else.
         duality_check(basis, kernel, grid)
         assert len(forcings) == 2
-        assert modal_dynamics._operator is operator
+        assert modal_dynamics._slot[0] is operator
         table = operator.free_responses
         assert not table.flags.writeable
         psi = operator.free(np.ones(basis.n_modes), np.zeros(basis.n_modes))
@@ -491,7 +491,7 @@ class TestModalOperator:
             t = np.linspace(0.0, 3.0, 61)
             memory = SampledKernel(times=t, samples=0.1 * t * np.exp(-t))
         kernel = MemoryKernel(b=0.2, kernel=memory)
-        operator = basis_operator(basis, kernel, grid, basis.n_modes)
+        operator, _ = basis_operator(basis, kernel, grid, basis.n_modes)
         xi, eta = np.random.default_rng(11).standard_normal((2, basis.n_modes))
         want = direct_free_march(operator, xi, eta)
         got = operator.free(xi, eta)
@@ -502,7 +502,7 @@ class TestModalOperator:
         got = adjoint_trace(basis, kernel, v, grid).values
         want = basis.traces[:m].T @ direct_free_march(operator, xi[:m], eta[:m])[:, ::-1]
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-        assert modal_dynamics._operator is operator
+        assert modal_dynamics._slot[0] is operator
 
 
 class TestTimeCorrelation:
@@ -550,7 +550,7 @@ class TestTimeCorrelation:
         for m, formed in ((10, 1), (10, 1), (4, 2), (10, 3)):
             assert np.array_equal(assemble_gram(basis, kernel, grid, m).matrix, want[m])
             assert len(formed_correlations) == formed
-        assert modal_dynamics._operator.mus.size == 10
+        assert modal_dynamics._slot[0].mus.size == 10
 
 
 class TestAdjointTrace:
