@@ -28,8 +28,6 @@ from .modal_dynamics import (
     BoundaryControl,
     StatePair,
     _pair_rows,
-    _per_mode,
-    _row_count,
     adjoint_trace,
     basis_operator,
 )
@@ -77,20 +75,18 @@ def _trace_gram(basis: SpectralBasis, kernel: MemoryKernel, grid: TimeGrid, m: i
     The time correlation depends on the operator alone and is read from
     ModalOperator.time_correlation, which forms it once per row count and
     keeps the last one, so repeated Grams of one problem re-form only the
-    small trace Gram.  It has one row and column per operator row, the
-    (2u)^2 table, and is read per mode.  Both factors are symmetric products
-    s @ s.T, which numpy evaluates as one symmetric rank-k update and returns
-    exactly symmetric; so is the per-mode reading of the correlation.
+    small trace Gram.  It has one row and column per operator row, and its
+    per-mode reading is the new array that the trace Gram multiplies.  Both
+    factors are symmetric products s @ s.T, which numpy evaluates as one
+    symmetric rank-k update and returns exactly symmetric; so is the
+    per-mode reading of the correlation.
     """
     tr = basis.traces[:m] * np.sqrt(basis.quad_weights)
-    gram = np.tile(tr @ tr.T, (2, 2))
     op, rows = basis_operator(basis, kernel, grid, m)
-    u = _row_count(rows, m)
-    correlation = op.time_correlation(u)
-    if rows is not None:
-        pair = _pair_rows(rows, u)
-        correlation = correlation[np.ix_(pair, pair)]
-    gram *= correlation
+    u = rows[-1] + 1
+    pair = _pair_rows(rows, u)
+    gram = op.time_correlation(u).take(pair, axis=0).take(pair, axis=1)
+    gram.reshape(2, m, 2, m)[...] *= (tr @ tr.T)[:, None, :]
     return gram
 
 
@@ -232,15 +228,14 @@ def duality_check(basis: SpectralBasis, kernel: MemoryKernel, grid: TimeGrid) ->
     velocity slot differs by (dt/2) r(T), r the march of a unit forcing
     sample at node 0: O(dt^2) absolute, the operator's node0_term.
     """
-    m = basis.n_modes
-    op, rows = basis_operator(basis, kernel, grid, m)
-    u = _row_count(rows, m)
+    op, rows = basis_operator(basis, kernel, grid, basis.n_modes)
+    u = rows[-1] + 1
     gap = np.stack([table[:u] for table in op._marched_terminal_maps()])
     gap -= (trapezoid_weights(grid.n_nodes, grid.dt) * op.free_responses[::-1, :u])[..., ::-1]
     gap = np.max(np.abs(gap, out=gap), axis=0) / grid.dt
     return DualityReport(
-        interior_gap=_per_mode(np.max(gap[:, 1:], axis=1), rows, m),
-        node0_gap=_per_mode(gap[:, 0], rows, m),
+        interior_gap=np.max(gap[:, 1:], axis=1)[rows],
+        node0_gap=gap[rows, 0],
     )
 
 
@@ -360,12 +355,11 @@ def perturbation_compactness_probe(
         raise ValueError(f"n_modes must lie in [1, {basis.n_modes}], got {n_modes}")
     m = n_modes
     op, rows = basis_operator(basis, kernel, grid, m)
-    u = _row_count(rows, m)
+    u = rows[-1] + 1
     diffs = np.vstack([a[:u] - b[:u] for a, b in zip(op.terminal_maps, op.memoryless_maps)])
     diffs /= np.sqrt(trapezoid_weights(grid.n_nodes, grid.dt))
-    time_factor = np.linalg.qr(diffs.T, mode="r").T
-    if rows is not None:  # modes that share a row share its factor row
-        time_factor = time_factor[_pair_rows(rows, u)]
+    # Modes that share a row share its factor row.
+    time_factor = np.linalg.qr(diffs.T, mode="r").T[_pair_rows(rows, u)]
     traces = basis.traces[:m] * np.sqrt(basis.quad_weights)
     trace_factor = np.tile(np.linalg.qr(traces.T, mode="r").T, (2, 1))
     factor = (trace_factor[:, :, None] * time_factor[:, None, :]).reshape(2 * m, -1)

@@ -31,9 +31,10 @@ the grid and the leading modes match, so solves of one problem build and
 invert the kernel of each distinct frequency once.  The kernel, its
 reciprocal and the free responses depend on a mode through mu_n alone, so
 that operator holds one row per distinct value of mu, and the slot keeps
-each mode's row beside it; the solvers read their per-mode results through
-that map, expanding only their smallest tables.  release_operator empties
-the slot.
+each mode's row beside it, an index array for every basis; every solver
+reads its per-mode results through it, expanding only its smallest tables,
+and the forced march reads its kernel rows through it.  release_operator
+empties the slot.
 
 Every convolution with sin(mu_n .) or cos(mu_n .) here (the Duhamel responses
 and K * sin(mu_n .) in the kernels) is a product-trapezoid sum evaluated by
@@ -219,7 +220,11 @@ class ModalOperator:
         g = np.asarray(forcing, dtype=float)
         if g.shape[-1] != self.grid.n_nodes:
             raise ValueError(f"forcing has {g.shape[-1]} samples, grid has {self.grid.n_nodes}")
-        u, up = _trig_convolutions(self._sin[rows], self._cos[rows], g, self.grid.dt)
+        # The convolutions consume copies of the trig rows at the response's shape.
+        index = np.arange(self.mus.size).reshape(self.mus.shape)[rows]
+        index, _ = np.broadcast_arrays(index, g[..., 0])
+        s, c = (table.reshape(self.mus.size, -1)[index] for table in (self._sin, self._cos))
+        u, up = _trig_convolutions(s, c, g, self.grid.dt)
         u /= self.mus[rows][..., None]
         return u, up
 
@@ -278,12 +283,11 @@ class ModalOperator:
         velocity solves the same Volterra equation driven by u' (the
         differentiated displacement equation), so both components are
         second-order consistent.  The forcing is for the operator rows
-        mus[rows], all of them by default; their kernels are not inverted
-        again (FactoredKernel.take).  The march runs in place on the stack.
+        mus[rows], all by default, repeated or not; the march reads their
+        kernels and reciprocals through rows, in place on the stack.
         """
         y = np.stack(self.wave(forcing, rows))
-        factored = self._factored if rows is Ellipsis else self._factored.take(rows)
-        return march_difference_kernel(factored, y, out=y)
+        return march_difference_kernel(self._factored, y, out=y, rows=rows)
 
     @cached_property
     def node0_term(self) -> np.ndarray:
@@ -392,76 +396,65 @@ def _trig_convolutions(s: np.ndarray, c: np.ndarray, g: np.ndarray, dt: float, c
     the last is 0 for the sine and g for the cosine.  Arrays broadcast on the
     leading axes, time is the last.  Returns (sine, cosine); the cosine is
     None when not asked for.  The steps run in place, so few temporaries of
-    the result's size are alive at once.
+    the result's size are alive at once; with the cosine they overwrite s
+    and c, then the caller's copies at the result's shape.
     """
-    cum_c = np.cumsum(c * g, axis=-1)
+    cum_c = c * g
+    np.cumsum(cum_c, axis=-1, out=cum_c)
     cum_c -= 0.5 * g[..., :1]
-    cum_s = np.cumsum(s * g, axis=-1)
+    cum_s = s * g
+    np.cumsum(cum_s, axis=-1, out=cum_s)
     sine = s * cum_c
-    sine -= c * cum_s
-    sine *= dt
     if not cosine:
+        sine -= c * cum_s
+        sine *= dt
         return sine, None
     cum_c *= c
-    cum_s *= s
-    cum_c += cum_s
-    cum_c -= 0.5 * g
+    c *= cum_s
+    sine -= c
+    sine *= dt
+    s *= cum_s
+    cum_c += s
+    cum_c -= np.multiply(g, 0.5, out=c)
     cum_c *= dt
     return sine, cum_c
 
 
-# The operator basis_operator built last, the mode frequencies it was built
-# for and each mode's operator row, ascending (None where every mode has its
-# own row); racing threads at worst build one twice.
-_slot: tuple[ModalOperator, np.ndarray, np.ndarray | None] | None = None
+# The operator basis_operator built last, its modes' frequencies and each
+# mode's operator row, ascending; racing threads at worst build one twice.
+_slot: tuple[ModalOperator, np.ndarray, np.ndarray] | None = None
 
 
 def basis_operator(
     basis: SpectralBasis, kernel: MemoryKernel, grid: TimeGrid, modes: int
-) -> tuple[ModalOperator, np.ndarray | None]:
+) -> tuple[ModalOperator, np.ndarray]:
     """The memory operator of basis.mu[:modes] and the operator row of each
-    of those modes: (op, rows) with rows None where mode i reads row i.
+    of those modes: (op, rows), rows an index array, arange(modes) where
+    every frequency is distinct.
 
     The operator holds one row per run of equal frequencies, in order, and
     a basis lists its frequencies in ascending order, so that is one row per
-    distinct frequency, and the leading modes read the leading rows: on the
-    unit square, where (m, n) and (n, m) share mu bit for bit, the 64 lowest
-    modes read 33 rows.  Equality is exact; frequencies one ulp apart keep
-    rows of their own.  The slot's operator is handed out again if it was
-    built for this kernel object and grid and its modes begin with
-    basis.mu[:modes]; else a new one takes the slot, with its row map,
-    which is computed once per slot."""
+    distinct frequency, and the leading modes read the rows[-1] + 1 leading
+    rows: the 64 lowest modes of the unit square, where (m, n) and (n, m)
+    share mu bit for bit, read 33.  Equality is exact; frequencies one ulp
+    apart keep rows of their own.  The slot's operator is handed out again
+    if it was built for this kernel object and grid and its modes begin with
+    basis.mu[:modes]; else a new one takes the slot, with its row map."""
     global _slot
     mus = basis.mu[:modes]
     slot = _slot
     hit = slot is not None and slot[0].kernel is kernel and slot[0].grid == grid
     if not (hit and np.array_equal(slot[1][:modes], mus)):
         _slot = None  # the old tables go before the new ones are built
-        distinct, rows = mus, None
-        starts = np.diff(mus) != 0.0  # mode i + 1 begins a run of equal mu
-        if not np.all(starts):
-            starts = np.concatenate([[True], starts])
-            distinct, rows = mus[starts], np.cumsum(starts) - 1
-        slot = _slot = (ModalOperator(distinct, kernel, grid), mus.copy(), rows)
+        starts = np.diff(mus, prepend=-np.inf) != 0.0  # mode i begins a run of equal mu
+        slot = _slot = (ModalOperator(mus[starts], kernel, grid), mus.copy(), np.cumsum(starts) - 1)
     op, _, rows = slot
-    return op, None if rows is None else rows[:modes]
-
-
-def _row_count(rows: np.ndarray | None, modes: int) -> int:
-    """Operator rows that the leading `modes` modes read: the leading ones."""
-    return modes if rows is None else int(rows[-1]) + 1
-
-
-def _per_mode(table: np.ndarray, rows: np.ndarray | None, modes: int) -> np.ndarray:
-    """A table with one entry per operator row on its first axis, as one per
-    mode: its leading `modes` entries (a view) where every mode has its own
-    row, else its entries at rows (a copy)."""
-    return table[:modes] if rows is None else table[rows]
+    return op, rows[:modes]
 
 
 def _pair_rows(rows: np.ndarray, u: int) -> np.ndarray:
-    """Each mode's rows in a two-slot table of 2u rows, such as the free
-    responses (psi_c, psi_s) flattened: rows, then rows + u."""
+    """Each mode's two rows, rows then rows + u, in a table of 2u rows such
+    as the free responses (psi_c, psi_s) flattened."""
     return np.concatenate([rows, rows + u])
 
 
@@ -493,9 +486,8 @@ def forward_trajectory(
     from one forced march of the modes, each through its operator row."""
     # g_n(t) = int_{Gamma_1} phi_n f(., t) of each basis mode, shape (M, n).
     g_modal = (basis.traces * basis.quad_weights) @ _control_values(basis, control, grid)
-    m = basis.n_modes
-    op, rows = basis_operator(basis, kernel, grid, m)
-    w, wp = op.forced(g_modal, slice(m) if rows is None else rows)
+    op, rows = basis_operator(basis, kernel, grid, basis.n_modes)
+    w, wp = op.forced(g_modal, rows)
     return ModalTrajectory(values=w, velocities=wp, mu=basis.mu, grid=grid)
 
 
@@ -543,9 +535,8 @@ def forward_simulate(
     Nothing is marched for the trajectory until it is read.
     """
     values = _control_values(basis, control, grid)
-    m = basis.n_modes
-    op, rows = basis_operator(basis, kernel, grid, m)
-    u = _row_count(rows, m)
+    op, rows = basis_operator(basis, kernel, grid, basis.n_modes)
+    u = rows[-1] + 1
     # Each slot's leading u rows stay a view when the operator holds more.
     slots = op.free_responses[1, :u], op.free_responses[0, :u]  # (xi, eta) read (psi_s, psi_c)
     tw = basis.traces * basis.quad_weights
@@ -554,8 +545,8 @@ def forward_simulate(
         products = (psi @ reversed_control.T for psi in slots)
     else:
         products = (_reversed_weighted(psi, grid) @ values.T for psi in slots)
-    xi, eta = (np.sum(tw * _per_mode(product, rows, m), axis=-1) for product in products)
-    eta -= _per_mode(op.node0_term, rows, m) * (tw @ values[:, 0])
+    xi, eta = (np.sum(tw * product[rows], axis=-1) for product in products)
+    eta -= op.node0_term[rows] * (tw @ values[:, 0])
     terminal = StatePair(xi=xi, eta=eta, mu=basis.mu)
     return SimulationResult(terminal=terminal, basis=basis, kernel=kernel, control=control)
 
@@ -584,16 +575,14 @@ def adjoint_trace(
     if m > basis.n_modes:
         raise ValueError(f"state pair has {m} modes but the basis stores {basis.n_modes}")
     op, rows = basis_operator(basis, kernel, grid, m)
-    u = _row_count(rows, m)
+    u = rows.max(initial=-1) + 1  # 0 without modes: the zero control
     # A copy when u is below the operator's rows.  A product over all of
     # them with zero weights would need none but rounds differently from a
     # fresh operator's, which the slot promises to match bit for bit.
     psi = op.free_responses[:, :u].reshape(2 * u, grid.n_nodes)
-    weighted = np.tile(basis.traces[:m].T, 2) * np.concatenate([v.xi, v.eta])
-    if rows is not None:
-        summed = np.zeros((basis.n_quad, 2 * u))
-        np.add.at(summed, (slice(None), _pair_rows(rows, u)), weighted)
-        weighted = summed
+    weighted = np.zeros((basis.n_quad, 2 * u))
+    per_mode = np.tile(basis.traces[:m].T, 2) * np.concatenate([v.xi, v.eta])
+    np.add.at(weighted, (slice(None), _pair_rows(rows, u)), per_mode)
     if basis.n_quad < 2 * u:
         values = (weighted @ psi)[:, ::-1]
     else:
@@ -617,8 +606,7 @@ def gronwall_bound_check(
     cos theta psi_c + sin theta psi_s in the operator's unit responses, whose
     largest value over theta is hypot(psi_c, psi_s) at each time.
     """
-    m = basis.n_modes
-    op, rows = basis_operator(basis, kernel, grid, m)
-    psi_c, psi_s = op.free_responses[:, : _row_count(rows, m)]
-    per_mode = _per_mode(np.max(np.hypot(psi_c, psi_s), axis=1), rows, m)
+    op, rows = basis_operator(basis, kernel, grid, basis.n_modes)
+    psi_c, psi_s = op.free_responses[:, : rows[-1] + 1]
+    per_mode = np.max(np.hypot(psi_c, psi_s), axis=1)[rows]
     return GronwallReport(m_observed=float(per_mode.max()), per_mode_max=per_mode)

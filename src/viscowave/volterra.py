@@ -10,7 +10,8 @@ a FactoredKernel: the samples, their step dt and, from the first march on,
 the reciprocal of each kernel row, which depends on the kernel alone, kept
 as its spectrum at the length of the full product.  Each forcing row then
 costs one forward and one inverse real FFT, and a caller that solves
-several problems with one kernel inverts it once.  Inside the reciprocal
+several problems with one kernel inverts it once, and may march any
+rows of it, repeated or not, through an index.  Inside the reciprocal
 both products of a Newton step are cyclic at one length and share the
 spectrum of the known coefficients.  The FFTs run on numpy.fft at 5-smooth
 lengths (quadrature.next_fast_len); each call allocates its zero-padded
@@ -77,18 +78,6 @@ class FactoredKernel:
             np.fft.rfft(h[: len(a)], axis=-1, out=spectra[s : s + step])
         return spectra
 
-    def take(self, rows) -> "FactoredKernel":
-        """The kernel rows at rows, an index into the leading axis, with
-        their reciprocal spectra read from this kernel's (computed here if
-        not yet): marching through the result inverts no row again.  A
-        slice gives views, an index array copies."""
-        taken = FactoredKernel(self.kernel[rows], self.dt)
-        if not taken.memoryless:
-            # As in the march, an overflow shows in the marched solution.
-            with np.errstate(over="ignore", invalid="ignore"):
-                taken.spectra = self.spectra[rows]
-        return taken
-
     def reciprocal(self) -> np.ndarray:
         """h per kernel row, shape kernel.shape[:-1] + (n - 1,): the march's
         response to a unit forcing at node 1, read back from `spectra` a
@@ -110,12 +99,14 @@ class FactoredKernel:
 
 
 def march_difference_kernel(
-    factored: FactoredKernel, forcing: np.ndarray, out: np.ndarray | None = None
+    factored: FactoredKernel, forcing: np.ndarray, out: np.ndarray | None = None, rows=...
 ) -> np.ndarray:
     """Trapezoid marching for difference kernels, batched over leading axes.
 
-    The kernel samples of factored and forcing broadcast against each
-    other; time is the last axis.  Each step solves the scalar implicit
+    The kernel rows factored.kernel[rows], all by default, and the forcing
+    broadcast against each other; time is the last axis.  The march reads
+    the kernel and its reciprocal through rows, repeated or not, a block at
+    a time, and copies neither.  Each step solves the scalar implicit
     equation
 
         y_j (1 - dt/2 k_0) = g_j + dt (1/2 k_j y_0 + sum_{0<i<j} k_{j-i} y_i).
@@ -131,7 +122,10 @@ def march_difference_kernel(
     """
     f = np.asarray(forcing, dtype=float)
     k, dt = factored.kernel, factored.dt
-    shape = np.broadcast_shapes(k.shape, f.shape)
+    k_rows = k.reshape(-1, k.shape[-1])
+    # The row of k_rows each kernel row of the march reads.
+    k_index = np.arange(len(k_rows)).reshape(k.shape[:-1])[rows]
+    shape = np.broadcast_shapes(k_index.shape + k.shape[-1:], f.shape)
     n = shape[-1]
     if out is None:
         out = np.empty(shape)
@@ -142,9 +136,8 @@ def march_difference_kernel(
         np.copyto(out, f)
         return out
     f_rows = np.broadcast_to(f, shape).reshape(-1, n)
-    k_rows = k.reshape(-1, n)
     # The row of k_rows each output row reads; h is computed once per k row.
-    k_of = np.broadcast_to(np.arange(len(k_rows)).reshape(k.shape[:-1]), shape[:-1]).reshape(-1)
+    k_of = np.broadcast_to(k_index, shape[:-1]).reshape(-1)
     step = max(1, _BLOCK_SAMPLES // n)
     y = out.reshape(-1, n)
     # An overflow anywhere shows as a non-finite y, checked once below.

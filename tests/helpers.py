@@ -19,9 +19,11 @@ forward run's terminal state and the synthesized control the direct way,
 through full (2m, n) and (M, n) tables, the references for the factored
 products.  pairing_sides evaluates both sides of the pairing identity for
 one control and datum, through the adjoint trace and the forward run, the
-sampled reference for the entrywise duality_check.
+sampled reference for the entrywise duality_check.  traced_peak measures
+the Python-level memory peak of one call.
 """
 
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +32,17 @@ from viscowave.grids import TimeGrid
 from viscowave.modal_dynamics import adjoint_trace, forward_simulate
 from viscowave.quadrature import trapezoid_convolve, trapezoid_weights
 from viscowave.volterra import FactoredKernel, march_difference_kernel
+
+
+def traced_peak(call):
+    """Python-level peak (tracemalloc) of call() above what was allocated before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def rk4(f, y0, t1, n):

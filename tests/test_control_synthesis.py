@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -11,6 +9,7 @@ from helpers import (
     pairing_sides,
     perturbation_svd_reference,
     reversed_table_combination,
+    traced_peak,
     weighted_gemm_gram,
 )
 from viscowave.control_synthesis import (
@@ -727,7 +726,8 @@ class TestDistinctFrequencies:
         op, rows = basis_operator(basis, kernel, grid, basis.n_modes)
         assert np.array_equal(op.mus[rows], basis.mu)
         per_mode = ModalOperator(basis.mu, kernel, grid)
-        monkeypatch.setattr(modal_dynamics, "_slot", (per_mode, basis.mu.copy(), None))
+        slot = (per_mode, basis.mu.copy(), np.arange(basis.n_modes))
+        monkeypatch.setattr(modal_dynamics, "_slot", slot)
         want = self.results()
         assert modal_dynamics._slot[0] is per_mode
         for g, w in zip(got, want, strict=True):
@@ -755,18 +755,7 @@ class TestDistinctFrequencies:
         assert per_mode.shape == (4,) and per_mode[2] == per_mode[3]
         assert inverted_rows == [3]
         # Where every frequency is distinct, mode i reads row i.
-        assert basis_operator(interval, self.kernel, self.grid, 4)[1] is None
-
-
-def _traced_peak(call):
-    """Python-level peak (tracemalloc) of call() above what was allocated before."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+        assert basis_operator(interval, self.kernel, self.grid, 4)[1].tolist() == [0, 1, 2, 3]
 
 
 class TestFactoredProducts:
@@ -850,15 +839,15 @@ class TestFactoredProducts:
         forward_simulate(basis, kernel, result.control, grid)  # the node-0 term
         table = basis.n_modes * grid.n_nodes * np.dtype(float).itemsize
         peaks = [
-            _traced_peak(lambda: assemble_gram(basis, kernel, grid, basis.n_modes)),
-            _traced_peak(lambda: solve_min_norm_control(gram, basis, kernel, grid, target)),
-            _traced_peak(lambda: forward_simulate(basis, kernel, result.control, grid)),
+            traced_peak(lambda: assemble_gram(basis, kernel, grid, basis.n_modes)),
+            traced_peak(lambda: solve_min_norm_control(gram, basis, kernel, grid, target)),
+            traced_peak(lambda: forward_simulate(basis, kernel, result.control, grid)),
         ]
         counts = [8, 16, 32]
         # The 32-mode time correlation, which the 32-mode Gram reads too.
         norm_growth_probe(basis, kernel, grid, counts)
-        peaks.append(_traced_peak(lambda: norm_growth_probe(basis, kernel, grid, counts)))
-        peaks.append(_traced_peak(lambda: assemble_gram(basis, kernel, grid, 32)))
+        peaks.append(traced_peak(lambda: norm_growth_probe(basis, kernel, grid, counts)))
+        peaks.append(traced_peak(lambda: assemble_gram(basis, kernel, grid, 32)))
         assert max(peaks) < table, peaks
 
 

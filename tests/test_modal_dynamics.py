@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -36,6 +34,7 @@ from helpers import (
     direct_free_march,
     forced_memory_reference,
     free_memory_reference,
+    traced_peak,
     two_impulse_terminal_maps,
 )
 
@@ -425,19 +424,29 @@ class TestModalOperator:
         op = ModalOperator(build_interval_basis(1.0, 64).mu, MemoryKernel(b=0.2, kernel=PRONY), grid)
         op.free_responses  # the reciprocal spectra exist before either is measured
         forcing = np.random.default_rng(2).standard_normal((64, grid.n_nodes))
-
-        def peak(call):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                result = call()
-                return tracemalloc.get_traced_memory()[1] - base, result
-            finally:
-                tracemalloc.stop()
-
-        forced_peak, _ = peak(lambda: op.forced(forcing))
-        map_peak, _ = peak(lambda: op.terminal_maps)
+        forced_peak = traced_peak(lambda: op.forced(forcing))
+        map_peak = traced_peak(lambda: op.terminal_maps)
         assert map_peak <= forced_peak
+
+    @pytest.mark.parametrize("geometry", ["interval", "square"])
+    def test_warm_forward_trajectory_peaks_at_six_modal_tables(self, geometry):
+        # The modal forcing, the trig rows the wave response consumes, its
+        # two sums and the sine, and a few KB of row indices and array
+        # headers: the march reads every mode's kernel and reciprocal
+        # through the row map, and copies neither.
+        if geometry == "interval":
+            basis = build_interval_basis(1.0, 64)
+        else:
+            basis = build_rectangle_basis(1.0, 1.0, 64, 8)
+        grid = TimeGrid(4.0, 5000)
+        kernel = MemoryKernel(b=0.2, kernel=ExponentialKernel(0.1, 1.0))
+        control = BoundaryControl(
+            np.random.default_rng(4).standard_normal((basis.n_quad, grid.n_nodes)), grid
+        )
+        forward_trajectory(basis, kernel, control, grid)  # the reciprocal spectra
+        table = basis.n_modes * grid.n_nodes * np.dtype(float).itemsize
+        peak = traced_peak(lambda: forward_trajectory(basis, kernel, control, grid))
+        assert peak <= 6 * table + 2**14, peak / table
 
     def test_free_responses_are_computed_once(self, monkeypatch):
         basis = build_interval_basis(1.0, 8)
@@ -446,9 +455,9 @@ class TestModalOperator:
         forcings = []
         march = modal_dynamics.march_difference_kernel
 
-        def counting(factored, forcing, out=None):
+        def counting(factored, forcing, **kwargs):
             forcings.append(np.array(forcing))  # the march may overwrite it
-            return march(factored, forcing, out=out)
+            return march(factored, forcing, **kwargs)
 
         monkeypatch.setattr(modal_dynamics, "march_difference_kernel", counting)
         operator, _ = basis_operator(basis, kernel, grid, basis.n_modes)
@@ -595,6 +604,22 @@ class TestAdjointTrace:
             v = StatePair(xi=-eta / basis.mu, eta=xi / basis.mu, mu=basis.mu)
             norms.append(control_l2_norm(basis, adjoint_trace(basis, kernel, v, grid)))
         assert abs(norms[2] - norms[1]) / norms[1] <= 0.05
+
+    @pytest.mark.parametrize("geometry", ["interval", "square"])
+    def test_no_modes_give_the_zero_control(self, geometry):
+        grid = TimeGrid(2.5, 300)
+        if geometry == "interval":
+            basis = build_interval_basis(1.0, 4)
+        else:
+            basis = build_rectangle_basis(1.0, 1.0, 4, 8)
+        kernel = MemoryKernel(b=0.2, kernel=PRONY)
+        none = StatePair(xi=np.zeros(0), eta=np.zeros(0), mu=basis.mu[:0])
+        # On an empty slot and on the slot of the basis's modes.
+        for _ in range(2):
+            trace = adjoint_trace(basis, kernel, none, grid)
+            assert trace.values.shape == (basis.n_quad, grid.n_nodes)
+            assert not np.any(trace.values)
+            basis_operator(basis, kernel, grid, basis.n_modes)
 
     def test_rejects_more_modes_than_basis(self):
         grid = TimeGrid(1.0, 20)

@@ -141,10 +141,11 @@ class TestStepwiseReference:
         forcings = [rng.standard_normal((k, mus.size, grid.n_nodes)) for k in (1, 2)]
         got = [march_difference_kernel(factored, f) for f in forcings]
         assert sum(inverted_rows) == mus.size
-        # Rows taken from it, repeated or not, are marched without a new inversion.
+        # Rows read through the march's index, repeated or not, are marched
+        # without a new inversion.
         rows = np.array([0, 0, 3, 5, 5, 5])
         forcing = rng.standard_normal((rows.size, grid.n_nodes))
-        got.append(march_difference_kernel(factored.take(rows), forcing))
+        got.append(march_difference_kernel(factored, forcing, rows=rows))
         assert sum(inverted_rows) == mus.size
         forcings.append(forcing)
         fresh = [kernels, kernels, kernels[rows]]
