@@ -389,8 +389,8 @@ def _cmd_simulate(root):
     basis, kernel, grid = _setup(root)
     control = _read_control(root, basis, grid)
     control_norm = control_l2_norm(basis, control)  # its temporaries go before the operator
-    # The trajectory is marched anyway; its end is the terminal state, so the
-    # free responses are not marched.
+    # The trajectory is the forcing convolved with the free responses, and
+    # its end is the terminal state, so the free responses are all it marches.
     trajectory = forward_trajectory(basis, kernel, control, grid)
     terminal = trajectory.terminal
     names = [f"mode_{i + 1}" for i in range(basis.n_modes)]

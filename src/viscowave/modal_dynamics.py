@@ -22,9 +22,10 @@ of the free responses that the last Gram read.  The forward map is their
 adjoint: the terminal state of a unit modal impulse at node p is
 wt_p (psi_s, psi_c)(T - t_p), slots swapped, but for one closed-form
 number per mode at node 0 (ModalOperator.node0_term).  So a forward run
-reads its terminal state off the free responses too, and an operator
-marches one table, not two; only duality_check marches the forward map
-on its own, to compare the two.  The public
+reads its terminal state off the free responses too, and its trajectory
+is their convolution with the forcing (variation of constants): an
+operator marches one table, not two, and only duality_check marches the
+forward map on its own, to compare the two.  The public
 solvers get theirs from basis_operator, which keeps the last operator it
 built in one module slot and hands it out again while the kernel object,
 the grid and the leading modes match, so solves of one problem build and
@@ -32,14 +33,14 @@ invert the kernel of each distinct frequency once.  The kernel, its
 reciprocal and the free responses depend on a mode through mu_n alone, so
 that operator holds one row per distinct value of mu, and the slot keeps
 each mode's row beside it, an index array for every basis; every solver
-reads its per-mode results through it, expanding only its smallest tables,
-and the forced march reads its kernel rows through it.  release_operator
-empties the slot.
+reads its per-mode results through it, expanding only its smallest tables.
+release_operator empties the slot.
 
-Every convolution with sin(mu_n .) or cos(mu_n .) here (the Duhamel responses
-and K * sin(mu_n .) in the kernels) is a product-trapezoid sum evaluated by
-angle addition, sin(mu (t_j - t_i)) = s_j c_i - c_j s_i, as two cumulative
-sums in O(n) per row; quadrature.trapezoid_convolve is the FFT reference.
+K * sin(mu_n .) in the kernels is a product-trapezoid sum evaluated by angle
+addition, sin(mu (t_j - t_i)) = s_j c_i - c_j s_i, as two cumulative sums in
+O(n) per row.  The free responses have no such addition rule, so the
+trajectory's convolutions with them are FFT products,
+quadrature.trapezoid_convolve.
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ import numpy as np
 
 from .grids import TimeGrid
 from .memory_kernel import MemoryKernel
-from .quadrature import trapezoid_weights
+from .quadrature import trapezoid_convolve, trapezoid_weights
 from .spectral_basis import SpectralBasis
-from .volterra import FactoredKernel, march_difference_kernel
+from .volterra import _BLOCK_SAMPLES, FactoredKernel, march_difference_kernel
 
 
 @dataclass(frozen=True)
@@ -184,9 +185,8 @@ class ModalOperator:
     node-0 term and the terminal maps, with and without the memory, which
     are read off the free responses and the trig tables with no march of
     their own, and the last time correlation of the free responses asked
-    for, one table per operator.  mus may have any shape; like every solver
-    in this module, it broadcasts against the leading axes of the data, so
-    forcings of shape (r, M, n) give r forcings per mode of mus (M,).
+    for, one table per operator.  mus may have any shape, which the per-mode
+    tables take as their leading axes.
     """
 
     def __init__(self, mus, kernel: MemoryKernel, grid: TimeGrid):
@@ -198,35 +198,23 @@ class ModalOperator:
         self._cos = np.cos(phase)
         self._sin = np.sin(phase, out=phase)
         g = kernel.b * self._sin
-        k_samples = np.asarray(kernel.kernel.values(grid.times), dtype=float)
-        if np.any(k_samples != 0.0):
-            # The convolution commutes: K * sin(mu .) is the sine sum with g = K.
-            g += _trig_convolutions(self._sin, self._cos, k_samples, grid.dt, cosine=False)[0]
+        k = np.asarray(kernel.kernel.values(grid.times), dtype=float)
+        if np.any(k != 0.0):
+            # K * sin(mu .) by angle addition: dt (s C - c S) with C = cumsum(c K)
+            # and S = cumsum(s K).  Of the halved end terms, K_j sin(0) vanishes
+            # and K_0 s_j / 2 (t_0 = 0) comes off C.
+            cum_c, cum_s = self._cos * k, self._sin * k
+            np.cumsum(cum_c, axis=-1, out=cum_c)
+            np.cumsum(cum_s, axis=-1, out=cum_s)
+            cum_c -= 0.5 * k[..., :1]
+            sine = self._sin * cum_c
+            sine -= self._cos * cum_s
+            sine *= grid.dt
+            g += sine
         g /= mu
         self.kernels = g
         self._factored = FactoredKernel(self.kernels, grid.dt)
         self._correlation = None  # time_correlation's one slot
-
-    def wave(self, forcing: np.ndarray, rows=...):
-        """Memoryless modal response to a forcing g: Duhamel sine/cosine integrals.
-
-            u(t)  = (1/mu) int_0^t sin(mu (t-s)) g(s) ds
-            u'(t) =        int_0^t cos(mu (t-s)) g(s) ds
-
-        Returns (u, u') sampled on the grid; both are O(dt^2) product-trapezoid
-        convolutions.  The forcing is for the operator rows mus[rows], all of
-        them by default.
-        """
-        g = np.asarray(forcing, dtype=float)
-        if g.shape[-1] != self.grid.n_nodes:
-            raise ValueError(f"forcing has {g.shape[-1]} samples, grid has {self.grid.n_nodes}")
-        # The convolutions consume copies of the trig rows at the response's shape.
-        index = np.arange(self.mus.size).reshape(self.mus.shape)[rows]
-        index, _ = np.broadcast_arrays(index, g[..., 0])
-        s, c = (table.reshape(self.mus.size, -1)[index] for table in (self._sin, self._cos))
-        u, up = _trig_convolutions(s, c, g, self.grid.dt)
-        u /= self.mus[rows][..., None]
-        return u, up
 
     @cached_property
     def free_responses(self) -> np.ndarray:
@@ -275,19 +263,6 @@ class ModalOperator:
         xi, eta = np.asarray(xi, dtype=float)[..., None], np.asarray(eta, dtype=float)[..., None]
         psi_c, psi_s = self.free_responses
         return xi * psi_c + eta * psi_s
-
-    def forced(self, forcing: np.ndarray, rows=...) -> np.ndarray:
-        """Forced memory mode from rest: the (w, w') stack sampled on the grid.
-
-        w solves w = u + (G/mu) * w with u the memoryless Duhamel response; the
-        velocity solves the same Volterra equation driven by u' (the
-        differentiated displacement equation), so both components are
-        second-order consistent.  The forcing is for the operator rows
-        mus[rows], all by default, repeated or not; the march reads their
-        kernels and reciprocals through rows, in place on the stack.
-        """
-        y = np.stack(self.wave(forcing, rows))
-        return march_difference_kernel(self._factored, y, out=y, rows=rows)
 
     @cached_property
     def node0_term(self) -> np.ndarray:
@@ -341,16 +316,16 @@ class ModalOperator:
         """terminal_maps from a march of their own, for duality_check, which
         compares it with the free responses: a new pair (xi, eta).
 
-        One march gives every column: that of the node-0 impulse's wave
-        response (u, u'), two rows per mode, in place.  Every impulse's wave
-        response vanishes at t = 0, and the one at node p >= 1 is twice the
-        node-0 response delayed by p plus, in u', (dt/2) e_p (only node 0
-        carries the half trapezoid weight).  Marching is Toeplitz on
+        One march gives every column: that of the node-0 impulse's Duhamel
+        response (u, u'), two rows per mode, in place.  Every impulse's
+        Duhamel response vanishes at t = 0, and the one at node p >= 1 is
+        twice the node-0 response delayed by p plus, in u', (dt/2) e_p (only
+        node 0 carries the half trapezoid weight).  Marching is Toeplitz on
         forcings that vanish at t = 0, so with y0 the node-0 response and h
         the march's reciprocal, column p >= 1 is (2 mu y0, 2 y0' + (dt/2) h)
         at node n-1-p and column 0 is (mu y0, y0') at node n-1.
         """
-        # wave() of the node-0 impulse, computed as it would compute it:
+        # The product-trapezoid Duhamel response of the node-0 impulse:
         # (dt/2) (sin(mu t)/mu, cos(mu t)), and u'(0) = 0.
         y = np.empty((2,) + self._sin.shape)
         np.multiply(self._sin, 0.5 * self.grid.dt, out=y[0])
@@ -385,39 +360,6 @@ def memory_oscillator_kernels(
     mus may have any shape; the kernels have shape mus.shape + (n_nodes,).
     """
     return ModalOperator(mus, kernel, grid).kernels
-
-
-def _trig_convolutions(s: np.ndarray, c: np.ndarray, g: np.ndarray, dt: float, cosine=True):
-    """Product-trapezoid convolutions of sin(mu .) and cos(mu .) with g.
-
-    s and c hold sin(mu t_j) and cos(mu t_j).  By angle addition the partial
-    sums are s C - c S and c C + s S with C = cumsum(c g), S = cumsum(s g).
-    Of the halved end terms, the first is g_0 in C (t_0 = 0) and 0 in S, and
-    the last is 0 for the sine and g for the cosine.  Arrays broadcast on the
-    leading axes, time is the last.  Returns (sine, cosine); the cosine is
-    None when not asked for.  The steps run in place, so few temporaries of
-    the result's size are alive at once; with the cosine they overwrite s
-    and c, then the caller's copies at the result's shape.
-    """
-    cum_c = c * g
-    np.cumsum(cum_c, axis=-1, out=cum_c)
-    cum_c -= 0.5 * g[..., :1]
-    cum_s = s * g
-    np.cumsum(cum_s, axis=-1, out=cum_s)
-    sine = s * cum_c
-    if not cosine:
-        sine -= c * cum_s
-        sine *= dt
-        return sine, None
-    cum_c *= c
-    c *= cum_s
-    sine -= c
-    sine *= dt
-    s *= cum_s
-    cum_c += s
-    cum_c -= np.multiply(g, 0.5, out=c)
-    cum_c *= dt
-    return sine, cum_c
 
 
 # The operator basis_operator built last, its modes' frequencies and each
@@ -483,12 +425,41 @@ def forward_trajectory(
     grid: TimeGrid,
 ) -> ModalTrajectory:
     """Per-mode (w, w') of the system driven from rest by a boundary traction,
-    from one forced march of the modes, each through its operator row."""
+    by variation of constants on the operator's free responses, so nothing
+    is marched beyond them.
+
+    With g the modal forcing, the trapezoid march of each forced mode from
+    rest is, at every node, the product-trapezoid convolutions of
+    quadrature.trapezoid_convolve with the mode's operator row
+
+        mu w = psi_s * g,    w' = psi_c * g - (dt/2) r g_0,
+
+    where r is the march of a unit forcing sample at node 0, which carries
+    the half trapezoid weight, and both slots are 0 at node 0.  The
+    convolutions run a block of modes at a time, as the march does.
+    """
     # g_n(t) = int_{Gamma_1} phi_n f(., t) of each basis mode, shape (M, n).
-    g_modal = (basis.traces * basis.quad_weights) @ _control_values(basis, control, grid)
+    g = (basis.traces * basis.quad_weights) @ _control_values(basis, control, grid)
     op, rows = basis_operator(basis, kernel, grid, basis.n_modes)
-    w, wp = op.forced(g_modal, rows)
-    return ModalTrajectory(values=w, velocities=wp, mu=basis.mu, grid=grid)
+    # (psi_s, psi_c), marched before the reciprocal is read: an overflow
+    # raises MarchOverflowError there.
+    psi = op.free_responses[::-1]
+    # Every modal kernel has k_0 = G_n(0)/mu_n = 0, so the march's reciprocal
+    # solves h_j = dt sum_{i<j} k_(j-i) h_i, and r_j = (dt/2) sum_{i<j}
+    # k_(j-i) h_i is h_j / 2 on nodes 1..n-2.  h ends there; at the last
+    # node (dt/2) r is node0_term.
+    h = op._factored.reciprocal()
+    y = np.empty((2,) + g.shape)
+    step = max(1, _BLOCK_SAMPLES // (2 * grid.n_nodes))  # two rows per mode
+    for s in range(0, len(g), step):
+        at, g_s, y_s = rows[s : s + step], g[s : s + step], y[:, s : s + step]
+        # Both slots' rows of the block share one transform of g.
+        y_s[...] = trapezoid_convolve(psi[:, at], g_s, grid.dt)
+        y_s[1, :, 1:-1] -= (0.25 * grid.dt) * h[at, 1:] * g_s[:, :1]
+        y_s[1, :, -1] -= op.node0_term[at] * g_s[:, 0]
+    y[..., 0] = 0.0
+    y[0] /= basis.mu[:, None]
+    return ModalTrajectory(values=y[0], velocities=y[1], mu=basis.mu, grid=grid)
 
 
 @dataclass(frozen=True)
@@ -497,10 +468,10 @@ class SimulationResult:
     from the operator's free responses and node-0 term (the construction
     of its terminal_maps), and its inputs.
 
-    The trajectory is marched when first read, by forward_trajectory of the
-    same inputs, which finds the operator again through basis_operator (or
-    builds it anew if the slot has moved on), and kept.  Its end,
-    trajectory.terminal, agrees with terminal to rounding.
+    The trajectory is formed when first read, by forward_trajectory of the
+    same inputs from the free responses, which it finds again through
+    basis_operator (or marches anew if the slot has moved on), and kept.
+    Its end, trajectory.terminal, agrees with terminal to rounding.
     """
 
     terminal: StatePair
@@ -532,7 +503,7 @@ def forward_simulate(
     control when n_quad < 2u, u the operator rows the modes read, else each
     slot of psi; the (u, n_quad) products are then read per mode.  No (M, n)
     map or forcing is formed once the operator is warm; O(u n n_quad).
-    Nothing is marched for the trajectory until it is read.
+    The trajectory is not formed until it is read.
     """
     values = _control_values(basis, control, grid)
     op, rows = basis_operator(basis, kernel, grid, basis.n_modes)

@@ -1,8 +1,9 @@
 """Trapezoid and Gauss-Legendre quadrature helpers used across the package.
 
 The package's FFTs all run on numpy.fft at the lengths next_fast_len gives;
-trapezoid_convolve is the reference FFT convolution: the tests check the
-solvers against it, and no solver calls it.
+trapezoid_convolve is the FFT convolution: forward_trajectory convolves the
+forcing with the free responses through it, and the tests check the
+angle-addition sums and the march against it.
 """
 
 from __future__ import annotations

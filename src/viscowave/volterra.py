@@ -10,8 +10,7 @@ a FactoredKernel: the samples, their step dt and, from the first march on,
 the reciprocal of each kernel row, which depends on the kernel alone, kept
 as its spectrum at the length of the full product.  Each forcing row then
 costs one forward and one inverse real FFT, and a caller that solves
-several problems with one kernel inverts it once, and may march any
-rows of it, repeated or not, through an index.  Inside the reciprocal
+several problems with one kernel inverts it once.  Inside the reciprocal
 both products of a Newton step are cyclic at one length and share the
 spectrum of the known coefficients.  The FFTs run on numpy.fft at 5-smooth
 lengths (quadrature.next_fast_len); each call allocates its zero-padded
@@ -99,14 +98,12 @@ class FactoredKernel:
 
 
 def march_difference_kernel(
-    factored: FactoredKernel, forcing: np.ndarray, out: np.ndarray | None = None, rows=...
+    factored: FactoredKernel, forcing: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Trapezoid marching for difference kernels, batched over leading axes.
 
-    The kernel rows factored.kernel[rows], all by default, and the forcing
-    broadcast against each other; time is the last axis.  The march reads
-    the kernel and its reciprocal through rows, repeated or not, a block at
-    a time, and copies neither.  Each step solves the scalar implicit
+    The kernel samples of factored and forcing broadcast against each
+    other; time is the last axis.  Each step solves the scalar implicit
     equation
 
         y_j (1 - dt/2 k_0) = g_j + dt (1/2 k_j y_0 + sum_{0<i<j} k_{j-i} y_i).
@@ -122,10 +119,7 @@ def march_difference_kernel(
     """
     f = np.asarray(forcing, dtype=float)
     k, dt = factored.kernel, factored.dt
-    k_rows = k.reshape(-1, k.shape[-1])
-    # The row of k_rows each kernel row of the march reads.
-    k_index = np.arange(len(k_rows)).reshape(k.shape[:-1])[rows]
-    shape = np.broadcast_shapes(k_index.shape + k.shape[-1:], f.shape)
+    shape = np.broadcast_shapes(k.shape, f.shape)
     n = shape[-1]
     if out is None:
         out = np.empty(shape)
@@ -136,8 +130,9 @@ def march_difference_kernel(
         np.copyto(out, f)
         return out
     f_rows = np.broadcast_to(f, shape).reshape(-1, n)
+    k_rows = k.reshape(-1, n)
     # The row of k_rows each output row reads; h is computed once per k row.
-    k_of = np.broadcast_to(k_index, shape[:-1]).reshape(-1)
+    k_of = np.broadcast_to(np.arange(len(k_rows)).reshape(k.shape[:-1]), shape[:-1]).reshape(-1)
     step = max(1, _BLOCK_SAMPLES // n)
     y = out.reshape(-1, n)
     # An overflow anywhere shows as a non-finite y, checked once below.

@@ -32,15 +32,15 @@ def inverted_rows(monkeypatch):
 @pytest.fixture
 def marched_rows(monkeypatch):
     """Rows each modal march solves, one entry per march_difference_kernel
-    call made through modal_dynamics: the leading size of the kernel-row
-    map it is given and its forcing broadcast against each other."""
+    call made through modal_dynamics: the leading size of its kernel and
+    forcing broadcast against each other."""
     counts = []
     march = modal_dynamics.march_difference_kernel
 
-    def counting(factored, forcing, **kwargs):
-        k_rows = np.broadcast_to(0, factored.kernel.shape[:-1])[kwargs.get("rows", ...)]
-        counts.append(math.prod(np.broadcast_shapes(k_rows.shape, np.shape(forcing)[:-1])))
-        return march(factored, forcing, **kwargs)
+    def counting(factored, forcing, out=None):
+        shape = np.broadcast_shapes(factored.kernel.shape, np.shape(forcing))
+        counts.append(math.prod(shape[:-1]))
+        return march(factored, forcing, out=out)
 
     monkeypatch.setattr(modal_dynamics, "march_difference_kernel", counting)
     return counts

@@ -8,12 +8,14 @@ matrix and of the adjoint map.  solve_picard is the Volterra oracle: Picard
 iteration on the product-trapezoid quadrature through the FFT convolution
 quadrature.trapezoid_convolve, never the march; VolterraProblem holds the
 one forcing and kernel row on a grid that it and solve_marching both take,
-with their length and finiteness checks.  solve_marching,
-direct_free_march and two_impulse_terminal_maps are the exceptions:
-solve_marching is the package's march on such a problem, and the other two
-run the package's wave response and march on each datum's own forcing, the
-references for combining unit responses and for the terminal maps read off
-the free responses.  weighted_gemm_gram,
+with their length and finiteness checks.  solve_marching, direct_free_march,
+forced_march and two_impulse_terminal_maps are the exceptions:
+solve_marching is the package's march on such a problem, and the other
+three march each datum's own forcing with the package's march, the
+references for combining unit responses, for the trajectory formed from
+them and for the terminal maps read off them.  forced_march is the forced
+trajectory's own route: the Duhamel responses by
+quadrature.trapezoid_convolve, then the memory by the march.  weighted_gemm_gram,
 modal_forcing_terminal and reversed_table_combination form the Gram, the
 forward run's terminal state and the synthesized control the direct way,
 through full (2m, n) and (M, n) tables, the references for the factored
@@ -29,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from viscowave.grids import TimeGrid
-from viscowave.modal_dynamics import adjoint_trace, forward_simulate
+from viscowave.memory_kernel import MemoryKernel
+from viscowave.modal_dynamics import ModalOperator, adjoint_trace, forward_simulate
 from viscowave.quadrature import trapezoid_convolve, trapezoid_weights
 from viscowave.volterra import FactoredKernel, march_difference_kernel
 
@@ -245,6 +248,26 @@ def direct_free_march(op, xi, eta):
     return march_difference_kernel(FactoredKernel(op.kernels[:m], op.grid.dt), forcing)
 
 
+def forced_march(op, forcing, rows=...):
+    """Forced memory modes of op.mus[rows] (all by default) from rest under
+    the modal forcing, marched: the (w, w') stack, the oracle for
+    forward_trajectory, which convolves the forcing with the free responses.
+
+    The memoryless Duhamel responses u = (sin(mu .) * g) / mu and
+    u' = cos(mu .) * g come from trapezoid_convolve, 0 at node 0 (from
+    rest); w = u + (G/mu) * w then, and w' solves the same equation driven
+    by u' (the differentiated displacement equation), both marched through
+    a FactoredKernel of their own, FactoredKernel(op.kernels[rows], dt).
+    Arrays broadcast on the leading axes.
+    """
+    mus, dt = op.mus[rows][..., None], op.grid.dt
+    phase = mus * op.grid.times
+    sine, cosine = (trapezoid_convolve(f(phase), forcing, dt) for f in (np.sin, np.cos))
+    u = np.stack([sine / mus, cosine])
+    u[..., 0] = 0.0
+    return march_difference_kernel(FactoredKernel(op.kernels[rows], dt), u)
+
+
 def adjoint_norm_reference(basis, op, n_modes, weight=1.0):
     """Largest singular value of the m-mode adjoint map from its dense matrix.
 
@@ -270,16 +293,16 @@ def two_impulse_terminal_maps(op):
     reference for ModalOperator.terminal_maps and memoryless_maps.
 
     Returns (memory, memoryless), each a pair (xi, eta) of shape
-    op.mus.shape + (n,).  Each mode marches the wave responses of impulses
-    at nodes 0 and 1.  Marching is Toeplitz on nodes >= 1 (only node 0 has
-    the half trapezoid weight), so an impulse at node p >= 1 answers with the
-    node-1 response delayed by p - 1: its terminal value is that response at
-    node n - p.  The memoryless maps read the wave responses themselves.
+    op.mus.shape + (n,).  Each mode's forced_march answers impulses at nodes
+    0 and 1.  Marching is Toeplitz on nodes >= 1 (only node 0 has the half
+    trapezoid weight), so an impulse at node p >= 1 answers with the node-1
+    response delayed by p - 1: its terminal value is that response at node
+    n - p.  The memoryless maps are the forced march without the memory.
     """
     impulses = np.zeros((2,) + (1,) * op.mus.ndim + (op.grid.n_nodes,))
     impulses[0, ..., 0] = impulses[1, ..., 1] = 1.0
-    u = np.stack(op.wave(impulses))
-    w = march_difference_kernel(FactoredKernel(op.kernels, op.grid.dt), u)
+    w = forced_march(op, impulses)
+    u = forced_march(ModalOperator(op.mus, MemoryKernel(), op.grid), impulses)
 
     def weighted_terminal(y):
         xi, eta = np.concatenate([y[:, 0, ..., -1:], y[:, 1, ..., :0:-1]], axis=-1)

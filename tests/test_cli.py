@@ -494,7 +494,8 @@ class TestOneInversePerRun:
             ("synthesize", 2),
             # The free responses alone, for the terminal state.
             ("verify", 2),
-            # The forced march alone: its trajectory's end is the terminal state.
+            # The free responses, which the trajectory convolves with the
+            # forcing; its end is the terminal state.
             ("simulate", 2),
             ("gram-spectrum", 2),
             # The free responses; the terminal maps are read off them.
@@ -518,8 +519,7 @@ class TestOneInversePerRun:
             ("gram-spectrum", 2, 0),
             ("probes", 2, 0),
             ("duality-check", 4, 0),
-            # The forced march has a forcing per mode, each through its frequency's kernel.
-            ("simulate", 0, 2),
+            ("simulate", 2, 0),
         ],
     )
     def test_square_inverts_and_marches_each_frequency_once(

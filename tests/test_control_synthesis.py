@@ -5,6 +5,7 @@ from viscowave import modal_dynamics
 
 from helpers import (
     adjoint_norm_reference,
+    forced_march,
     modal_forcing_terminal,
     pairing_sides,
     perturbation_svd_reference,
@@ -467,8 +468,9 @@ class TestPerturbationCompactness:
         # Sum of sigma^2 is the squared Frobenius norm of the probed matrix;
         # rebuild it column by column from forward runs of every unit nodal
         # impulse, with and without memory, scaled to a unit-L2 control.  Each
-        # run's terminal state is its marched trajectory's end: its terminal
-        # attribute reads the probe's own maps.
+        # run's terminal state is the end of the forced march of its modal
+        # forcing: forward_simulate and the trajectory read the free
+        # responses the probe's own maps are built from.
         basis = build_interval_basis(1.0, 4)
         grid = TimeGrid(2.5, 63)
         memory = MemoryKernel(b=0.2, kernel=PronyKernel((0.03, 0.05, 0.04), (0.5, 2.0, 5.0)))
@@ -477,18 +479,18 @@ class TestPerturbationCompactness:
         impulses = [(q, p) for q in range(basis.n_quad) for p in range(grid.n_nodes)]
 
         def terminals(kernel):
-            # One kernel's runs in a row share its operator: two are built in all.
+            op = ModalOperator(basis.mu, kernel, grid)
             runs = []
             for q, p in impulses:
                 values = np.zeros((basis.n_quad, grid.n_nodes))
                 values[q, p] = 1.0
-                control = BoundaryControl(values=values, grid=grid)
-                runs.append(forward_simulate(basis, kernel, control, grid).trajectory.terminal)
+                w, wp = forced_march(op, (basis.traces * basis.quad_weights) @ values)
+                runs.append(np.concatenate([basis.mu * w[:, -1], wp[:, -1]]))
             return runs
 
         expected = 0.0
         for (q, p), a, b in zip(impulses, terminals(memory), terminals(MemoryKernel())):
-            sq = np.sum((a.xi - b.xi) ** 2) + np.sum((a.eta - b.eta) ** 2)
+            sq = np.sum((a - b) ** 2)
             expected += sq / (basis.quad_weights[q] * wt[p])
         got = float(np.sum(report.singular_values**2))
         assert abs(got - expected) <= 1e-10 * expected

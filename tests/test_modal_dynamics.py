@@ -32,6 +32,8 @@ from viscowave.spectral_basis import build_interval_basis, build_rectangle_basis
 
 from helpers import (
     direct_free_march,
+    direct_trapezoid_convolution,
+    forced_march,
     forced_memory_reference,
     free_memory_reference,
     traced_peak,
@@ -39,6 +41,16 @@ from helpers import (
 )
 
 PRONY = PronyKernel((0.03, 0.05, 0.04), (0.5, 2.0, 5.0))
+
+
+def one_mode_trajectory(mu, kernel, g, grid):
+    """forward_trajectory's (w, w') on the one-mode interval of length
+    pi / (2 mu), whose frequency is mu, under the traction that gives it the
+    modal forcing g."""
+    basis = build_interval_basis(np.pi / (2.0 * mu), 1)
+    control = BoundaryControl(np.asarray(g, dtype=float)[None, :] / basis.traces[0, 0], grid)
+    trajectory = forward_trajectory(basis, kernel, control, grid)
+    return trajectory.values[0], trajectory.velocities[0]
 
 
 class TestStatePair:
@@ -58,45 +70,36 @@ class TestStatePair:
 
 
 class TestWaveModalResponse:
+    """The memoryless trajectory of a one-mode interval against closed forms."""
+
     def test_constant_forcing_closed_form(self):
         # u(t) = (1 - cos(mu t)) / mu^2 for g = 1; at mu = pi/2, t = 2 this is 8/pi^2.
         grid = TimeGrid(2.0, 2000)
-        u, up = ModalOperator(np.pi / 2, MemoryKernel(), grid).wave(np.ones(grid.n_nodes))
+        u, up = one_mode_trajectory(np.pi / 2, MemoryKernel(), np.ones(grid.n_nodes), grid)
         assert abs(u[-1] - 8.0 / np.pi**2) <= 1e-5
         assert abs(up[-1]) <= 1e-12
 
     def test_resonant_forcing(self):
         # g = sin(mu s) at mu = 1 resonates: u = (sin t - t cos t) / 2.
         grid = TimeGrid(np.pi, 3000)
-        u, _ = ModalOperator(1.0, MemoryKernel(), grid).wave(np.sin(grid.times))
+        u, _ = one_mode_trajectory(1.0, MemoryKernel(), np.sin(grid.times), grid)
         exact = 0.5 * (np.sin(grid.times) - grid.times * np.cos(grid.times))
         assert abs(u[-1] - np.pi / 2) <= 1e-12
         assert np.max(np.abs(u - exact)) <= 1e-5
 
     def test_rejects_bad_input(self):
+        # Every entry of an array mu must be positive.
         grid = TimeGrid(1.0, 10)
-        with pytest.raises(ValueError):
-            ModalOperator(0.0, MemoryKernel(), grid).wave(np.ones(grid.n_nodes))
-        with pytest.raises(ValueError):
-            ModalOperator(1.0, MemoryKernel(), grid).wave(np.ones(3))
-        # Array mu: every entry must be positive, and the forcing length is
-        # checked whatever the batch shape.
+        with pytest.raises(ValueError, match="mu must be positive"):
+            ModalOperator(0.0, MemoryKernel(), grid)
         mus = np.array([[1.0], [-2.0]])
         with pytest.raises(ValueError, match="mu must be positive"):
-            ModalOperator(mus, MemoryKernel(), grid).wave(np.ones((2, grid.n_nodes)))
-        with pytest.raises(ValueError, match="mu must be positive"):
             ModalOperator(mus, MemoryKernel(), grid).free(1.0, 0.0)
-        with pytest.raises(ValueError, match="mu must be positive"):
-            ModalOperator(mus, MemoryKernel(), grid).forced(np.ones(grid.n_nodes))
-        with pytest.raises(ValueError, match="forcing has 3 samples"):
-            ModalOperator(np.array([1.0, 2.0]), MemoryKernel(), grid).wave(np.ones((2, 3)))
-        with pytest.raises(ValueError, match="forcing has 3 samples"):
-            ModalOperator(np.array([1.0, 2.0]), MemoryKernel(), grid).forced(np.ones((2, 3)))
 
 
 class TestAngleAdditionSums:
-    """The cumulative-sum Duhamel convolutions against the FFT product-trapezoid
-    route of quadrature.trapezoid_convolve."""
+    """The kernels' cumulative-sum sine convolutions against the FFT
+    product-trapezoid route of quadrature.trapezoid_convolve."""
 
     grid = TimeGrid(2.5, 1999)
     mus = (np.arange(1, 41) - 0.5) * np.pi
@@ -126,27 +129,6 @@ class TestAngleAdditionSums:
         ref = (0.2 * sines + trapezoid_convolve(k_samples, sines, grid.dt)) / mus
         got = memory_oscillator_kernels(self.mus.reshape(shape), MemoryKernel(0.2, family), grid)
         self.assert_close(got, ref)
-
-    def test_wave_responses_of_one_forcing_per_mode(self):
-        grid = self.grid
-        g = np.random.default_rng(8).standard_normal((self.mus.size, grid.n_nodes))
-        u, up = ModalOperator(self.mus, MemoryKernel(), grid).wave(g)
-        phase = self.mus[:, None] * grid.times
-        self.assert_close(u, trapezoid_convolve(np.sin(phase), g, grid.dt) / self.mus[:, None])
-        self.assert_close(up, trapezoid_convolve(np.cos(phase), g, grid.dt))
-
-    def test_wave_responses_of_shared_impulses(self):
-        # (M, 1) frequencies against (1, 2, n) unit impulses at nodes 0 and 1,
-        # the batch the perturbation probe marches.
-        grid = self.grid
-        impulses = np.zeros((1, 2, grid.n_nodes))
-        impulses[0, 0, 0] = impulses[0, 1, 1] = 1.0
-        u, up = ModalOperator(self.mus[:, None], MemoryKernel(), grid).wave(impulses)
-        phase = self.mus[:, None, None] * grid.times
-        impulses = np.broadcast_to(impulses, (self.mus.size, 2, grid.n_nodes))
-        ref_u = trapezoid_convolve(np.sin(phase), impulses, grid.dt) / self.mus[:, None, None]
-        self.assert_close(u, ref_u)
-        self.assert_close(up, trapezoid_convolve(np.cos(phase), impulses, grid.dt))
 
 
 class TestFreeMemoryModal:
@@ -187,18 +169,24 @@ class TestFreeMemoryModal:
 
 
 class TestControlledMemoryModal:
-    def test_zero_kernel_matches_duhamel(self):
+    @pytest.mark.parametrize("mu", [np.pi / 2, 1.0, 3.0], ids=["half-pi", "one", "three"])
+    def test_zero_kernel_matches_duhamel(self, mu):
+        # Without memory the trajectory is the Duhamel sine and cosine sums,
+        # here the plain O(n^2) product-trapezoid sums, on a forcing that
+        # does not vanish at t = 0.
         grid = TimeGrid(2.0, 400)
-        g = np.cos(3.0 * grid.times)
-        w, wp = ModalOperator(2.5, MemoryKernel(), grid).forced(g)
-        u, up = ModalOperator(2.5, MemoryKernel(), grid).wave(g)
-        assert np.max(np.abs(w - u)) <= 1e-10
-        assert np.max(np.abs(wp - up)) <= 1e-10
+        g = np.cos(3.0 * grid.times) + np.random.default_rng(8).standard_normal(grid.n_nodes)
+        w, wp = one_mode_trajectory(mu, MemoryKernel(), g, grid)
+        phase = mu * grid.times
+        u = direct_trapezoid_convolution(np.sin(phase), g, grid.dt) / mu
+        up = direct_trapezoid_convolution(np.cos(phase), g, grid.dt)
+        assert np.max(np.abs(w - u)) <= 1e-12 * np.max(np.abs(u))
+        assert np.max(np.abs(wp - up)) <= 1e-12 * np.max(np.abs(up))
 
     def test_forced_memory_against_rk4_oracle(self):
         grid = TimeGrid(2.0, 2000)
         kernel = MemoryKernel(b=0.5, kernel=ExponentialKernel(0.2, 1.0))
-        w, wp = ModalOperator(3.0, kernel, grid).forced(np.ones(grid.n_nodes))
+        w, wp = one_mode_trajectory(3.0, kernel, np.ones(grid.n_nodes), grid)
         ow, owp = forced_memory_reference(3.0, 0.5, 0.2, 1.0, lambda t: np.ones_like(t), 2.0, 20000)
         assert np.max(np.abs(w - ow[::10])) <= 1e-6
         assert np.max(np.abs(wp - owp[::10])) <= 1e-6
@@ -273,20 +261,21 @@ class TestTerminalResponseMap:
     def test_columns_match_forward_runs_of_nodal_impulses(self):
         # The interval's one control node carries the traces, so an impulse
         # control at node p forces mode m with trace_m e_p.  The reference is
-        # the marched trajectory's end, not forward_simulate's terminal state,
-        # which reads the map itself.
+        # the end of the forced march of that forcing, not forward_simulate's
+        # terminal state or the trajectory, which read the free responses.
         basis = build_interval_basis(1.0, 6)
         grid = TimeGrid(2.5, 301)
         kernel = MemoryKernel(b=0.2, kernel=PRONY)
-        map_xi, map_eta = ModalOperator(basis.mu, kernel, grid).terminal_maps
+        op = ModalOperator(basis.mu, kernel, grid)
+        map_xi, map_eta = op.terminal_maps
         assert map_xi.shape == map_eta.shape == (6, grid.n_nodes)
         n = grid.n_nodes
         for p in (0, 1, n // 2, n - 1):
-            values = np.zeros((1, n))
-            values[0, p] = 1.0
-            end = forward_simulate(basis, kernel, BoundaryControl(values, grid), grid).trajectory.terminal
+            forcing = np.zeros((6, n))
+            forcing[:, p] = basis.traces[:, 0]
+            w, wp = forced_march(op, forcing)
             got = basis.traces[:, 0] * np.stack([map_xi[:, p], map_eta[:, p]])
-            want = np.stack([end.xi, end.eta])
+            want = np.stack([basis.mu * w[:, -1], wp[:, -1]])
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize(
@@ -324,10 +313,10 @@ class TestTerminalResponseMap:
     @pytest.mark.parametrize("family", ["prony", "sampled"])
     @pytest.mark.parametrize("geometry", ["interval", "rectangle"])
     def test_terminal_state_is_the_trajectory_end(self, geometry, family, extra_modes):
-        # The contracted terminal state against the forced march's, also when
-        # the slot's operator holds more modes than the basis.  The interval's
-        # 1 node is fewer than the 2m = 14 rows of psi, so the control is
-        # reversed; the rectangle's 16 nodes are more, so psi is.
+        # The contracted terminal state against the trajectory's end, also
+        # when the slot's operator holds more modes than the basis.  The
+        # interval's 1 node is fewer than the 2m = 14 rows of psi, so the
+        # control is reversed; the rectangle's 16 nodes are more, so psi is.
         grid = TimeGrid(2.5, 500)
         memory = PRONY
         if family == "sampled":
@@ -374,6 +363,51 @@ class TestTerminalResponseMap:
         assert not np.any(ModalOperator(basis.mu, MemoryKernel(), grid).node0_term)
 
 
+class TestForwardTrajectory:
+    """The trajectory formed from the free responses against the forced march."""
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            MemoryKernel(b=0.2, kernel=ExponentialKernel(0.1, 1.0)),
+            MemoryKernel(b=0.8, kernel=PronyKernel((4.0, -1.0), (1.0, 3.0))),
+        ],
+        ids=["weak", "strong"],
+    )
+    @pytest.mark.parametrize("geometry", ["interval", "square"])
+    def test_matches_the_forced_march(self, geometry, kernel):
+        # A rough traction, nonzero at t = 0; the square's 16 modes read
+        # fewer operator rows, each mode's through the row map.
+        if geometry == "interval":
+            basis = build_interval_basis(1.0, 16)
+        else:
+            basis = build_rectangle_basis(1.0, 1.0, 16, 8)
+        grid = TimeGrid(4.0, 1999)
+        values = np.random.default_rng(6).standard_normal((basis.n_quad, grid.n_nodes))
+        got = forward_trajectory(basis, kernel, BoundaryControl(values, grid), grid)
+        op, rows = basis_operator(basis, kernel, grid, basis.n_modes)
+        assert (rows[-1] + 1 < 16) == (geometry == "square")
+        g = (basis.traces * basis.quad_weights) @ values
+        assert np.all(g[:, 0] != 0.0)
+        w, wp = forced_march(op, g, rows)
+        for slot, want in ((got.values, w), (got.velocities, wp)):
+            assert slot.shape == (16, grid.n_nodes)
+            assert np.max(np.abs(slot - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("geometry", ["interval", "square"])
+    def test_starts_at_rest(self, geometry):
+        if geometry == "interval":
+            basis = build_interval_basis(1.0, 6)
+        else:
+            basis = build_rectangle_basis(1.0, 1.0, 6, 8)
+        grid = TimeGrid(2.5, 300)
+        control = BoundaryControl(np.ones((basis.n_quad, grid.n_nodes)), grid)
+        trajectory = forward_trajectory(basis, MemoryKernel(b=0.2, kernel=PRONY), control, grid)
+        assert not np.any(trajectory.values[:, 0])
+        assert not np.any(trajectory.velocities[:, 0])
+        assert np.all(trajectory.velocities[:, 1] != 0.0)
+
+
 class TestModalOperator:
     def test_terminal_maps_are_computed_once(self, inverted_rows, marched_rows):
         basis = build_interval_basis(1.0, 6)
@@ -401,7 +435,7 @@ class TestModalOperator:
         for got, want in zip(square, memory):
             assert np.array_equal(got.reshape(want.shape), want)
 
-    def test_warm_forward_run_marches_only_when_its_trajectory_is_read(self, marched_rows):
+    def test_warm_forward_run_and_its_trajectory_march_nothing(self, marched_rows):
         basis = build_interval_basis(1.0, 8)
         grid = TimeGrid(2.5, 301)
         kernel = MemoryKernel(b=0.2, kernel=PRONY)
@@ -410,30 +444,32 @@ class TestModalOperator:
         assert marched_rows == [2 * basis.n_modes]  # the free responses, once
         marched_rows.clear()
         sim = forward_simulate(basis, kernel, control, grid)
-        assert marched_rows == []
         trajectory = sim.trajectory
         assert sim.trajectory is trajectory
-        assert marched_rows == [2 * basis.n_modes]
+        assert marched_rows == []
         want = forward_trajectory(basis, kernel, control, grid)
         assert np.array_equal(trajectory.values, want.values)
         assert np.array_equal(trajectory.velocities, want.velocities)
+        assert marched_rows == []
 
-    def test_terminal_maps_peak_no_higher_than_a_forced_march(self):
+    def test_terminal_maps_peak_no_higher_than_a_warm_trajectory(self):
         # Python-level peak (tracemalloc) of each, from the same warm operator.
         grid = TimeGrid(2.5, 5000)
-        op = ModalOperator(build_interval_basis(1.0, 64).mu, MemoryKernel(b=0.2, kernel=PRONY), grid)
+        basis = build_interval_basis(1.0, 64)
+        kernel = MemoryKernel(b=0.2, kernel=PRONY)
+        op, _ = basis_operator(basis, kernel, grid, basis.n_modes)
         op.free_responses  # the reciprocal spectra exist before either is measured
-        forcing = np.random.default_rng(2).standard_normal((64, grid.n_nodes))
-        forced_peak = traced_peak(lambda: op.forced(forcing))
+        control = BoundaryControl(np.random.default_rng(2).standard_normal((1, grid.n_nodes)), grid)
+        trajectory_peak = traced_peak(lambda: forward_trajectory(basis, kernel, control, grid))
         map_peak = traced_peak(lambda: op.terminal_maps)
-        assert map_peak <= forced_peak
+        assert map_peak <= trajectory_peak
 
     @pytest.mark.parametrize("geometry", ["interval", "square"])
     def test_warm_forward_trajectory_peaks_at_six_modal_tables(self, geometry):
-        # The modal forcing, the trig rows the wave response consumes, its
-        # two sums and the sine, and a few KB of row indices and array
-        # headers: the march reads every mode's kernel and reciprocal
-        # through the row map, and copies neither.
+        # The modal forcing, the (w, w') stack, the march's reciprocal on
+        # the operator rows (33 of 64 on the square), and a block of modes'
+        # gathered free-response rows and convolution temporaries: 5.32
+        # tables on the interval and 4.84 on the square, measured.
         if geometry == "interval":
             basis = build_interval_basis(1.0, 64)
         else:
@@ -455,9 +491,9 @@ class TestModalOperator:
         forcings = []
         march = modal_dynamics.march_difference_kernel
 
-        def counting(factored, forcing, **kwargs):
+        def counting(factored, forcing, out=None):
             forcings.append(np.array(forcing))  # the march may overwrite it
-            return march(factored, forcing, **kwargs)
+            return march(factored, forcing, out=out)
 
         monkeypatch.setattr(modal_dynamics, "march_difference_kernel", counting)
         operator, _ = basis_operator(basis, kernel, grid, basis.n_modes)
@@ -467,10 +503,11 @@ class TestModalOperator:
         assemble_gram(basis, kernel, grid, 4)
         adjoint_trace(basis, kernel, v, grid)
         gronwall_bound_check(basis, kernel, grid)
-        # The maps and the forward run's terminal state read the same table.
+        # The maps and the forward run's terminal state and trajectory read
+        # the same table.
         operator.terminal_maps, operator.memoryless_maps
         control = BoundaryControl(values=np.cos(grid.times)[None, :], grid=grid)
-        forward_simulate(basis, kernel, control, grid)
+        forward_simulate(basis, kernel, control, grid).trajectory
         phase = basis.mu[:, None] * grid.times
         assert len(forcings) == 1
         assert np.array_equal(forcings[0], np.stack([np.cos(phase), np.sin(phase)]))
