@@ -61,8 +61,7 @@ from .quadrature import PANEL_ORDER, panel_node_count
 from .spectral_basis import (
     Geometry,
     SpectralBasis,
-    build_interval_basis,
-    build_rectangle_basis,
+    build_basis,
     default_nodes_per_face,
     trace_estimate_check,
     weyl_growth_constant,
@@ -84,6 +83,8 @@ COMMANDS = (
 
 # Bytes the largest float64 array of a run may take; a config above it exits 3.
 _ARRAY_BUDGET = 2**30
+# The budget's name of a box's control-node count, by dimension (the interval's 1 too).
+_FACE_NODES = ("2 nodes_per_face", "2 nodes_per_face", "3 nodes_per_face^2")
 
 
 class ConfigError(Exception):
@@ -303,7 +304,7 @@ def _read_control(root: _Block, basis: SpectralBasis, grid: TimeGrid) -> Boundar
         phases = block.read("phases", _reals, np.zeros_like(amplitudes).tolist(), ranks=(0, 1, 2))
         # tone_control evaluates every tone at every node and time at once.
         tones = basis.n_quad * omegas.size * grid.n_nodes
-        _check_budget({"2 nodes_per_face x omegas x (steps + 1)": tones})
+        _check_budget({f"{_FACE_NODES[basis.geometry.dimension - 1]} x omegas x (steps + 1)": tones})
         # A scalar or a list is one row shared by every quadrature node.
         if amplitudes.ndim < 2:
             amplitudes = np.tile(amplitudes, (basis.n_quad, 1))
@@ -339,31 +340,31 @@ def _read_target(root: _Block, basis: SpectralBasis) -> StatePair:
 def _setup(root: _Block, arrays=lambda modes, cells: {}):
     """Basis, kernel and grid of a config.
 
-    The size fields are read first, and the budget covers the modal tables, a
-    rectangle's traces, the control samples and the command's own large
-    arrays, arrays(modes, cells) with cells the count of control samples,
-    before the basis is built.  A grid whose step aliases the top mode is
-    refused before any modal table is built.
+    The size fields are read first, and the budget covers the modal tables,
+    a box's traces on its d nodes_per_face^(d-1) control nodes (the interval
+    has one), the control samples and the command's own large arrays,
+    arrays(modes, cells) with cells the count of control samples, before the
+    basis is built.  A grid whose step aliases the top mode is refused before
+    any modal table is built.
     """
     modes = root.read("modes", _count, least=1)
     grid = _read_grid(root)
     block = root.block("geometry")
     lengths = block.read("lengths", _reals, ranks=(1,))
     geometry = Geometry(block.read("kind"), lengths)
-    n_quad, sizes = 1, {"modes x (steps + 1)": modes * grid.n_nodes}
-    if geometry.kind == "rectangle":
+    d, faces = geometry.dimension, _FACE_NODES[geometry.dimension - 1]
+    sizes, nodes_per_face = {"modes x (steps + 1)": modes * grid.n_nodes}, 1
+    if d > 1:
         # The default node count selects the lowest modes, in arrays smaller than
         # their traces on the fewest nodes a face takes: check those first.
-        _check_budget({**sizes, "modes x 2 nodes_per_face": modes * 2 * PANEL_ORDER})
-        default = None if "nodes_per_face" in block.value else default_nodes_per_face(*lengths, modes)
-        n_quad = 2 * block.read("nodes_per_face", _face_nodes, default)
+        _check_budget({**sizes, f"modes x {faces}": modes * d * PANEL_ORDER ** (d - 1)})
+        default = None if "nodes_per_face" in block.value else default_nodes_per_face(geometry, modes)
+        nodes_per_face = block.read("nodes_per_face", _face_nodes, default)
+    n_quad = d * nodes_per_face ** (d - 1)
     cells = n_quad * grid.n_nodes
-    sizes["modes x 2 nodes_per_face"] = modes * n_quad
-    _check_budget({**sizes, "2 nodes_per_face x (steps + 1)": cells, **arrays(modes, cells)})
-    if geometry.kind == "interval":
-        basis = build_interval_basis(geometry.lengths[0], modes)
-    else:
-        basis = build_rectangle_basis(*geometry.lengths, modes, n_quad // 2)
+    sizes[f"modes x {faces}"] = modes * n_quad
+    _check_budget({**sizes, f"{faces} x (steps + 1)": cells, **arrays(modes, cells)})
+    basis = build_basis(geometry, modes, nodes_per_face)
     # At mu_M dt >= pi the sampled cos(mu_M t) aliases onto a lower mode.
     top = float(basis.mu[-1])
     if not top * grid.dt < math.pi:
@@ -506,7 +507,7 @@ def _cmd_probes(root):
     p = root.read("perturbation_modes", _count, min(16, m), least=1, most=m)
     # The compactness probe's product of its trace and time QR factors.
     factor = (
-        "2 perturbation_modes x min(perturbation_modes, 2 nodes_per_face)"
+        f"2 perturbation_modes x min(perturbation_modes, {_FACE_NODES[basis.geometry.dimension - 1]})"
         " x min(2 perturbation_modes, steps + 1)"
     )
     _check_budget({factor: 2 * p * min(p, basis.n_quad) * min(2 * p, grid.n_nodes)})

@@ -1,38 +1,46 @@
-"""Mixed Dirichlet-Neumann Laplacian eigenbases on intervals and rectangles.
+"""Mixed Dirichlet-Neumann Laplacian eigenbases on boxes of one to three dimensions.
 
-The clamped part of the boundary (Dirichlet) is x = 0 on the interval and the
-two faces through the origin on the rectangle; the remaining faces carry the
-traction control (Neumann).  Eigenpairs solve Delta phi = -mu^2 phi with those
-boundary conditions, are L2-orthonormal, and the stored boundary data are the
-raw traces phi|_{Gamma_1} at the control-face quadrature nodes.
+The box (0, L_1) x ... x (0, L_d) is clamped (Dirichlet) on the faces
+{x_i = 0} through the origin and carries the traction control (Neumann) on
+the faces {x_i = L_i}.  The interval is the 1-d box, whose one control face
+is the point x = L, and the rectangle the 2-d box.  Eigenpairs solve
+Delta phi = -mu^2 phi with those boundary conditions, are products of
+per-axis half-integer sines, L2-orthonormal, and the stored boundary data
+are the raw traces phi|_{Gamma_1} at the control-face quadrature nodes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .quadrature import PANEL_ORDER, gauss_legendre_panels
 
+_LENGTH_COUNTS = {
+    "interval": (1, 1, "exactly one length"),
+    "rectangle": (2, 2, "exactly two lengths"),
+    "box": (1, 3, "1 to 3 lengths"),
+}
+
 
 @dataclass(frozen=True)
 class Geometry:
-    """Domain description: kind is 'interval' or 'rectangle', lengths per axis."""
+    """Domain description: the box with these lengths per axis, of a kind
+    that fixes their count, 'interval' (1), 'rectangle' (2) or 'box' (1 to 3)."""
 
     kind: str
     lengths: tuple
 
     def __post_init__(self):
         lengths = tuple(float(v) for v in self.lengths)
-        if self.kind == "interval":
-            if len(lengths) != 1:
-                raise ValueError("interval geometry takes exactly one length")
-        elif self.kind == "rectangle":
-            if len(lengths) != 2:
-                raise ValueError("rectangle geometry takes exactly two lengths")
-        else:
+        if not isinstance(self.kind, str) or self.kind not in _LENGTH_COUNTS:
             raise ValueError(f"unsupported geometry kind {self.kind!r}")
+        least, most, counts = _LENGTH_COUNTS[self.kind]
+        if not least <= len(lengths) <= most:
+            raise ValueError(f"{self.kind} geometry takes {counts}")
         if any(not np.isfinite(v) or v <= 0.0 for v in lengths):
             raise ValueError(f"geometry lengths must be positive and finite, got {lengths}")
         object.__setattr__(self, "lengths", lengths)
@@ -90,118 +98,103 @@ class SpectralBasis:
         return self.quad_weights.size
 
 
-def build_interval_basis(length: float, n_modes: int) -> SpectralBasis:
-    """Eigenbasis of (0, length), clamped at 0, controlled at x = length.
+def _lowest_modes(lengths: tuple, n_modes: int):
+    """Indices (1-based), per-axis frequencies and eigenfrequencies of the
+    box's n_modes lowest modes, sorted by (mu, indices).
 
-    mu_n = (n - 1/2) pi / length and phi_n = sqrt(2/length) sin(mu_n x); the
-    control face is the single endpoint x = length with unit weight, so the
-    stored trace is sqrt(2/length) * (-1)^(n+1).
+    They and their ties have no index above n_modes (lowering it gives
+    n_modes modes below), nor an own frequency above a bound at or above
+    mu_M.  The bound starts from Weyl's count, or the fundamental if higher,
+    and grows by a tenth until the box under both caps holds n_modes modes
+    at or below it (one index more for rounding).
     """
-    geometry = Geometry.interval(length)
+    d, length = len(lengths), np.array(lengths)
+    spacing = math.prod((math.pi / v) ** (1 / d) for v in lengths)  # geometric mean of pi / L_i
+    weyl = 2.0 * spacing * (n_modes * math.gamma(1 + d / 2)) ** (1 / d) / math.sqrt(math.pi)
+    bound = max(weyl, math.hypot(*(0.5 * math.pi / v for v in lengths)))
+    while True:
+        caps = [int(min(n_modes, bound * v / math.pi + 1.5)) for v in lengths]
+        index = np.indices(caps).reshape(d, -1).T + 1
+        freqs = (index - 0.5) * np.pi / length
+        # A hypot chain over the sorted frequencies gives permuted indices
+        # on equal lengths the same mu, bit for bit.
+        mu = reduce(np.hypot, np.sort(freqs, axis=1).T)
+        if np.count_nonzero(mu <= bound) >= n_modes:
+            keep = np.lexsort((*index.T[::-1], mu))[:n_modes]
+            return index[keep], freqs[keep], mu[keep]
+        bound *= 1.1
+
+
+def default_nodes_per_face(geometry: Geometry, n_modes: int) -> int:
+    """Nodes per face axis for the n_modes lowest modes, one panel per index up
+    to their largest: their trace products integrate to near machine accuracy."""
+    return PANEL_ORDER * int(_lowest_modes(geometry.lengths, n_modes)[0].max())
+
+
+def build_basis(geometry: Geometry, n_modes: int, nodes_per_face=None) -> SpectralBasis:
+    """The n_modes lowest modes of the box (0, L_1) x ... x (0, L_d),
+
+        phi_k(x) = norm prod_i sin(f_i x_i),   f_i = (k_i - 1/2) pi / L_i,
+
+    norm = 2^(d/2) / sqrt(L_1 ... L_d) and mu_k = |f|, sorted by mu, then k,
+    so each basis is the leading rows of every larger one.  The face
+    {x_i = L_i} carries the tensor product of composite Gauss-Legendre rules
+    of nodes_per_face nodes (default default_nodes_per_face) on the other
+    axes, and there the trace is norm * s_1 * ... * s_d, left to right, with
+    s_i = sin(f_i L_i) and s_j = sin(f_j x_j); the interval's face is the
+    point x = L with weight 1.
+    """
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    n = np.arange(1, n_modes + 1)
-    mu = (n - 0.5) * np.pi / length
-    traces = (np.sqrt(2.0 / length) * np.sin(mu * length))[:, None]
-    return SpectralBasis(
-        geometry=geometry,
-        mu=mu,
-        traces=traces,
-        labels=tuple((int(i),) for i in n),
-        quad_nodes=np.array([[length]]),
-        quad_weights=np.array([1.0]),
-    )
-
-
-def _lowest_modes(a: float, b: float, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis indices (m, n) of the n_modes lowest modes, sorted by (mu, m, n)."""
-    index = np.arange(1, n_modes + 1)
-    alpha, beta = (index - 0.5) * np.pi / a, (index - 0.5) * np.pi / b
-    # A ceil(n_modes / q) x q box holds n_modes modes at or below its corner
-    # frequency; below the lowest corner lie O(n_modes) candidates.  Column m
-    # takes the n with beta_n within that bound's reach, one more for rounding.
-    bound = np.min(np.hypot(alpha[-(-n_modes // index) - 1], beta))
-    reach = np.sqrt(bound**2 - alpha[alpha <= bound] ** 2)
-    rows = np.minimum(np.searchsorted(beta, reach, side="right") + 1, n_modes)
-    m = np.repeat(index[: rows.size], rows)
-    n = np.arange(m.size) - np.repeat(np.cumsum(rows) - rows, rows) + 1
-    keep = np.lexsort((n, m, np.hypot(alpha[m - 1], beta[n - 1])))[:n_modes]
-    return m[keep], n[keep]
-
-
-def _panel_nodes(m: np.ndarray, n: np.ndarray) -> int:
-    return PANEL_ORDER * int(max(m.max(), n.max()))
-
-
-def default_nodes_per_face(a: float, b: float, n_modes: int) -> int:
-    """Nodes per control face for the n_modes lowest modes, one panel per per-axis index
-    up to their largest: their trace products integrate to near machine accuracy."""
-    return _panel_nodes(*_lowest_modes(a, b, n_modes))
-
-
-def build_rectangle_basis(
-    a: float, b: float, n_modes: int, nodes_per_face: int | None = None
-) -> SpectralBasis:
-    """The n_modes lowest modes of (0,a) x (0,b), clamped on {x=0} and {y=0}.
-
-    Modes are products of per-axis half-integer sines,
-
-        phi_{mn}(x, y) = 2/sqrt(ab) sin((m-1/2) pi x / a) sin((n-1/2) pi y / b),
-
-    sorted by eigenfrequency, ties broken lexicographically in (m, n), so the
-    n_modes-mode basis is the leading rows of every larger one.  The control
-    faces {x=a} and {y=b} carry composite Gauss-Legendre quadrature;
-    nodes_per_face defaults to default_nodes_per_face(a, b, n_modes).
-    """
-    geometry = Geometry.rectangle(a, b)
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    m, n = _lowest_modes(a, b, n_modes)
+    lengths, d = geometry.lengths, geometry.dimension
+    index, freqs, mu = _lowest_modes(lengths, n_modes)
     if nodes_per_face is None:
-        nodes_per_face = _panel_nodes(m, n)
-    alpha, beta = (m - 0.5) * np.pi / a, (n - 0.5) * np.pi / b
-    mu = np.hypot(alpha, beta)
-    labels = tuple(zip(m.tolist(), n.tolist()))
+        nodes_per_face = PANEL_ORDER * int(index.max())
+    # The interval keeps sqrt(2/L), which 2^(1/2) / sqrt(L) does not always round to.
+    norm = np.sqrt(2.0 / lengths[0]) if d == 1 else 2.0 ** (d / 2) / np.sqrt(np.prod(lengths))
 
-    ya, wa = gauss_legendre_panels(b, nodes_per_face)  # face x = a, parametrised by y
-    xb, wb = gauss_legendre_panels(a, nodes_per_face)  # face y = b, parametrised by x
-    nodes = np.vstack(
-        [np.column_stack([np.full_like(ya, a), ya]), np.column_stack([xb, np.full_like(xb, b)])]
-    )
-    weights = np.concatenate([wa, wb])
-
-    # Each face's trace is (norm * sin(alpha x)) * sin(beta y), computed in
-    # place in one traces-sized array.
-    norm = 2.0 / np.sqrt(a * b)
-    traces = np.empty((mu.size, weights.size))
-    on_xa, on_yb = traces[:, : ya.size], traces[:, ya.size :]
-    np.sin(np.multiply.outer(beta, ya, out=on_xa), out=on_xa)
-    on_xa *= (norm * np.sin(alpha * a))[:, None]
-    np.sin(np.multiply.outer(alpha, xb, out=on_yb), out=on_yb)
-    on_yb *= norm
-    on_yb *= np.sin(beta * b)[:, None]
-
+    # Face i's grid lays axis j along array axis j: the panel rule on every
+    # other axis (the interval has none), the one point L_i of weight 1 on i.
+    along = [(1,) * j + (-1,) + (1,) * (d - 1 - j) for j in range(d)]
+    freqs = freqs.T.reshape((d, -1) + (1,) * d)
+    panels = [gauss_legendre_panels(v, nodes_per_face) for v in lengths] if d > 1 else [None]
+    traces, nodes, weights = [], [], []
+    for i in range(d):
+        rules = panels[:i] + [(np.array([lengths[i]]), np.ones(1))] + panels[i + 1 :]
+        x, w = ([a.reshape(shape) for a, shape in zip(column, along)] for column in zip(*rules))
+        sines = map(np.sin, map(np.multiply, freqs, x))
+        traces.append(reduce(np.multiply, sines, norm).reshape(mu.size, -1))
+        nodes.append(np.stack(np.broadcast_arrays(*x), axis=-1).reshape(-1, d))
+        weights.append(reduce(np.multiply, w).ravel())
     return SpectralBasis(
         geometry=geometry,
         mu=mu,
-        traces=traces,
-        labels=labels,
-        quad_nodes=nodes,
-        quad_weights=weights,
+        traces=np.concatenate(traces, axis=1),
+        labels=tuple(map(tuple, index.tolist())),
+        quad_nodes=np.vstack(nodes),
+        quad_weights=np.concatenate(weights),
     )
+
+
+def build_interval_basis(length: float, n_modes: int) -> SpectralBasis:
+    """build_basis on (0, length), controlled at x = length."""
+    return build_basis(Geometry.interval(length), n_modes)
+
+
+def build_rectangle_basis(a: float, b: float, n_modes: int, nodes_per_face=None) -> SpectralBasis:
+    """build_basis on (0, a) x (0, b), controlled on the faces {x = a} and {y = b}."""
+    return build_basis(Geometry.rectangle(a, b), n_modes, nodes_per_face)
 
 
 def control_time_lower_bound(geometry: Geometry) -> float:
-    """Sharp horizon 2 * inf_{x0} sup_{x in Omega} |x - x0| for these geometries.
+    """Sharp horizon 2 * inf_{x0} sup_{x in Omega} |x - x0| for these boxes.
 
     The multiplier point must keep the clamped faces in the inflow part of the
-    boundary, which pins x0 to the clamped corner: x0 = 0 on the interval
-    (bound 2 L) and x0 = (0, 0) on the rectangle (bound 2 sqrt(a^2 + b^2)).
+    boundary, which pins x0 to the clamped corner, the origin: the bound is
+    2 |L|, twice the hypot chain of the lengths (2 L on the interval,
+    2 sqrt(a^2 + b^2) on the rectangle).
     """
-    if geometry.kind == "interval":
-        return 2.0 * geometry.lengths[0]
-    a, b = geometry.lengths
-    return 2.0 * float(np.hypot(a, b))
+    return 2.0 * float(reduce(np.hypot, geometry.lengths))
 
 
 @dataclass(frozen=True)

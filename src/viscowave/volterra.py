@@ -30,6 +30,7 @@ from .quadrature import next_fast_len
 _SINGULAR_TOL = 1e-12
 # Rows go through the FFTs in blocks of about this many samples (bounds temporaries).
 _BLOCK_SAMPLES = 2**16
+_OVERFLOW = "the memory term overflowed the float range; shorten the horizon or weaken the kernel"
 
 
 class StepSizeError(RuntimeError):
@@ -63,18 +64,21 @@ class FactoredKernel:
     @cached_property
     def spectra(self) -> np.ndarray:
         """rfft of h per kernel row at length self.size, where h holds the
-        leading coefficients of 1/a(z)."""
+        leading coefficients of 1/a(z); one out of the float range raises."""
         n = self.kernel.shape[-1]
         k_rows = self.kernel.reshape(-1, n)
         step = max(1, _BLOCK_SAMPLES // n)
         spectra = np.empty((len(k_rows), self.size // 2 + 1), dtype=complex)
         # Every block reuses one zero-padded h.
         h = np.zeros((min(step, len(k_rows)), self.size))
-        for s in range(0, len(k_rows), step):
-            a = -self.dt * k_rows[s : s + step, : n - 1]
-            a[:, 0] = 1.0 - 0.5 * self.dt * k_rows[s : s + step, 0]
-            h[: len(a), : n - 1] = _reciprocal(a)
-            np.fft.rfft(h[: len(a)], axis=-1, out=spectra[s : s + step])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in range(0, len(k_rows), step):
+                a = -self.dt * k_rows[s : s + step, : n - 1]
+                a[:, 0] = 1.0 - 0.5 * self.dt * k_rows[s : s + step, 0]
+                h[: len(a), : n - 1] = _reciprocal(a)
+                np.fft.rfft(h[: len(a)], axis=-1, out=spectra[s : s + step])
+        if not np.isfinite(spectra).all():
+            raise MarchOverflowError(_OVERFLOW)
         return spectra
 
     def reciprocal(self) -> np.ndarray:
@@ -154,9 +158,7 @@ def march_difference_kernel(
             y[s : s + r, 0] = fr[:, 0]
             y[s : s + r, 1:] = full[:r, : n - 1]
     if not np.isfinite(y).all():
-        raise MarchOverflowError(
-            "the memory term overflowed the float range; shorten the horizon or weaken the kernel"
-        )
+        raise MarchOverflowError(_OVERFLOW)
     return out
 
 

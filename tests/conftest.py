@@ -48,13 +48,14 @@ def marched_rows(monkeypatch):
 
 @pytest.fixture
 def lowest_mode_selections(monkeypatch):
-    """Arguments of each spectral_basis._lowest_modes call, one entry per call."""
+    """Arguments (lengths, n_modes) of each spectral_basis._lowest_modes call,
+    one entry per call."""
     calls = []
     lowest_modes = spectral_basis._lowest_modes
 
-    def counting(*args):
-        calls.append(args)
-        return lowest_modes(*args)
+    def counting(lengths, n_modes):
+        calls.append((lengths, n_modes))
+        return lowest_modes(lengths, n_modes)
 
     monkeypatch.setattr(spectral_basis, "_lowest_modes", counting)
     return calls

@@ -21,19 +21,23 @@ forward run's terminal state and the synthesized control the direct way,
 through full (2m, n) and (M, n) tables, the references for the factored
 products.  pairing_sides evaluates both sides of the pairing identity for
 one control and datum, through the adjoint trace and the forward run, the
-sampled reference for the entrywise duality_check.  traced_peak measures
-the Python-level memory peak of one call.
+sampled reference for the entrywise duality_check.  box_basis_reference
+builds the lowest box modes one by one, the reference for build_basis.
+traced_peak measures the Python-level memory peak of one call.
 """
 
+import math
 import tracemalloc
 from dataclasses import dataclass
+from functools import reduce
+from itertools import product
 
 import numpy as np
 
 from viscowave.grids import TimeGrid
 from viscowave.memory_kernel import MemoryKernel
 from viscowave.modal_dynamics import ModalOperator, adjoint_trace, forward_simulate
-from viscowave.quadrature import trapezoid_convolve, trapezoid_weights
+from viscowave.quadrature import gauss_legendre_panels, trapezoid_convolve, trapezoid_weights
 from viscowave.volterra import FactoredKernel, march_difference_kernel
 
 
@@ -189,31 +193,57 @@ def solve_picard(problem: VolterraProblem, grid: TimeGrid, n_iter: int = 20) -> 
     gap = float(np.max(np.abs(y - y_prev)))
     return PicardResult(solution=y, contraction_estimate=gap, iterations=n_iter)
 
-def rectangle_basis_reference(a, b, n_modes, ya, xb):
-    """Mode by mode (mu, traces, labels) of the n_modes lowest rectangle modes.
+def box_basis_reference(lengths, n_modes, nodes_per_face):
+    """Mode by mode (mu, traces, labels, nodes, weights) of the n_modes lowest
+    modes of the box (0, L_1) x ... x (0, L_d), in Python loops.
 
-    Frequencies hypot(alpha_m, beta_n) of the half-integer sines over the box
-    m, n <= n_modes, which holds the lowest n_modes (the first row alone holds
-    n_modes modes below any m > n_modes, the first column below any
-    n > n_modes), sorted by (mu, m, n) and cut to n_modes.  Each kept mode's
-    trace is (2/sqrt(ab)) sin(alpha_m x) sin(beta_n y) on the face x = a at
-    heights ya, then on the face y = b at abscissae xb, in Python loops over
-    the modes.
+    The c^d modes of indices up to c = ceil(n_modes^(1/d)) lie at or below
+    the frequency B of the mode (c, ..., c), so the lowest n_modes do too,
+    and each of their per-axis frequencies f_i = (k_i - 1/2) pi / L_i lies
+    at or below B.  The candidates are every index tuple under those caps,
+    one more for rounding, each with mu the np.hypot chain over its sorted
+    per-axis frequencies, sorted by (mu, indices) and cut to n_modes.  Face
+    i, {x_i = L_i}, holds the tensor product of gauss_legendre_panels(L_j,
+    nodes_per_face) over the other axes in order, each node weighted by the
+    product of theirs; nodes_per_face None is 8 per largest kept index, and
+    the interval's face is the one point L of weight 1.
+    Each kept mode's trace at a node x is norm * sin(f_1 x_1) * ... *
+    sin(f_d x_d), left to right, with norm sqrt(2/L) on the interval and
+    2^(d/2) / sqrt(L_1 ... L_d) otherwise.
     """
-    m = np.arange(1, n_modes + 1)
-    alpha = (m - 0.5) * np.pi / a
-    beta = (m - 0.5) * np.pi / b
-    pairs = [(int(i), int(j)) for i in m for j in m]
-    mus = np.array([np.hypot(alpha[i - 1], beta[j - 1]) for i, j in pairs])
-    order = sorted(range(len(pairs)), key=lambda k: (mus[k], pairs[k]))[:n_modes]
-    labels = tuple(pairs[k] for k in order)
-    norm = 2.0 / np.sqrt(a * b)
-    traces = np.empty((len(labels), ya.size + xb.size))
-    for row, (i, j) in enumerate(labels):
-        on_xa = norm * np.sin(alpha[i - 1] * a) * np.sin(beta[j - 1] * ya)
-        on_yb = norm * np.sin(alpha[i - 1] * xb) * np.sin(beta[j - 1] * b)
-        traces[row] = np.concatenate([on_xa, on_yb])
-    return mus[order], traces, labels
+    d = len(lengths)
+
+    def freqs(k):
+        return [(k_i - 0.5) * np.pi / length for k_i, length in zip(k, lengths)]
+
+    c = 1
+    while c**d < n_modes:
+        c += 1
+    top = reduce(np.hypot, sorted(freqs((c,) * d)))
+    caps = [int(top * length / np.pi + 0.5) + 1 for length in lengths]
+    mus = {k: reduce(np.hypot, sorted(freqs(k))) for k in product(*(range(1, cap + 1) for cap in caps))}
+    labels = tuple(sorted(mus, key=lambda k: (mus[k], k))[:n_modes])
+    if nodes_per_face is None:
+        nodes_per_face = 8 * max(map(max, labels))
+
+    faces, weights = [], []
+    for i in range(d):
+        rules = [
+            ([length], [1.0]) if j == i else gauss_legendre_panels(length, nodes_per_face)
+            for j, length in enumerate(lengths)
+        ]
+        for q in product(*(range(len(x)) for x, _ in rules)):
+            faces.append([rules[j][0][q[j]] for j in range(d)])
+            weights.append(math.prod(rules[j][1][q[j]] for j in range(d)))
+    nodes = np.array(faces)
+    norm = np.sqrt(2.0 / lengths[0]) if d == 1 else 2.0 ** (d / 2) / np.sqrt(np.prod(lengths))
+    traces = np.empty((n_modes, len(nodes)))
+    for row, k in enumerate(labels):
+        trace = norm
+        for f, x in zip(freqs(k), nodes.T):
+            trace = trace * np.sin(f * x)
+        traces[row] = trace
+    return np.array([mus[k] for k in labels]), traces, labels, nodes, np.array(weights)
 
 
 def perturbation_svd_reference(basis, terminal_maps, n_modes, dt):

@@ -15,7 +15,7 @@ from viscowave.memory_kernel import (
     SampledKernel,
     ZeroKernel,
 )
-from viscowave.spectral_basis import build_rectangle_basis, default_nodes_per_face
+from viscowave.spectral_basis import Geometry, build_rectangle_basis, default_nodes_per_face
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -160,7 +160,7 @@ class TestSimulate:
         geometry = read_manifest(out)["config"]["geometry"]
         assert "modes_per_axis" not in geometry
         # The two lowest modes, (1, 1) and (1, 2), reach index 2: two panels.
-        assert geometry["nodes_per_face"] == default_nodes_per_face(1.0, 1.0, 2) == 16
+        assert geometry["nodes_per_face"] == default_nodes_per_face(Geometry.rectangle(1.0, 1.0), 2) == 16
         terminal = np.loadtxt(out / "terminal.csv", delimiter=",", skiprows=1)
         assert terminal.shape == (2, 4)
 
@@ -168,7 +168,7 @@ class TestSimulate:
         geometry = {"kind": "rectangle", "lengths": [1.0, 3.0], "nodes_per_face": 24}
         cfg = write_config(tmp_path, base_config(modes=6, geometry=geometry))
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-        assert lowest_mode_selections == [(1.0, 3.0, 6)]
+        assert lowest_mode_selections == [((1.0, 3.0), 6)]
 
     def test_stale_modes_per_axis_is_ignored(self, tmp_path):
         outs = []
@@ -449,6 +449,61 @@ ROUND_TRIPS = {
         ),
     ),
 }
+
+
+class TestBoxGeometry:
+    """"box" takes 1 to 3 lengths: with one or two it is the interval or the
+    rectangle, through the same builder, and with three the cube."""
+
+    CUBE = {"kind": "box", "lengths": [1.0, 1.0, 1.0]}
+
+    # maccamy reads no geometry.
+    @pytest.mark.parametrize("command", sorted(set(SMALL_RUNS) - {"maccamy"}))
+    @pytest.mark.parametrize("lengths", [[1.0], [1.0, 0.5]], ids=["interval", "rectangle"])
+    def test_one_or_two_lengths_write_the_same_tables(self, tmp_path, command, lengths):
+        # 1 x 0.5 keeps the Gram runs' T = 2.5 above the bound 2 sqrt(1.25).
+        outs = []
+        for kind in ("interval" if len(lengths) == 1 else "rectangle", "box"):
+            payload = dict(SMALL_RUNS[command], seed=42, geometry={"kind": kind, "lengths": lengths})
+            cfg = write_config(tmp_path, payload, name=f"{kind}.json")
+            outs.append(tmp_path / kind)
+            assert main([command, "--config", cfg, "--out", str(outs[-1])]) == 0
+        named, box = outs
+        tables = sorted(path.name for path in named.glob("*.csv"))
+        assert tables and tables == sorted(path.name for path in box.glob("*.csv"))
+        for name in tables:
+            assert (named / name).read_bytes() == (box / name).read_bytes(), name
+        assert read_manifest(box)["config"]["geometry"]["kind"] == "box"
+
+    @pytest.mark.parametrize("lengths", [[], [1.0] * 4], ids=["none", "four"])
+    def test_length_count_outside_one_to_three_exits_three(self, tmp_path, capsys, lengths):
+        cfg = write_config(tmp_path, base_config(geometry={"kind": "box", "lengths": lengths}))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert "box geometry takes 1 to 3 lengths" in capsys.readouterr().err
+
+    def test_cube_face_nodes_count_in_the_budget(self, tmp_path, capsys):
+        geometry = dict(self.CUBE, nodes_per_face=10**6)
+        cfg = write_config(tmp_path, base_config(geometry=geometry))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "3 nodes_per_face^2 x (steps + 1) array would take" in err
+
+    def test_cube_gram_spectrum(self, tmp_path):
+        # Unit cube, T = 4 above its bound 2 sqrt(3), mu_M dt <= 0.045 at M=16:
+        # min_eig / max_eig to 4 digits, with memory and without.
+        figures = {"memory": (9.085, 14.57), "elastic": (9.088, 14.60)}
+        for name, (low, high) in figures.items():
+            payload = base_config(
+                modes=16, geometry=self.CUBE, grid={"horizon": 4.0, "steps": 827}, mode_counts=[16]
+            )
+            if name == "memory":
+                payload["kernel"] = {"b": 0.2, "family": "exponential", "params": {"amplitude": 0.1, "rate": 1.0}}
+            cfg = write_config(tmp_path, payload, name=f"{name}.json")
+            out = tmp_path / name
+            assert main(["gram-spectrum", "--config", cfg, "--out", str(out)]) == 0
+            row = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)
+            assert read_manifest(out)["config"]["geometry"]["nodes_per_face"] == 24
+            assert f"{row[1]:.4g}/{row[1] * row[2]:.4g}" == f"{low:.4g}/{high:.4g}", name
 
 
 class TestSeed:

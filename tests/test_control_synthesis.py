@@ -45,7 +45,13 @@ from viscowave.modal_dynamics import (
     tone_control,
 )
 from viscowave.quadrature import trapezoid_weights
-from viscowave.spectral_basis import SpectralBasis, build_interval_basis, build_rectangle_basis
+from viscowave.spectral_basis import (
+    Geometry,
+    SpectralBasis,
+    build_basis,
+    build_interval_basis,
+    build_rectangle_basis,
+)
 from viscowave.volterra import FactoredKernel, march_difference_kernel
 
 
@@ -130,6 +136,19 @@ class TestMinNormSynthesis:
         assert result.residual <= 1e-10
         sim = forward_simulate(basis, kernel, result.control, grid)
         assert terminal_error(sim.terminal, target) <= 1e-2
+
+    def test_unit_cube_synthesis_is_verified(self):
+        # T = 4 lies above the cube's bound 2 sqrt(3); 16 modes on 1728 face
+        # nodes, with mu_M dt <= 0.045.
+        basis = build_basis(Geometry("box", (1.0, 1.0, 1.0)), 16)
+        kernel = MemoryKernel(b=0.2, kernel=ExponentialKernel(0.1, 1.0))
+        grid = TimeGrid(4.0, 827)
+        gram = assemble_gram(basis, kernel, grid, n_modes=16)
+        target = random_smooth_target(basis, np.random.default_rng(3))
+        result = solve_min_norm_control(gram, basis, kernel, grid, target)
+        sim = forward_simulate(basis, kernel, result.control, grid)
+        assert basis.n_quad == 1728
+        assert terminal_error(sim.terminal, target) <= 1e-6
 
     def test_orthogonal_perturbations_only_add_norm(self):
         # The synthesized control lives in the span of the reversed traces.

@@ -15,8 +15,9 @@ from viscowave.memory_kernel import (
     SampledKernel,
     ZeroKernel,
 )
-from viscowave.modal_dynamics import memory_oscillator_kernels
-from viscowave.volterra import FactoredKernel, StepSizeError, march_difference_kernel
+from viscowave.modal_dynamics import ModalOperator, memory_oscillator_kernels
+from viscowave.spectral_basis import build_interval_basis
+from viscowave.volterra import FactoredKernel, MarchOverflowError, StepSizeError, march_difference_kernel
 
 
 class TestMarching:
@@ -250,6 +251,17 @@ class TestValidation:
         k = np.full(grid.n_nodes, 2.0 / grid.dt)
         with pytest.raises(StepSizeError):
             FactoredKernel(k, grid.dt)
+
+    def test_overflowing_reciprocal_raises_before_any_march(self):
+        # b = 1e6 makes each mode's reciprocal grow past the float range by
+        # T = 10; reading it before any march raises as the march would, with
+        # no warning.
+        mu = build_interval_basis(1.0, 2).mu
+        op = ModalOperator(mu, MemoryKernel(b=1e6), TimeGrid(10.0, 2000))
+        with pytest.raises(MarchOverflowError, match="the memory term overflowed"):
+            FactoredKernel(op.kernels, op.grid.dt).reciprocal()
+        with pytest.raises(MarchOverflowError, match="the memory term overflowed"):
+            op.node0_term
 
 
 def test_package_exports_resolve_and_the_picard_route_is_gone():
